@@ -81,19 +81,32 @@ def _graph_arg(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+
+    return parse
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="edgeind",
         description="induced-copy counting, fractional independence, blow-up "
                     "constructions, exact edge-budget search and entropy checks",
     )
-    parser.add_argument("--json", action="store_true", help="JSON output (default)")
     parser.add_argument("--table", action="store_true", help="human-readable tables")
     parser.add_argument("--cache-dir", default=None,
                         help=f"search-result cache directory (default ${CACHE_ENV})")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="independent search shards; never changes the output")
-    parser.add_argument("--max-certificates", type=int, default=1000)
+    parser.add_argument("--shards", type=_int_at_least(1), default=1,
+                        help="worker processes that grow the last search level; "
+                             "never changes the output")
+    parser.add_argument("--max-certificates", type=_int_at_least(0), default=1000)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("alphaf", help="fractional independence number and witness")

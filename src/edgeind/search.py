@@ -1,11 +1,12 @@
 """Exact edge-inducibility by isomorph-free exhaustive generation.
 
 Graphs with m edges and no isolated vertices are generated one per
-isomorphism class by canonical augmentation: every m-edge class is grown
-from the (m-1)-edge class obtained by deleting its canonical-last edge,
-so a candidate child is accepted exactly when deleting that edge (and any
-vertices it isolates) reproduces the parent.  Each class therefore has a
-unique generating parent and the enumeration never needs a global seen-set.
+isomorphism class, level by level: every one-edge extension of every
+(m-1)-edge class is labelled once with ``canonical_form`` and kept if its
+label is new to the level.  A level-wide seen-set of labels is sound
+because labels are canonical (equal exactly for isomorphic graphs), and
+the representative of a class is ``parse_graph6(label)``, so it does not
+depend on which parent or which worker found the class first.
 
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value the closed-form bounds are
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import urllib.parse
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .graph import Graph, parse_graph6, write_graph6
+from .graph import Graph, parse_graph6
 from .canon import canonical_form
 from .counting import count_induced
 from .families import family_graph, family_name
@@ -30,7 +31,6 @@ from .blowups import blow_up, bound_eval, effective_upper, optimize_part_sizes
 DEFAULT_CEILING = 12
 GENERATOR_VERSION = "1"
 FLOAT_SLACK = 1e-9
-_SHARD_DEPTH = 5
 
 
 class CeilingError(RuntimeError):
@@ -55,13 +55,9 @@ def estimated_class_count(m):
     return int(1476 * 3.4 ** (m - 9)) if m > 9 else 1476
 
 
-def _canonical_last_edge(relabeled: Graph):
-    return max(relabeled.edges(), key=lambda e: (e[1], e[0]))
-
-
-def _children(parent: Graph, parent_label: str):
-    """Accepted one-edge extensions of a canonical representative, each
-    returned as (canonically relabeled graph, label), deduplicated."""
+def _children(parent: Graph, seen: set):
+    """Labels of the one-edge extensions of ``parent`` that are not yet in
+    ``seen``; each candidate is labelled once and new labels join ``seen``."""
     candidates = []
     n = parent.n
     for u in range(n):
@@ -72,41 +68,48 @@ def _children(parent: Graph, parent_label: str):
         candidates.append(parent.add_vertex(1 << u))
     if n + 2 <= 64:
         candidates.append(parent.add_vertex(0).add_vertex(1 << n))
-    out = {}
+    new = []
     for child in candidates:
-        form = canonical_form(child)
-        if form.label in out:
-            continue
-        canonical_child = child.relabel(form.perm)
-        back = canonical_child.remove_edge(*_canonical_last_edge(canonical_child))
-        if canonical_form(back.without_isolated()).label == parent_label:
-            out[form.label] = canonical_child
-    return sorted(out.items())
+        label = canonical_form(child).label
+        if label not in seen:
+            seen.add(label)
+            new.append(label)
+    return new
 
 
-@lru_cache(maxsize=None)
-def _level(m):
+def _grow(parents):
+    """Labels of all one-edge extensions of the given graphs, each class once."""
+    seen = set()
+    for parent in parents:
+        _children(parent, seen)
+    return seen
+
+
+def _shard_worker(parent_labels):
+    """Pool task.  Parents arrive as graph6 labels, so the result does not
+    depend on what the worker inherited from the parent process."""
+    return _grow(parse_graph6(label) for label in parent_labels)
+
+
+_LEVELS = {}
+
+
+def _level(m, shards=1):
     """All m-edge classes without isolated vertices, as (label, graph)
-    pairs sorted by label."""
-    if m == 0:
-        g = Graph.empty(0)
-        return ((canonical_form(g).label, g),)
-    if m == 1:
-        g = Graph.complete(2)
-        return ((canonical_form(g).label, g),)
-    out = []
-    for label, parent in _level(m - 1):
-        out.extend(_children(parent, label))
-    return tuple(sorted(out))
-
-
-def _extend(pairs, steps):
-    for _ in range(steps):
-        nxt = []
-        for label, parent in pairs:
-            nxt.extend(_children(parent, label))
-        pairs = sorted(nxt)
-    return pairs
+    pairs sorted by label.  A level is grown once per process from level
+    m-1; with shards > 1, pool workers grow disjoint slices of its parents."""
+    if m not in _LEVELS:
+        if m <= 1:
+            labels = {canonical_form(Graph.complete(2) if m else Graph.empty(0)).label}
+        elif shards <= 1:
+            labels = _grow(g for _, g in _level(m - 1))
+        else:
+            parent_labels = [label for label, _ in _level(m - 1)]
+            slices = [parent_labels[i::shards] for i in range(shards)]
+            with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
+                labels = set().union(*pool.map(_shard_worker, slices))
+        _LEVELS[m] = tuple((label, parse_graph6(label)) for label in sorted(labels))
+    return _LEVELS[m]
 
 
 def enumerate_m_edge_graphs(m, ceiling=DEFAULT_CEILING):
@@ -160,21 +163,10 @@ def _scan(pairs, pattern: Graph):
     return rho, maximizers, scanned
 
 
-def _shard_pairs(m, shards, index):
-    depth = min(m, _SHARD_DEPTH)
-    base = [p for i, p in enumerate(_level(depth)) if i % shards == index]
-    return _extend(base, m - depth)
-
-
-def _shard_worker(pattern_g6, m, shards, index):
-    pattern = parse_graph6(pattern_g6)
-    rho, maximizers, scanned = _scan(_shard_pairs(m, shards, index), pattern)
-    return rho, maximizers, scanned
-
-
 class ResultCache:
     """JSON-lines result store, one file per pattern canonical label.
-    Records from other generator versions are ignored."""
+    Records from other generator versions are ignored; unreadable (torn)
+    lines are skipped with one note on stderr."""
 
     def __init__(self, directory):
         self.directory = directory
@@ -187,19 +179,32 @@ class ResultCache:
         path = self._path(pattern_label)
         if not os.path.exists(path):
             return None
+        hit, skipped = None, 0
         with open(path) as fh:
             for line in fh:
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                if rec["h"] == pattern_label and rec["m"] == m and rec["version"] == GENERATOR_VERSION:
-                    return SearchResult.from_record(rec)
-        return None
+                try:
+                    rec = json.loads(line)
+                    if (rec["h"], rec["m"], rec["version"]) == (pattern_label, m, GENERATOR_VERSION):
+                        hit = SearchResult.from_record(rec)
+                        break
+                except (ValueError, KeyError, TypeError):
+                    skipped += 1  # torn or foreign line
+        if skipped:
+            print(f"warning: skipped {skipped} unreadable line(s) in {path}", file=sys.stderr)
+        return hit
 
     def put(self, result: SearchResult):
         os.makedirs(self.directory, exist_ok=True)
-        with open(self._path(result.pattern), "a") as fh:
-            fh.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
+        record = (json.dumps(result.to_record(), sort_keys=True) + "\n").encode()
+        with open(self._path(result.pattern), "ab+") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    record = b"\n" + record  # the last record is torn; start a fresh line
+            fh.write(record)
 
 
 def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
@@ -212,6 +217,8 @@ def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
         raise ValueError("pattern must have no isolated vertices")
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
+    if max_certificates < 0:
+        raise ValueError("certificate cap must be nonnegative")
     if m > ceiling:
         raise CeilingError(m, ceiling, estimated_class_count(m))
     pattern_label = canonical_form(pattern).label
@@ -224,19 +231,7 @@ def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
                                True, hit.classes_scanned)
         if hit is not None:
             return hit
-    canonical_pattern = parse_graph6(pattern_label)
-    if shards <= 1:
-        rho, maximizers, scanned = _scan(_level(m), canonical_pattern)
-    else:
-        parts = []
-        with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(_shard_worker, pattern_label, m, shards, i)
-                       for i in range(shards)]
-            parts = [f.result() for f in futures]
-        rho = max(p[0] for p in parts)
-        maximizers = sorted(set().union(*(p[1] for p in parts if p[0] == rho)))
-        scanned = sum(p[2] for p in parts)
-    maximizers = sorted(set(maximizers))
+    rho, maximizers, scanned = _scan(_level(m, shards), parse_graph6(pattern_label))
     truncated = len(maximizers) > max_certificates
     result = SearchResult(pattern_label, m, rho, tuple(maximizers[:max_certificates]),
                           truncated, scanned)

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from edgeind import Graph, write_graph6
 from edgeind.cli import dispatch
 
@@ -54,6 +56,21 @@ def test_shards_do_not_change_bytes(tmp_path):
     b = run(["--cache-dir", str(tmp_path / "b"), "--shards", "8", "rho", "--pattern", C6, "-m", "7"])
     assert a[0] == b[0] == 0
     assert a[1] == b[1]  # stdout payload identical; timing lives on stderr
+
+
+def test_bad_search_options_are_usage_errors():
+    for flag, value in (("--max-certificates", "-1"), ("--shards", "0"), ("--shards", "-2"),
+                        ("--shards", "x")):
+        with pytest.raises(SystemExit) as exc:
+            run([flag, value, "rho", "--pattern", P3, "-m", "3"])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["--json", "rho", "--pattern", P3, "-m", "3"])
+    assert exc.value.code == 2
+    code, out, _ = run(["--max-certificates", "0", "rho", "--pattern", P3, "-m", "3"])
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["extremal"] == [] and outputs["truncated"] is True
 
 
 def test_bound_and_construct():

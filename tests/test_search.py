@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -15,7 +16,8 @@ from edgeind import (
     verify_sandwich,
     write_graph6,
 )
-from edgeind.search import SearchResult, _shard_pairs, estimated_class_count
+from edgeind import search
+from edgeind.search import SearchResult, estimated_class_count
 
 from helpers import polya_edge_class_count
 
@@ -88,16 +90,28 @@ def test_rho_certificates_attain_and_monotone():
             assert count_induced(g, h).unordered == r.rho
 
 
-def test_shards_partition_the_level():
-    for m in (4, 6, 7):
-        whole = {label for label, _ in _shard_pairs(m, 1, 0)}
-        pieces = [dict(_shard_pairs(m, 3, i)) for i in range(3)]
-        union = set()
-        total = 0
-        for piece in pieces:
-            total += len(piece)
-            union |= set(piece)
-        assert union == whole and total == len(whole)
+# sha256 of "<m> <label>\n" over levels 0..8 in label order.  Labels are
+# CLI output and cache keys: changing one needs a GENERATOR_VERSION bump.
+LEVEL_LABELS_SHA256 = "21f86be7c2c3807ecc4f8209dda87ac0437b793309a4e56b7ea89c2769be5578"
+
+
+def test_level_labels_match_fixture():
+    digest = hashlib.sha256()
+    for m in range(9):
+        for label, g in search._level(m):
+            assert g == parse_graph6(label)
+            digest.update(f"{m} {label}\n".encode())
+    assert digest.hexdigest() == LEVEL_LABELS_SHA256
+
+
+def test_sharded_growth_equals_level(monkeypatch):
+    # shard counts above the parent count leave some worker slices empty
+    for m in (1, 2, 4, 6, 7):
+        serial = search._level(m)
+        for shards in (2, 3, 5):
+            below = {k: v for k, v in search._LEVELS.items() if k < m}
+            monkeypatch.setattr(search, "_LEVELS", below)
+            assert search._level(m, shards) == serial
 
 
 def test_sharded_rho_identical():
@@ -125,9 +139,31 @@ def test_cache_roundtrip(tmp_path):
     assert fresh.rho == first.rho
 
 
+def test_cache_skips_torn_lines(tmp_path, capsys):
+    cache = ResultCache(str(tmp_path))
+    h = Graph.path(3)
+    rho_exact(h, 4, cache=cache)
+    (path,) = tmp_path.iterdir()
+    with open(path, "a") as fh:
+        fh.write('{"classes": 26, "extremal": ["Ds')  # a record cut short
+    assert rho_exact(h, 5, cache=cache).rho == 10
+    assert capsys.readouterr().err.count("skipped 1 unreadable line") == 1
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3 and json.loads(lines[2])["m"] == 5
+    assert cache.get(canonical_label(h), 5) == rho_exact(h, 5)
+    assert cache.get(canonical_label(h), 4) == rho_exact(h, 4)
+    path.write_text(path.read_text() + '[1]\n{"h": "Bw"}\n')  # foreign records
+    assert cache.get(canonical_label(h), 6) is None
+    assert "skipped 3 unreadable line(s)" in capsys.readouterr().err
+
+
 def test_certificate_cap(tmp_path):
     r = rho_exact(Graph.path(3), 1, max_certificates=0)
     assert r.truncated and r.extremal == ()
+    with pytest.raises(ValueError):
+        rho_exact(Graph.path(3), 3, max_certificates=-1)
+    with pytest.raises(ValueError):
+        verify_sandwich("P3", 3, max_certificates=-1)
 
 
 def test_sandwich_examples():
