@@ -21,7 +21,6 @@ from .families import family_graph, family_name, parse_family
 from .counting import count_induced
 from .canon import automorphism_order
 from .fracind import alpha_f, optimal_weighting
-from . import kernels
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,10 @@ def _clip(spec, m):
     return BlowupSpec(spec.base, tuple(sizes))
 
 
-def _score(spec, pattern, aut, memo):
+def _score(spec, pattern, memo):
     if spec.sizes in memo:
         return memo[spec.sizes]
-    value = kernels.count_ordered(blow_up(spec), pattern) // aut
+    value = count_induced(blow_up(spec), pattern).unordered
     memo[spec.sizes] = value
     return value
 
@@ -183,10 +182,9 @@ def optimize_part_sizes(family, m: int) -> BlowupSpec:
     k = arg if kind != "H" else None
     seeds = [_clip(s, m) for s in _seed_specs(kind, k, pattern, m)]
     seeds = [s for s in seeds if _feasible(s, m)]
-    aut = automorphism_order(pattern)
     memo = {}
-    climbed = [_climb(s, pattern, aut, m, memo) for s in seeds]
-    return max(climbed, key=lambda s: (_score(s, pattern, aut, memo), [-x for x in s.sizes]))
+    climbed = [_climb(s, pattern, m, memo) for s in seeds]
+    return max(climbed, key=lambda s: (_score(s, pattern, memo), [-x for x in s.sizes]))
 
 
 def _moves(sizes):
@@ -206,7 +204,7 @@ def _moves(sizes):
                 yield tuple(move)
 
 
-def _climb(start, pattern, aut, m, memo):
+def _climb(start, pattern, m, memo):
     """Steepest ascent over single +-1 moves and unit transfers between two
     parts.  Equal-score steps are allowed (plateaus hide the exits at tight
     budgets) with a visited set and an iteration cap keeping the walk
@@ -214,7 +212,7 @@ def _climb(start, pattern, aut, m, memo):
     best = current = start
     visited = {start.sizes}
     for _ in range(200):
-        score_here = _score(current, pattern, aut, memo)
+        score_here = _score(current, pattern, memo)
         step = None
         for cand in _moves(current.sizes):
             if cand in visited:
@@ -222,7 +220,7 @@ def _climb(start, pattern, aut, m, memo):
             spec = BlowupSpec(current.base, cand)
             if not _feasible(spec, m):
                 continue
-            sc = _score(spec, pattern, aut, memo)
+            sc = _score(spec, pattern, memo)
             if sc < score_here:
                 continue
             key = (sc, [-x for x in cand])
@@ -232,8 +230,8 @@ def _climb(start, pattern, aut, m, memo):
             break
         current = step[1]
         visited.add(current.sizes)
-        if (_score(current, pattern, aut, memo), [-x for x in current.sizes]) > \
-                (_score(best, pattern, aut, memo), [-x for x in best.sizes]):
+        if (_score(current, pattern, memo), [-x for x in current.sizes]) > \
+                (_score(best, pattern, memo), [-x for x in best.sizes]):
             best = current
     return best
 

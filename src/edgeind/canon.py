@@ -11,6 +11,7 @@ is the contract: equal labels if and only if isomorphic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import Graph, write_graph6
 from . import kernels
@@ -154,8 +155,9 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_label(g) == canonical_label(h)
 
 
+@lru_cache(maxsize=None)
 def automorphism_order(g: Graph) -> int:
     """Order of the automorphism group, counted as the adjacency- and
-    non-adjacency-preserving self-maps.  Exhaustive backtracking; meant for
-    small graphs (say up to 12 vertices)."""
+    non-adjacency-preserving self-maps.  Exhaustive backtracking, memoised
+    per graph; meant for small graphs (say up to 12 vertices)."""
     return kernels.count_ordered(g, g)

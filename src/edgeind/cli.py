@@ -2,7 +2,7 @@
 
 Reports are JSON envelopes {"command", "inputs", "outputs", "version"}
 printed on stdout; they are byte-identical for identical inputs and
-version.  Wall time and performance flags go to stderr so they never
+version.  Wall time and the kernel backend go to stderr so they never
 perturb the payload.  Exit codes: 0 success, 1 a verified inequality
 failed, 2 usage error, 3 resource ceiling.
 """
@@ -24,6 +24,7 @@ from .families import family_graph, family_name, parse_family
 from .fracind import alpha_f, optimal_weighting
 from .blowups import blow_up, bound_eval, effective_upper, optimize_part_sizes
 from .search import CeilingError, ResultCache, SandwichError, rho_exact, verify_sandwich
+from .kernels import BACKEND
 from . import entropy as ent
 
 CACHE_ENV = "EDGEIND_CACHE_DIR"
@@ -314,7 +315,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
         "version": __version__,
     }
     _emit(report, args.table, stdout)
-    print(f"# wall_time_s={time.monotonic() - started:.3f}", file=stderr)
+    print(f"# wall_time_s={time.monotonic() - started:.3f} backend={BACKEND}", file=stderr)
     return code
 
 

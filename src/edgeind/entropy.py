@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .graph import Graph
 from .families import parse_family
-from .counting import alpha_extension_edges, gamma_stats
+from .counting import _norm, alpha_extension_edges, gamma_stats
 from .canon import automorphism_order
 from . import kernels
 
@@ -86,25 +86,40 @@ def _check_coords(k, target, given):
     return target, given
 
 
+def _support(dist):
+    """The copies of a CopyDistribution, or a list of equal-length tuples,
+    as a non-empty list of tuples."""
+    tuples = dist.copies if isinstance(dist, CopyDistribution) else [tuple(t) for t in dist]
+    if not tuples:
+        raise EmptySupportError("empty support")
+    return tuples
+
+
+def _h(values) -> float:
+    """Entropy of the uniform distribution over the listed values."""
+    n = len(values)
+    counts = Counter(values)
+    return math.log(n) - sum(c * math.log(c) for c in counts.values()) / n
+
+
+def _h_cond(pairs) -> float:
+    """Conditional entropy from (target, given) value pairs, uniform."""
+    n = len(pairs)
+    joint = Counter(pairs)
+    marginal = Counter(g for _, g in pairs)
+    return sum(c * (math.log(marginal[g]) - math.log(c)) for (_, g), c in joint.items()) / n
+
+
 def projection_entropy(dist, target, given=()) -> float:
     """Empirical entropy (nats) of the target coordinates, optionally
     conditioned on the given coordinates, under the uniform distribution.
     ``dist`` may be a CopyDistribution or any list of equal-length tuples;
     coordinates are 1-based."""
-    tuples = dist.copies if isinstance(dist, CopyDistribution) else list(dist)
-    if not tuples:
-        raise EmptySupportError("empty support")
+    tuples = _support(dist)
     target, given = _check_coords(len(tuples[0]), target, given)
-    n = len(tuples)
     if not given:
-        counts = Counter(_project(t, target) for t in tuples)
-        return math.log(n) - sum(c * math.log(c) for c in counts.values()) / n
-    joint = Counter((_project(t, target), _project(t, given)) for t in tuples)
-    marginal = Counter(_project(t, given) for t in tuples)
-    total = 0.0
-    for (_, g), c in joint.items():
-        total += c * (math.log(marginal[g]) - math.log(c))
-    return total / n
+        return _h([_project(t, target) for t in tuples])
+    return _h_cond([(_project(t, target), _project(t, given)) for t in tuples])
 
 
 # -- reports --------------------------------------------------------------
@@ -179,9 +194,7 @@ def full_tuple_identity(dist: CopyDistribution) -> EntropyReport:
 def verify_chain_shearer(dist, ordering=None, covers=None, r=None) -> EntropyReport:
     """Chain-rule identity along an ordering (with per-step conditioning
     drop slacks) and/or the subadditivity inequality for an r-fold cover."""
-    tuples = dist.copies if isinstance(dist, CopyDistribution) else [tuple(t) for t in dist]
-    if not tuples:
-        raise EmptySupportError("empty support")
+    tuples = _support(dist)
     k = len(tuples[0])
     coords = tuple(range(1, k + 1))
     report = EntropyReport()
@@ -251,24 +264,6 @@ def _odd_prefix(edges, count):
     return tuple(edges[2 * i] for i in range(count))
 
 
-def _h(values) -> float:
-    n = len(values)
-    counts = Counter(values)
-    return math.log(n) - sum(c * math.log(c) for c in counts.values()) / n
-
-
-def _h_cond(pairs) -> float:
-    """Conditional entropy from (target, given) value pairs, uniform."""
-    n = len(pairs)
-    joint = Counter(pairs)
-    marginal = Counter(g for _, g in pairs)
-    return sum(c * (math.log(marginal[g]) - math.log(c)) for (_, g), c in joint.items()) / n
-
-
-def _norm2(e):
-    return (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-
-
 def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     """Every term of the conditional-entropy decomposition of the uniform
     ordered induced path distribution: the chain identity, each conditional
@@ -277,20 +272,16 @@ def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     kind, k = parse_family(family)
     if kind != "P" or k < 4:
         raise ValueError("decomposition applies to paths on at least 4 vertices")
-    pattern = Graph.path(k)
-    copies = kernels.enumerate_ordered(host, pattern)
-    if not copies:
-        raise EmptySupportError("host contains no induced copy of the pattern")
-    edge_tuples = [tuple((c[i], c[i + 1]) for i in range(k - 1)) for c in copies]
+    edge_tuples = CopyDistribution.collect(host, Graph.path(k)).edge_tuples()
     m = host.m
     n = len(edge_tuples)
     report = EntropyReport()
     report.value("ordered_copies", n)
     report.add("uniform_support", "identity", _h(edge_tuples), math.log(n))
-    first_u = [_norm2(t[0]) for t in edge_tuples]
+    first_u = [_norm(*t[0]) for t in edge_tuples]
     report.add("first_edge_support", "inequality", _h(first_u), math.log(m))
     report.add("orientation_reveal", "inequality",
-               _h_cond([(t[0], _norm2(t[0])) for t in edge_tuples]), math.log(2))
+               _h_cond([(t[0], _norm(*t[0])) for t in edge_tuples]), math.log(2))
     alpha_memo = {}
 
     def alpha(prefix):
@@ -353,7 +344,7 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
         report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality", cond, avg)
         chain += cond
     prefixes = [_odd_prefix(t, l - 1) for t in edge_tuples]
-    last_u = [_norm2(t[2 * l - 1]) for t in edge_tuples]
+    last_u = [_norm(*t[2 * l - 1]) for t in edge_tuples]
     h_last = _h_cond(list(zip(last_u, prefixes)))
     avg0 = sum(math.log(gammas0(p)) for p in prefixes) / n
     report.add("conditional_final_vs_gamma0", "inequality", h_last, avg0)
@@ -363,8 +354,8 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
                   for t, p in zip(edge_tuples, prefixes)]
         report.add("middle_evens_determined", "identity", _h_cond(middle), 0.0)
     given = list(zip(prefixes, last_u))
-    g1_u = [_norm2(t[2 * l - 3]) for t in edge_tuples]
-    g2_u = [_norm2(t[2 * l - 2]) for t in edge_tuples]
+    g1_u = [_norm(*t[2 * l - 3]) for t in edge_tuples]
+    g2_u = [_norm(*t[2 * l - 2]) for t in edge_tuples]
     h_pair = _h_cond([((a, b), g) for a, b, g in zip(g1_u, g2_u, given)])
     h_g1 = _h_cond(list(zip(g1_u, given)))
     h_g2 = _h_cond(list(zip(g2_u, given)))
@@ -635,10 +626,6 @@ def induced_cycles(host: Graph, k: int):
 # -- the 6-cycle hypergraph chain ------------------------------------------
 
 
-def _norm_edge(u, v):
-    return (u, v) if u < v else (v, u)
-
-
 def is_capable(host: Graph, triple) -> bool:
     """Whether some ordering and orientation of the three edges
     characterizes an induced 6-cycle."""
@@ -646,7 +633,7 @@ def is_capable(host: Graph, triple) -> bool:
     from .counting import characterizes_cycle
 
     edges = list(triple)
-    if len({_norm_edge(*e) for e in edges}) != 3:
+    if len({_norm(*e) for e in edges}) != 3:
         return False
     for perm in permutations(edges):
         for bits in range(8):
@@ -691,9 +678,7 @@ def c6_hypergraph_check(host: Graph) -> C6HypergraphReport:
     gamma = len(copies) // 12
     triples = set()
     for c in copies:
-        triple = frozenset((_norm_edge(c[0], c[1]), _norm_edge(c[2], c[3]),
-                            _norm_edge(c[4], c[5])))
-        triples.add(triple)
+        triples.add(frozenset((_norm(c[0], c[1]), _norm(c[2], c[3]), _norm(c[4], c[5]))))
     codegree = Counter()
     for t in triples:
         a, b, c_ = sorted(t)

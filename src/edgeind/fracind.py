@@ -50,8 +50,10 @@ class ABCDecomposition:
     matching: tuple  # (a, b) pairs, one per B-vertex
 
 
-def bipartite_matching_number(adj_left) -> int:
-    """Maximum matching size; ``adj_left[u]`` lists right-side neighbors."""
+def bipartite_matching(adj_left) -> dict:
+    """Maximum matching as {left: right}, by augmenting paths tried from
+    each left vertex in index order; ``adj_left[u]`` lists right-side
+    neighbors in the order they are tried."""
     match_right = {}
     match_left = {}
 
@@ -66,11 +68,14 @@ def bipartite_matching_number(adj_left) -> int:
                 return True
         return False
 
-    size = 0
     for u in range(len(adj_left)):
-        if augment(u, set()):
-            size += 1
-    return size
+        augment(u, set())
+    return match_left
+
+
+def bipartite_matching_number(adj_left) -> int:
+    """Maximum matching size; ``adj_left[u]`` lists right-side neighbors."""
+    return len(bipartite_matching(adj_left))
 
 
 def double_cover_matching_number(h: Graph) -> int:
@@ -82,6 +87,20 @@ def double_cover_matching_number(h: Graph) -> int:
 
 def alpha_f(h: Graph) -> Fraction:
     return Fraction(2 * h.n - double_cover_matching_number(h), 2)
+
+
+def _cap(adj, w, i):
+    """Largest weight (half units) vertex i can take next to the weights
+    ``w`` already given to its neighbors below i."""
+    cap = 2
+    r = adj[i] & ((1 << i) - 1)
+    while r:
+        j = (r & -r).bit_length() - 1
+        r &= r - 1
+        cap = min(cap, 2 - w[j])
+        if cap == 0:
+            break
+    return cap
 
 
 def alpha_f_bruteforce(h: Graph, limit=14) -> Fraction:
@@ -102,16 +121,7 @@ def alpha_f_bruteforce(h: Graph, limit=14) -> Fraction:
         if i == n:
             best = total
             return
-        row = adj[i]
-        cap = 2
-        r = row & ((1 << i) - 1)
-        while r:
-            j = (r & -r).bit_length() - 1
-            r &= r - 1
-            cap = min(cap, 2 - w[j])
-            if cap == 0:
-                break
-        for val in range(cap, -1, -1):
+        for val in range(_cap(adj, w, i), -1, -1):
             w[i] = val
             rec(i + 1, total + val)
         w[i] = 0
@@ -146,16 +156,7 @@ def optimal_weighting(h: Graph):
                 # which is larger on the negated tuple
                 best = (a_count, a, tuple(w))
             return
-        row = adj[i]
-        cap = 2
-        r = row & ((1 << i) - 1)
-        while r:
-            j = (r & -r).bit_length() - 1
-            r &= r - 1
-            cap = min(cap, 2 - w[j])
-            if cap == 0:
-                break
-        for val in range(cap, -1, -1):
+        for val in range(_cap(adj, w, i), -1, -1):
             w[i] = val
             rec(i + 1, total + val, a_count + (val == 2))
         w[i] = 0
@@ -185,28 +186,11 @@ def _decompose(h: Graph, weighting: HalfIntegralWeighting) -> ABCDecomposition:
     n_of_a = tuple(v for v in range(h.n) if neighborhood >> v & 1)
     if n_of_a != B:
         raise WeightingInvariantError("weight-0 set differs from N(weight-1 set)")
-    matching = _saturate_b(h, A, B)
-    return ABCDecomposition(A, B, C, matching)
-
-
-def _saturate_b(h: Graph, A, B):
-    """Matching in H[A, B] covering every B-vertex (guaranteed to exist for
-    the |A|-maximal optimum by a Hall-condition argument)."""
+    # a matching in H[A, B] covering every B-vertex exists for the
+    # |A|-maximal optimum by a Hall-condition argument
     a_set = set(A)
-    adj_left = [[a for a in h.neighbors(b) if a in a_set] for b in B]
-    match_right = {}
-
-    def augment(i, seen):
-        for a in adj_left[i]:
-            if a in seen:
-                continue
-            seen.add(a)
-            if a not in match_right or augment(match_right[a], seen):
-                match_right[a] = i
-                return True
-        return False
-
-    for i in range(len(B)):
-        if not augment(i, set()):
-            raise WeightingInvariantError("no matching saturates the weight-0 side")
-    return tuple(sorted((a, B[i]) for a, i in match_right.items()))
+    matching = bipartite_matching([[a for a in h.neighbors(b) if a in a_set] for b in B])
+    if len(matching) < len(B):
+        raise WeightingInvariantError("no matching saturates the weight-0 side")
+    pairs = tuple(sorted((a, B[i]) for i, a in matching.items()))
+    return ABCDecomposition(A, B, C, pairs)

@@ -8,6 +8,7 @@ variable ``EDGEIND_PURE`` is set (handy for the benchmark and for tests).
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 from .graph import Graph, WORD_VERTICES
 from . import _kernels_py
@@ -28,10 +29,15 @@ def _backend_for(g: Graph):
     return _kernels_py if g.n > WORD_VERTICES else _impl
 
 
-def visit_order(h: Graph, pinned=()):
+def visit_order(h: Graph, pinned=()) -> tuple:
     """Assignment order for pattern vertices: pins first, then greedily the
     vertex with most already-ordered neighbors (ties to higher degree, then
-    lower index)."""
+    lower index).  Memoised per (pattern, pins)."""
+    return _visit_order(h, tuple(pinned))
+
+
+@lru_cache(maxsize=None)
+def _visit_order(h: Graph, pinned: tuple) -> tuple:
     order = list(pinned)
     seen = set(order)
     if len(seen) != len(order):
@@ -49,7 +55,7 @@ def visit_order(h: Graph, pinned=()):
                 best = (key, p)
         order.append(best[1])
         seen.add(best[1])
-    return order
+    return tuple(order)
 
 
 def _split_pins(pins):

@@ -166,7 +166,9 @@ def _scan(pairs, pattern: Graph):
 class ResultCache:
     """JSON-lines result store, one file per pattern canonical label.
     Records from other generator versions are ignored; unreadable (torn)
-    lines are skipped with one note on stderr."""
+    lines are skipped with one note on stderr.  A record is only appended
+    when the cached one holds too few certificates, so the last matching
+    record is the most complete."""
 
     def __init__(self, directory):
         self.directory = directory
@@ -188,7 +190,6 @@ class ResultCache:
                     rec = json.loads(line)
                     if (rec["h"], rec["m"], rec["version"]) == (pattern_label, m, GENERATOR_VERSION):
                         hit = SearchResult.from_record(rec)
-                        break
                 except (ValueError, KeyError, TypeError):
                     skipped += 1  # torn or foreign line
         if skipped:

@@ -1,9 +1,10 @@
+import hashlib
 import io
 import json
 
 import pytest
 
-from edgeind import Graph, write_graph6
+from edgeind import Graph, kernels, write_graph6
 from edgeind.cli import dispatch
 
 C5 = write_graph6(Graph.cycle(5))
@@ -24,6 +25,7 @@ def test_alphaf_report():
     assert rep["command"] == "alphaf"
     assert rep["outputs"]["alpha_f"] == "5/2"
     assert "wall_time" in err
+    assert err.rstrip().endswith(f" backend={kernels.BACKEND}")
 
 
 def test_count_report():
@@ -138,3 +140,82 @@ def test_count_copies_export():
     assert code == 0
     copies = json.loads(out)["outputs"]["copies"]
     assert len(copies) == 10 and all(len(c) == 3 for c in copies)
+
+
+# sha256 of the stdout of each command, taken before the pattern invariants
+# were memoised and the duplicate entropy, matching and edge helpers were
+# merged.  Hosts: C8[2^8] ("O]Ko...") and C6[2^6] ("K]Ko..."), the balanced
+# blow-ups with parts of size 2.  Every alphaf graph but C5 ("Dhc") has a
+# non-empty weight-0 side, so its matching is printed.
+STDOUT_SHA256 = {
+    "alphaf Cs":
+        "10c1ec187b1e1b030ce814a278da32d6f51546941150e03928f958e7536cb420",
+    "alphaf Ch":
+        "14ef6a44d2b459421a73a347d4a474ac173b427197abda2ed104a38783db66b2",
+    "alphaf DhC":
+        "d88a3c13a4b8679b3d95b6757a7738b78a718086c75bf3bb02a412bb638da3da",
+    "alphaf D{C":
+        "8eb1c1730ba5baa716dfc2c4e9e275d97c02f37cefc8150aa99544e64a3a78f9",
+    "alphaf Dhc":
+        "dbdc9db11488b736f1d6c61cfcb5b396ed2167e8ee7290cfaf5382026afa2395",
+    "count --host O]KoWWB?o@_E?B?BW?]?E --pattern Ch":
+        "de244d528f2814522d294f4e5e5ae7a2a419edaf0fe007b8fc52329609885f15",
+    "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern GhCGKC":
+        "655e01aec72e22a331b5a0e0badb170a1b1e645992d42acef598648b7a803406",
+    "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern GhCGKC --verify chain":
+        "fe06737053e8734c38c5fc7d2c3de5e9051e2a5b920ae1753767618edea9f4aa",
+    "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern GhCGKC --verify shearer":
+        "6a9aa1939cf762817ccbf2099711b8a382574c0b2bb431f2fe2f425a02a0f7d6",
+    "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern DhC --verify path":
+        "a7be11944cc9f6e3ce9932449486e0b2ce80e3fac6f27c68407518bdbe6df923",
+    "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern EhCG --verify path":
+        "7c719dab4b5ec901f0f83eedf8f916bda91068d3c1f589b6a2f2fb9ab6e29f6a",
+    "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern FhCGG --verify path":
+        "80f5e9eb2c2e9619a1ea1b61d3e762fd2ade3fec91c73cae07479a2e5ffdc564",
+    "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern GhCGKC --verify claim1":
+        "83142eca3b0265b97b032a52917bdc0b3fc0cfbc599a566b76989e55c0c41972",
+    "entropy --host K]KoWWB?u@wE --pattern EhEG":
+        "08458dff47a9a92e86bb4a189d7ccfcccbcf10e657ab27fb1aaccac2028c8069",
+    "entropy --host K]KoWWB?u@wE --pattern EhEG --verify chain":
+        "152ea66b9098fc2e3fbfd3e25b135fc6b568afb61fe00edad5fcf4b8b5688fcb",
+    "entropy --host K]KoWWB?u@wE --pattern EhEG --verify shearer":
+        "c4eb8703ba750af1afd4b2cf350752bac11ccd9c4250928297bb16df13cdf59e",
+    "entropy --host K]KoWWB?u@wE --pattern DhC --verify path":
+        "d609e85c3ddf4f547f5cf711401aef5373df3e4a424dcdd9512c461ba520102e",
+    "entropy --host K]KoWWB?u@wE --pattern EhEG --verify claim1":
+        "e6e4be264ed65ade5309198b169f5ebd2cd0ee96109bc15e9bab19df5c650a52",
+    "entropy --host K]KoWWB?u@wE --pattern EhEG --verify c6":
+        "5f548e8a316c691d9b536cfe7216ed06559abc384116ad8cd1a2822c02746aca",
+    "construct --family C6 -m 60":
+        "173a1881211daf06d246494fa9f799f0dd1ad4d64c48131c17186d11bfa9c27d",
+    "construct --family P5 -m 40":
+        "1da81b3dae4a3e7ca1e061b8ebec7cd5f94acb236ed7048b7aaf4fc5a59f6e1e",
+    "construct --family Cs -m 30":
+        "00e91e903fe9faa814f67350d5f8955fe32ceff60050b62e099e57bbd2ccf958",
+    "bound --family P5 -m 90":
+        "93054311b4f5c1aa20935df2fb17336d7838d2742e613503872cb1653601404c",
+    "bound --family C6 -m 36":
+        "50fece96d4bcded4c25e477971b848640459d35fbe7372421609a97863276206",
+    "bound --family C5 -m 50":
+        "6e376e069d7dd0a58b8ffc4fe7bf358deaf979fa90db2b3053f4acb2430b5951",
+    "bound --family D{C -m 20":
+        "e2ace8e84953ec92a98267ccb4368fd0ea668f92c5348b07a7efc977355e68f7",
+    "sandwich --family C6 -m 8":
+        "d9dcbe1af09a6651c528da6d0aca5cff10d2e89c4403b21c3c7e1f2d420a8d08",
+    "sandwich --family P4 -m 7":
+        "73fb4f7e205178b543a21359b352d4ec229370a6bb00f9357f6518e17e73b211",
+    "rho --pattern Bg -m 5":
+        "c2576c8edd0269b9e38134c163a90f206547f432a87c04e7763ee673f1066d4e",
+    "rho --pattern A_ -m 5":
+        "8d15b4edef9d86a9f76ccd9baaa18276b9736d4429bf184cbe6c1e352210e61b",
+    "rho --pattern Dhc -m 7":
+        "1580f4f0b422f960c284327d11af107b76d96eb2ba44802c817e5636df727c7a",
+}
+
+
+def test_stdout_digests_are_pinned(monkeypatch):
+    monkeypatch.delenv("EDGEIND_CACHE_DIR", raising=False)
+    for command, digest in STDOUT_SHA256.items():
+        code, out, _ = run(command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

@@ -1,4 +1,10 @@
+import importlib.util
+import os
 import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 
@@ -7,17 +13,37 @@ from edgeind import _kernels_py
 
 from helpers import random_graph
 
-try:
-    from edgeind import _kernels as compiled
-except ImportError:
-    compiled = None
+KERNELS_C = os.path.join(os.path.dirname(kernels.__file__), "_kernels.c")
 
 
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernel unavailable")
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The compiled kernel: the installed extension if there is one, else
+    the tracked Cython output ``_kernels.c`` built with the C compiler
+    Python was configured with."""
+    try:
+        from edgeind import _kernels
+
+        return _kernels
+    except ImportError:
+        pass
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    include = sysconfig.get_paths()["include"]
+    if not cc or shutil.which(cc[0]) is None or \
+            not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no C compiler or Python headers")
+    target = tmp_path_factory.mktemp("kernels") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")[1:]
+    subprocess.run(cc + ["-O2", "-fPIC", "-I", include, KERNELS_C, "-o", str(target)]
+                   + ldshared, check=True)
+    spec = importlib.util.spec_from_file_location("edgeind._kernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND != _kernels_py.BACKEND
+    return module
 
 
-@needs_compiled
-def test_backends_agree_on_counts_and_lists():
+def test_backends_agree_on_counts_and_lists(compiled):
     rng = random.Random(31)
     for _ in range(60):
         g = random_graph(rng, rng.randint(3, 11), rng.random())
@@ -30,8 +56,7 @@ def test_backends_agree_on_counts_and_lists():
             compiled.enumerate_ordered(g.adj, h.adj, order, [])
 
 
-@needs_compiled
-def test_backends_agree_with_pins():
+def test_backends_agree_with_pins(compiled):
     rng = random.Random(32)
     for _ in range(40):
         g = random_graph(rng, rng.randint(4, 10), 0.5)
@@ -57,6 +82,8 @@ def test_pins_force_prefix():
     assert copies == [(0, 1, 2, 3)]
     assert kernels.count_ordered(g, Graph.path(4), pins=[(0, 0), (1, 2)]) == 0
     assert kernels.count_ordered(g, Graph.path(4), pins=[(0, 0), (1, 0)]) == 0
+    # any sequence of pins; the memoised order is an immutable tuple
+    assert kernels.visit_order(Graph.path(4), [1, 0]) == (1, 0, 2, 3)
 
 
 def test_empty_and_undersized():

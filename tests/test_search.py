@@ -16,7 +16,7 @@ from edgeind import (
     verify_sandwich,
     write_graph6,
 )
-from edgeind import search
+from edgeind import automorphism_order, kernels, search
 from edgeind.search import SearchResult, estimated_class_count
 
 from helpers import polya_edge_class_count
@@ -155,6 +155,35 @@ def test_cache_skips_torn_lines(tmp_path, capsys):
     path.write_text(path.read_text() + '[1]\n{"h": "Bw"}\n')  # foreign records
     assert cache.get(canonical_label(h), 6) is None
     assert "skipped 3 unreadable line(s)" in capsys.readouterr().err
+
+
+def test_cache_returns_the_last_matching_record(tmp_path):
+    # a capped search stores a truncated record; the full record appended
+    # after it must serve every later lookup
+    cache = ResultCache(str(tmp_path))
+    h = Graph.complete(2)
+    assert rho_exact(h, 5, max_certificates=1, cache=cache).truncated
+    full = [rho_exact(h, 5, cache=cache) for _ in range(3)]
+    assert full[0] == full[1] == full[2] and not full[0].truncated
+    (path,) = tmp_path.iterdir()
+    assert len(path.read_text().splitlines()) == 2
+    assert cache.get(canonical_label(h), 5) == full[0]
+
+
+def test_scan_makes_one_kernel_call_per_host(monkeypatch):
+    pattern = Graph.path(4)
+    automorphism_order(pattern)
+    hosts = []
+    count_ordered = kernels.count_ordered
+
+    def spy(g, h, pins=()):
+        hosts.append(g)
+        return count_ordered(g, h, pins)
+
+    monkeypatch.setattr(kernels, "count_ordered", spy)
+    level = search._level(6)
+    search._scan(level, pattern)
+    assert hosts == [g for _, g in level if g.n >= pattern.n]
 
 
 def test_certificate_cap(tmp_path):
