@@ -5,7 +5,10 @@ individualization and backtracking.  Discovered automorphisms prune
 branches that would only revisit certificates already seen; the label is
 the graph6 text of the relabeling that minimizes the adjacency
 certificate over the (pruned) search tree.  The label, not the traversal,
-is the contract: equal labels if and only if isomorphic.
+is the contract: equal labels if and only if isomorphic.  The
+automorphisms found on the way generate the whole automorphism group
+(every pruned branch is the image of an explored one under them), so
+they are returned too, for callers that need orbits.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from . import kernels
 class CanonicalForm:
     label: str
     perm: tuple
+    gens: tuple  # sorted generators of Aut(g), as image tuples
 
     def apply(self, g: Graph) -> Graph:
         return g.relabel(self.perm)
@@ -68,32 +72,43 @@ def _certificate(adj, seq):
     return tuple(cert)
 
 
-def _orbit_closure(start, gens, fixed):
-    """Vertices reachable from ``start`` under generators fixing ``fixed``
-    pointwise; used to skip branches equivalent to explored ones."""
-    usable = [p for p in gens if all(p[f] == f for f in fixed)]
+def orbit_closure(start, maps):
+    """Points reachable from ``start`` under the maps, each indexable by a
+    point (a permutation tuple on vertices, or a dict on any points)."""
     orbit = set(start)
-    frontier = list(start)
+    frontier = list(orbit)
     while frontier:
-        v = frontier.pop()
-        for p in usable:
-            u = p[v]
-            if u not in orbit:
-                orbit.add(u)
-                frontier.append(u)
+        x = frontier.pop()
+        for p in maps:
+            y = p[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
     return orbit
+
+
+def orbit_representatives(points, maps):
+    """The first point of each orbit of ``points`` under the maps, in the
+    order given; the maps must send ``points`` into itself."""
+    covered = set()
+    reps = []
+    for x in points:
+        if x not in covered:
+            reps.append(x)
+            covered |= orbit_closure((x,), maps)
+    return reps
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     n = g.n
     if n == 0:
-        return CanonicalForm(write_graph6(g), ())
+        return CanonicalForm(write_graph6(g), (), ())
     adj = g.adj
     best_cert = None
     best_perm = None
     first_cert = None
     first_perm = None
-    gens = []
+    gens = set()
 
     def leaf(cells):
         nonlocal best_cert, best_perm, first_cert, first_perm
@@ -105,11 +120,11 @@ def canonical_form(g: Graph) -> CanonicalForm:
         if first_cert is None:
             first_cert, first_perm = cert, perm
         elif cert == first_cert and perm != first_perm:
-            gens.append(_quotient(first_perm, perm))
+            gens.add(_quotient(first_perm, perm))
         if best_cert is None or cert < best_cert:
             best_cert, best_perm = cert, perm
         elif cert == best_cert and perm != best_perm:
-            gens.append(_quotient(best_perm, perm))
+            gens.add(_quotient(best_perm, perm))
 
     def rec(cells, fixed):
         cells = _refine(adj, cells)
@@ -122,17 +137,22 @@ def canonical_form(g: Graph) -> CanonicalForm:
             leaf(cells)
             return
         cell = cells[target]
-        done = []
+        # Siblings inside the orbit of the explored ones, under the
+        # generators fixing ``fixed``, would only repeat certificates.  The
+        # generators change only inside a subtree, so the orbit is closed
+        # once per explored child.
+        orbit = set()
         for v in sorted(cell):
-            if done and v in _orbit_closure(done, gens, fixed):
+            if v in orbit:
                 continue
             rest = [u for u in cell if u != v]
             rec(cells[:target] + [[v], rest] + cells[target + 1:], fixed + (v,))
-            done.append(v)
+            orbit.add(v)
+            orbit = orbit_closure(orbit, [p for p in gens if all(p[f] == f for f in fixed)])
 
     rec([list(range(n))], ())
     relabeled = g.relabel(best_perm)
-    return CanonicalForm(write_graph6(relabeled), tuple(best_perm))
+    return CanonicalForm(write_graph6(relabeled), tuple(best_perm), tuple(sorted(gens)))
 
 
 def _quotient(ref_perm, perm):

@@ -1,12 +1,14 @@
 """Exact edge-inducibility by isomorph-free exhaustive generation.
 
 Graphs with m edges and no isolated vertices are generated one per
-isomorphism class, level by level: every one-edge extension of every
-(m-1)-edge class is labelled once with ``canonical_form`` and kept if its
-label is new to the level.  A level-wide seen-set of labels is sound
-because labels are canonical (equal exactly for isomorphic graphs), and
-the representative of a class is ``parse_graph6(label)``, so it does not
-depend on which parent or which worker found the class first.
+isomorphism class, level by level: the one-edge extensions of every
+(m-1)-edge class, one per orbit of its automorphism group (McKay,
+"Isomorph-free exhaustive generation", 1998), are labelled once with
+``canonical_form`` and kept if their label is new to the level.  A
+level-wide seen-set of labels is sound because labels are canonical (equal
+exactly for isomorphic graphs), and the representative of a class is
+``parse_graph6(label)``, so it does not depend on which parent or which
+worker found the class first.
 
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value the closed-form bounds are
@@ -23,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import Graph, parse_graph6
-from .canon import canonical_form
+from .canon import canonical_form, orbit_representatives
 from .counting import count_induced
 from .families import family_graph, family_name
 from .blowups import blow_up, bound_eval, effective_upper, optimize_part_sizes
@@ -49,23 +51,33 @@ class SandwichError(RuntimeError):
         self.violated = violated
 
 
+# Isomorphism classes of graphs with m edges and no isolated vertices, for
+# m = 0, 1, ... (OEIS A000664).
+CLASS_COUNTS = (1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216, 52944,
+                193367, 740226, 2960520, 12334829)
+
+
 def estimated_class_count(m):
-    # Observed growth of the class counts is a factor of roughly 3.4
-    # per extra edge beyond the sizes we enumerate routinely.
-    return int(1476 * 3.4 ** (m - 9)) if m > 9 else 1476
+    """Exact class count within the table; beyond it, the last ratio of
+    consecutive counts extrapolated."""
+    if m < len(CLASS_COUNTS):
+        return CLASS_COUNTS[m]
+    ratio = CLASS_COUNTS[-1] / CLASS_COUNTS[-2]
+    return int(CLASS_COUNTS[-1] * ratio ** (m - len(CLASS_COUNTS) + 1))
 
 
 def _children(parent: Graph, seen: set):
     """Labels of the one-edge extensions of ``parent`` that are not yet in
-    ``seen``; each candidate is labelled once and new labels join ``seen``."""
-    candidates = []
+    ``seen``; new labels join ``seen``.  Extensions in one orbit of
+    Aut(parent) are isomorphic, so only the first non-edge of each orbit of
+    non-edges, the first vertex of each vertex orbit (for a pendant edge)
+    and the disjoint edge are labelled."""
     n = parent.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not parent.has_edge(u, v):
-                candidates.append(parent.add_edge(u, v))
-    for u in range(n):
-        candidates.append(parent.add_vertex(1 << u))
+    gens = canonical_form(parent).gens
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not parent.has_edge(u, v)]
+    pair_maps = [{(u, v): (min(p[u], p[v]), max(p[u], p[v])) for u, v in non_edges} for p in gens]
+    candidates = [parent.add_edge(u, v) for u, v in orbit_representatives(non_edges, pair_maps)]
+    candidates += [parent.add_vertex(1 << u) for u in orbit_representatives(range(n), gens)]
     if n + 2 <= 64:
         candidates.append(parent.add_vertex(0).add_vertex(1 << n))
     new = []
@@ -98,6 +110,8 @@ def _level(m, shards=1):
     """All m-edge classes without isolated vertices, as (label, graph)
     pairs sorted by label.  A level is grown once per process from level
     m-1; with shards > 1, pool workers grow disjoint slices of its parents."""
+    if m < 0:
+        raise ValueError("edge budget must be nonnegative")
     if m not in _LEVELS:
         if m <= 1:
             labels = {canonical_form(Graph.complete(2) if m else Graph.empty(0)).label}

@@ -142,3 +142,65 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def permutation_group_order(gens, n):
+    """Order of the group generated by ``gens`` (tuples, p[x] the image of
+    x) on range(n), by Schreier-Sims with base 0, 1, ..., n-1."""
+    identity = tuple(range(n))
+
+    def then(a, b):
+        return tuple(b[a[x]] for x in range(n))
+
+    def inverse(a):
+        out = [0] * n
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+
+    strong = [p for p in set(gens) if p != identity]
+
+    def level_gens(i):  # strong generators fixing 0..i-1
+        return [p for p in strong if all(p[b] == b for b in range(i))]
+
+    def transversal(i):  # orbit point x -> element mapping i to x
+        reps = {i: identity}
+        frontier = [i]
+        for x in frontier:
+            for p in level_gens(i):
+                if p[x] not in reps:
+                    reps[p[x]] = then(reps[x], p)
+                    frontier.append(p[x])
+        return reps
+
+    def strip(h, i):
+        for j in range(i, n):
+            if h[j] not in trans[j]:
+                return h, j
+            h = then(h, inverse(trans[j][h[j]]))
+        return h, n
+
+    def residue(i):  # a Schreier generator at level i that does not strip
+        for x, u in trans[i].items():
+            for p in level_gens(i):
+                h, j = strip(then(then(u, p), inverse(trans[i][p[x]])), i + 1)
+                if h != identity:
+                    return h, j
+        return None
+
+    trans = [transversal(i) for i in range(n)]
+    i = n - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        strong.append(h)
+        for k in range(i + 1, j + 1):
+            trans[k] = transversal(k)
+        i = j
+    order = 1
+    for reps in trans:
+        order *= len(reps)
+    return order

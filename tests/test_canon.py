@@ -6,11 +6,12 @@ from edgeind import (
     automorphism_order,
     canonical_form,
     canonical_label,
+    enumerate_m_edge_graphs,
     parse_graph6,
     write_graph6,
 )
 
-from helpers import brute_min_code, classes_on, random_graph
+from helpers import brute_min_code, classes_on, permutation_group_order, random_graph
 
 
 def test_relabelings_share_one_label():
@@ -80,3 +81,12 @@ def test_automorphism_order_exhaustive_small():
     for n in range(1, 7):
         for g in classes_on(n):
             assert automorphism_order(g) == exhaustive_automorphisms(g)
+
+
+def test_generators_generate_the_automorphism_group():
+    for m in range(8):
+        for g in enumerate_m_edge_graphs(m):
+            gens = canonical_form(g).gens
+            assert list(gens) == sorted(set(gens))
+            assert all(g.relabel(p) == g for p in gens)
+            assert permutation_group_order(gens, g.n) == automorphism_order(g)

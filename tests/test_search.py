@@ -8,6 +8,7 @@ from edgeind import (
     CeilingError,
     Graph,
     ResultCache,
+    canonical_form,
     canonical_label,
     count_induced,
     enumerate_m_edge_graphs,
@@ -67,6 +68,25 @@ def test_ceiling():
     with pytest.raises(CeilingError):
         list(enumerate_m_edge_graphs(13))
     assert estimated_class_count(13) > 1476
+    with pytest.raises(CeilingError, match="roughly 177 isomorphism classes") as exc:
+        list(enumerate_m_edge_graphs(7, ceiling=5))
+    assert exc.value.estimate == 177
+
+
+def test_estimated_class_count_is_the_exact_table():
+    for m in range(len(search.CLASS_COUNTS)):
+        assert estimated_class_count(m) == polya_edge_class_count(m)
+    beyond = [estimated_class_count(m) for m in range(len(search.CLASS_COUNTS) - 1, 24)]
+    assert all(a < b for a, b in zip(beyond, beyond[1:]))
+
+
+def test_negative_budgets_raise():
+    for m in (-1, -2):
+        with pytest.raises(ValueError):
+            list(enumerate_m_edge_graphs(m))
+        with pytest.raises(ValueError):
+            search._level(m)
+        assert m not in search._LEVELS
 
 
 def test_rho_examples():
@@ -90,18 +110,62 @@ def test_rho_certificates_attain_and_monotone():
             assert count_induced(g, h).unordered == r.rho
 
 
-# sha256 of "<m> <label>\n" over levels 0..8 in label order.  Labels are
+# sha256 of "<m> <label>\n" over levels 0..9 in label order.  Labels are
 # CLI output and cache keys: changing one needs a GENERATOR_VERSION bump.
-LEVEL_LABELS_SHA256 = "21f86be7c2c3807ecc4f8209dda87ac0437b793309a4e56b7ea89c2769be5578"
+LEVEL_LABELS_SHA256 = "7da320b998d72a5da547d94d52559e04041141ffb16cf5f09f04722576a9548b"
+
+# sha256 of "<label> <perm>\n" (perm comma-separated) over every one-edge
+# extension of every class of levels 0..7: non-edges in lexicographic
+# order, then a pendant edge at each vertex, then a disjoint edge.
+CANDIDATE_FORMS_SHA256 = "8ed9ff8aae8632734fc056ad96e3f31bc961d78b85e32c80044fb2b461d73916"
 
 
 def test_level_labels_match_fixture():
     digest = hashlib.sha256()
-    for m in range(9):
+    for m in range(10):
         for label, g in search._level(m):
             assert g == parse_graph6(label)
             digest.update(f"{m} {label}\n".encode())
     assert digest.hexdigest() == LEVEL_LABELS_SHA256
+
+
+def one_edge_extensions(g):
+    n = g.n
+    for u, v in combinations(range(n), 2):
+        if not g.has_edge(u, v):
+            yield g.add_edge(u, v)
+    for u in range(n):
+        yield g.add_vertex(1 << u)
+    yield g.add_vertex(0).add_vertex(1 << n)
+
+
+def test_candidate_labels_and_perms_match_fixture():
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(8):
+        for _, g in search._level(m):
+            for child in one_edge_extensions(g):
+                form = canonical_form(child)
+                digest.update(f"{form.label} {','.join(map(str, form.perm))}\n".encode())
+                count += 1
+    assert count == 8252
+    assert digest.hexdigest() == CANDIDATE_FORMS_SHA256
+
+
+def test_growth_labels_one_child_per_orbit(monkeypatch):
+    # levels 0..8 made 8,253 canonical_form calls when every one-edge
+    # extension was labelled
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return canonical_form(g)
+
+    monkeypatch.setattr(search, "_LEVELS", {})
+    monkeypatch.setattr(search, "canonical_form", counting)
+    assert len(search._level(8)) == 497
+    assert calls <= 3700
 
 
 def test_sharded_growth_equals_level(monkeypatch):
