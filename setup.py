@@ -1,22 +1,14 @@
 from setuptools import Extension, setup
 
-# The compiled kernel is optional: if Cython or a C compiler is missing the
-# package falls back to the pure-Python twin at import time.
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "edgeind._kernels",
-                ["src/edgeind/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled kernel is optional: without a C compiler the build still
+# succeeds and the package falls back to the pure-Python twin at import time.
+setup(
+    ext_modules=[
+        Extension(
+            "edgeind._kernels",
+            ["src/edgeind/_kernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

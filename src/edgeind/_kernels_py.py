@@ -1,11 +1,15 @@
-"""Pure-Python backtracking kernels for ordered induced-copy search.
+"""Pure-Python kernels: ordered induced-copy search and the canonical
+labelling search core.
 
 Twin of the compiled module ``edgeind._kernels``; both expose the same
 functions and must produce identical results.  Adjacency rows are integer
-bitmasks (hosts have at most 64 vertices).  ``order`` is the sequence in
-which pattern vertices are assigned; the first ``len(pin_hosts)`` of them
-are forced to the given host vertices.
+bitmasks; the compiled twin takes at most 64 rows, this module any number.
+For the copy search, ``order`` is the sequence in which pattern vertices
+are assigned; the first ``len(pin_hosts)`` of them are forced to the given
+host vertices.
 """
+
+from .graph import encode_graph6
 
 BACKEND = "pure"
 
@@ -126,3 +130,131 @@ def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
 
     rec(start, used0)
     return out
+
+
+# -- canonical labelling -------------------------------------------------
+
+
+def _refine(adj, cells):
+    """Equitable refinement: split cells by neighbor counts into every cell
+    until stable.  Deterministic: first splittable cell splits first and
+    subcells are ordered by their count signature."""
+    cells = [list(c) for c in cells]
+    while True:
+        masks = []
+        for c in cells:
+            m = 0
+            for v in c:
+                m |= 1 << v
+            masks.append(m)
+        for ci, cell in enumerate(cells):
+            if len(cell) == 1:
+                continue
+            keyed = {}
+            for v in cell:
+                key = tuple((adj[v] & m).bit_count() for m in masks)
+                keyed.setdefault(key, []).append(v)
+            if len(keyed) > 1:
+                cells[ci:ci + 1] = [keyed[k] for k in sorted(keyed)]
+                break
+        else:
+            return cells
+
+
+def _certificate(adj, seq):
+    pos = [0] * len(seq)
+    for i, v in enumerate(seq):
+        pos[v] = i
+    cert = []
+    for v in seq:
+        row = adj[v]
+        new_row = 0
+        while row:
+            u = (row & -row).bit_length() - 1
+            row &= row - 1
+            new_row |= 1 << pos[u]
+        cert.append(new_row)
+    return tuple(cert)
+
+
+def _quotient(ref_perm, perm):
+    """Automorphism mapping x to the vertex that plays x's role under the
+    reference labeling: ref_perm^{-1} o perm."""
+    n = len(perm)
+    inv_ref = [0] * n
+    for v, p in enumerate(ref_perm):
+        inv_ref[p] = v
+    return tuple(inv_ref[perm[x]] for x in range(n))
+
+
+def orbit_closure(start, maps):
+    """Points reachable from ``start`` under the maps, each indexable by a
+    point (a permutation tuple on vertices, or a dict on any points)."""
+    orbit = set(start)
+    frontier = list(orbit)
+    while frontier:
+        x = frontier.pop()
+        for p in maps:
+            y = p[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def canonical_search(adj):
+    """``(label, perm, gens)`` for the graph with adjacency rows ``adj``:
+    the graph6 text of the relabeling ``perm`` (old vertex v becomes
+    perm[v]) that minimizes the certificate, compared row by row, over the
+    pruned search tree, and the automorphisms found on the way, sorted."""
+    n = len(adj)
+    if n == 0:
+        return encode_graph6(()), (), ()
+    best_cert = None
+    best_perm = None
+    first_cert = None
+    first_perm = None
+    gens = set()
+
+    def leaf(cells):
+        nonlocal best_cert, best_perm, first_cert, first_perm
+        seq = [c[0] for c in cells]
+        perm = [0] * n
+        for i, v in enumerate(seq):
+            perm[v] = i
+        cert = _certificate(adj, seq)
+        if first_cert is None:
+            first_cert, first_perm = cert, perm
+        elif cert == first_cert and perm != first_perm:
+            gens.add(_quotient(first_perm, perm))
+        if best_cert is None or cert < best_cert:
+            best_cert, best_perm = cert, perm
+        elif cert == best_cert and perm != best_perm:
+            gens.add(_quotient(best_perm, perm))
+
+    def rec(cells, fixed):
+        cells = _refine(adj, cells)
+        target = None
+        for i, c in enumerate(cells):
+            if len(c) > 1:
+                target = i
+                break
+        if target is None:
+            leaf(cells)
+            return
+        cell = cells[target]
+        # Siblings inside the orbit of the explored ones, under the
+        # generators fixing ``fixed``, would only repeat certificates.  The
+        # generators change only inside a subtree, so the orbit is closed
+        # once per explored child.
+        orbit = set()
+        for v in sorted(cell):
+            if v in orbit:
+                continue
+            rest = [u for u in cell if u != v]
+            rec(cells[:target] + [[v], rest] + cells[target + 1:], fixed + (v,))
+            orbit.add(v)
+            orbit = orbit_closure(orbit, [p for p in gens if all(p[f] == f for f in fixed)])
+
+    rec([list(range(n))], ())
+    return encode_graph6(best_cert), tuple(best_perm), tuple(sorted(gens))

@@ -38,9 +38,15 @@ class Graph:
             for v in range(u + 1, n):
                 if (adj[u] >> v & 1) != (adj[v] >> u & 1):
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_hash", hash((n, adj)))
+        _fill(self, n, adj)
+
+    @classmethod
+    def _unchecked(cls, n, adj: tuple):
+        """A graph from rows that are valid by construction, such as a valid
+        graph's rows with one checked edge or vertex added."""
+        g = object.__new__(cls)
+        _fill(g, n, adj)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -165,12 +171,15 @@ class Graph:
         return self.induced_subgraph(keep)
 
     def add_edge(self, u, v):
-        if self.has_edge(u, v) or u == v:
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an end outside 0..{n - 1}")
+        if u == v or self.adj[u] >> v & 1:
             raise ValueError("edge already present or loop")
         adj = list(self.adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph(self.n, adj)
+        return Graph._unchecked(n, tuple(adj))
 
     def remove_edge(self, u, v):
         if not self.has_edge(u, v):
@@ -182,9 +191,20 @@ class Graph:
 
     def add_vertex(self, neighbors=0):
         """Append vertex n, adjacent to the given bitmask of old vertices."""
-        adj = [row | ((neighbors >> v & 1) << self.n) for v, row in enumerate(self.adj)]
+        n = self.n
+        if not 0 <= neighbors < 1 << n:
+            raise ValueError(f"neighbor mask {neighbors} mentions vertices outside 0..{n - 1}")
+        if n == MAX_VERTICES:
+            raise ValueError(f"vertex count {n + 1} outside 0..{MAX_VERTICES}")
+        adj = [row | (neighbors >> v & 1) << n for v, row in enumerate(self.adj)]
         adj.append(neighbors)
-        return Graph(self.n + 1, adj)
+        return Graph._unchecked(n + 1, tuple(adj))
+
+
+def _fill(g, n, adj):
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    object.__setattr__(g, "_hash", hash((n, adj)))
 
 
 # -- graph6 ------------------------------------------------------------
@@ -197,9 +217,14 @@ _HEADER = ">>graph6<<"
 
 
 def write_graph6(g: Graph) -> str:
-    if g.n > MAX_VERTICES:
+    return encode_graph6(g.adj)
+
+
+def encode_graph6(adj) -> str:
+    """graph6 text of the graph with the given adjacency rows."""
+    n = len(adj)
+    if n > MAX_VERTICES:
         raise ValueError(f"graphs beyond {MAX_VERTICES} vertices are unsupported")
-    n = g.n
     if n <= 62:
         out = [chr(n + 63)]
     else:
@@ -207,7 +232,7 @@ def write_graph6(g: Graph) -> str:
     bits = 0
     nbits = 0
     for v in range(1, n):
-        col = g.adj[v]
+        col = adj[v]
         for u in range(v):
             bits = bits << 1 | (col >> u & 1)
             nbits += 1

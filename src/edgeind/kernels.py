@@ -1,8 +1,12 @@
-"""Backend selection and the public ordered-copy search interface.
+"""Backend selection and the public kernel interface: ordered induced-copy
+search and canonical labelling.
 
-At import time the compiled Cython kernel is preferred; the pure-Python
-twin is used when the extension is unavailable or when the environment
-variable ``EDGEIND_PURE`` is set (handy for the benchmark and for tests).
+At import time the compiled C extension ``edgeind._kernels`` (backend
+``"c"``) is preferred; the pure-Python twin ``edgeind._kernels_py``
+(backend ``"pure"``) is used when the extension was not built or when the
+environment variable ``EDGEIND_PURE`` is set.  Graphs above 64 vertices
+always take the pure twin, because the C code packs a neighborhood into
+one machine word.
 """
 
 from __future__ import annotations
@@ -25,8 +29,13 @@ BACKEND = _impl.BACKEND
 
 
 def _backend_for(g: Graph):
-    # the compiled kernel packs neighborhoods into one machine word
     return _kernels_py if g.n > WORD_VERTICES else _impl
+
+
+def canonical_search(g: Graph) -> tuple:
+    """``(label, perm, gens)``: the canonical graph6 label of g, the
+    relabeling that produces it and sorted automorphism generators."""
+    return _backend_for(g).canonical_search(g.adj)
 
 
 def visit_order(h: Graph, pinned=()) -> tuple:

@@ -127,12 +127,13 @@ def _level(m, shards=1):
 
 
 def enumerate_m_edge_graphs(m, ceiling=DEFAULT_CEILING):
-    """One canonical representative per isomorphism class of graphs with m
-    edges and no isolated vertices."""
+    """An iterator over one canonical representative per isomorphism class
+    of graphs with m edges and no isolated vertices.  A bad budget raises
+    here, not on first iteration."""
     if m > ceiling:
         raise CeilingError(m, ceiling, estimated_class_count(m))
-    for _, g in _level(m):
-        yield g
+    level = _level(m)
+    return (g for _, g in level)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,23 @@ def test_graph_invariants_enforced():
         Graph(129, (0,) * 129)
 
 
+def test_derived_graph_arguments_are_checked():
+    g = Graph.path(3)
+    for u, v in [(0, 3), (3, 0), (-1, 0), (0, -1), (1, 1), (0, 1), (1, 0)]:
+        with pytest.raises(ValueError):
+            g.add_edge(u, v)
+    for mask in (-1, 1 << 3, 0b1010):
+        with pytest.raises(ValueError):
+            g.add_vertex(mask)
+    with pytest.raises(ValueError):
+        Graph.empty(128).add_vertex(0)
+    # the unchecked construction equals the validating one
+    assert g.add_edge(0, 2) == Graph.cycle(3)
+    assert hash(g.add_edge(0, 2)) == hash(Graph.cycle(3))
+    assert g.add_vertex(0b101) == Graph.from_edges(4, [(0, 1), (1, 2), (0, 3), (2, 3)])
+    assert Graph.empty(0).add_vertex() == Graph.empty(1)
+
+
 def test_relabel_and_induced_subgraph():
     g = Graph.path(4)
     perm = [2, 0, 3, 1]

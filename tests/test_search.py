@@ -80,6 +80,13 @@ def test_estimated_class_count_is_the_exact_table():
     assert all(a < b for a, b in zip(beyond, beyond[1:]))
 
 
+def test_bad_budgets_raise_at_call_time():
+    with pytest.raises(CeilingError):
+        enumerate_m_edge_graphs(13)
+    with pytest.raises(ValueError):
+        enumerate_m_edge_graphs(-2)
+
+
 def test_negative_budgets_raise():
     for m in (-1, -2):
         with pytest.raises(ValueError):
@@ -120,13 +127,16 @@ LEVEL_LABELS_SHA256 = "7da320b998d72a5da547d94d52559e04041141ffb16cf5f09f0472257
 CANDIDATE_FORMS_SHA256 = "8ed9ff8aae8632734fc056ad96e3f31bc961d78b85e32c80044fb2b461d73916"
 
 
-def test_level_labels_match_fixture():
-    digest = hashlib.sha256()
-    for m in range(10):
-        for label, g in search._level(m):
-            assert g == parse_graph6(label)
-            digest.update(f"{m} {label}\n".encode())
-    assert digest.hexdigest() == LEVEL_LABELS_SHA256
+def test_level_labels_match_fixture(backends, monkeypatch):
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        monkeypatch.setattr(search, "_LEVELS", {})
+        digest = hashlib.sha256()
+        for m in range(10):
+            for label, g in search._level(m):
+                assert g == parse_graph6(label)
+                digest.update(f"{m} {label}\n".encode())
+        assert digest.hexdigest() == LEVEL_LABELS_SHA256, backend.BACKEND
 
 
 def one_edge_extensions(g):
@@ -139,17 +149,20 @@ def one_edge_extensions(g):
     yield g.add_vertex(0).add_vertex(1 << n)
 
 
-def test_candidate_labels_and_perms_match_fixture():
-    digest = hashlib.sha256()
-    count = 0
-    for m in range(8):
-        for _, g in search._level(m):
-            for child in one_edge_extensions(g):
-                form = canonical_form(child)
-                digest.update(f"{form.label} {','.join(map(str, form.perm))}\n".encode())
-                count += 1
-    assert count == 8252
-    assert digest.hexdigest() == CANDIDATE_FORMS_SHA256
+def test_candidate_labels_and_perms_match_fixture(backends, monkeypatch):
+    levels = [search._level(m) for m in range(8)]
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        digest = hashlib.sha256()
+        count = 0
+        for level in levels:
+            for _, g in level:
+                for child in one_edge_extensions(g):
+                    form = canonical_form(child)
+                    digest.update(f"{form.label} {','.join(map(str, form.perm))}\n".encode())
+                    count += 1
+        assert count == 8252
+        assert digest.hexdigest() == CANDIDATE_FORMS_SHA256, backend.BACKEND
 
 
 def test_growth_labels_one_child_per_orbit(monkeypatch):
