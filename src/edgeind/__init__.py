@@ -24,6 +24,7 @@ from .counting import (
     characterizes_cycle,
     count_induced,
     gamma_stats,
+    gamma_table,
     is_well_ordered,
     validate_edge_tuple,
 )

@@ -109,21 +109,38 @@ def alpha_extension_edges(g: Graph, t, mode="path-extend", k=None):
             k = 2 * (len(t) + 1)
         if k % 2 or len(t) != k // 2 - 1:
             raise ValueError(f"cycle-close needs {k // 2 - 1} tuple entries for C_{k}")
-        test = characterizes_cycle
-    elif mode == "path-extend":
-        test = is_well_ordered
-    else:
+    elif mode != "path-extend":
         raise ValueError(f"unknown mode {mode!r}")
-    used = set()
+    return _extension_edges(g.adj, t, mode == "cycle-close")
+
+
+def _extension_edges(adj, t, close):
+    """Extension edges of a well-ordered tuple by neighbourhood masks.
+
+    With U the vertices of t, appending (x, y) keeps t well-ordered exactly
+    when x, y avoid U, N(x) & U is the head of t's last entry and N(y) & U
+    is empty; it closes the induced cycle when N(y) & U is instead the tail
+    of t's first entry.  The links inside t are already right, so these two
+    masks are the whole test, and no edge passes in both orientations."""
+    used = 0
     for u, v in t:
-        used.add(u)
-        used.add(v)
+        used |= 1 << u | 1 << v
+    head = 1 << t[-1][1]
+    want_y = 1 << t[0][0] if close else 0
     out = []
-    for x, y in g.edges():
-        if x in used or y in used:
+    xs = adj[t[-1][1]] & ~used
+    while xs:
+        x = (xs & -xs).bit_length() - 1
+        xs &= xs - 1
+        if adj[x] & used != head:
             continue
-        if test(g, t + ((x, y),)) or test(g, t + ((y, x),)):
-            out.append((x, y))
+        ys = adj[x] & ~used
+        while ys:
+            y = (ys & -ys).bit_length() - 1
+            ys &= ys - 1
+            if adj[y] & used == want_y:
+                out.append((x, y) if x < y else (y, x))
+    out.sort()
     return out
 
 
@@ -176,29 +193,40 @@ class GammaStats:
     gamma2: int | None
 
 
-def gamma_stats(g: Graph, t, e_last=None) -> GammaStats:
+def gamma_table(g: Graph, t) -> dict:
     """For the odd path on 2l+1 vertices with odd-edge prefix ``t``
-    (l-1 entries, l >= 2): the feasible final edges, and with ``e_last``
-    fixed, the feasible edges at positions 2l-2 and 2l-1."""
+    (l-1 entries, l >= 2): ``{final edge: (gamma1, gamma2)}`` over the
+    feasible final edges in sorted order, where gamma1 and gamma2 count
+    the feasible edges at positions 2l-2 and 2l-1 once the final edge is
+    fixed.  One enumeration of the completions serves every final edge."""
     t = tuple(tuple(e) for e in t)
     if not is_well_ordered(g, t):
         raise ValueError("tuple is not well-ordered")
     l = len(t) + 1
     if l < 2:
         raise ValueError("need at least one tuple entry")
-    pattern = Graph.path(2 * l + 1)
-    copies = kernels.enumerate_ordered(g, pattern, _odd_edge_pins(t))
+    copies = kernels.enumerate_ordered(g, Graph.path(2 * l + 1), _odd_edge_pins(t))
     # Pattern vertices are 0-based: the free ones are 2l-2, 2l-1, 2l.
-    s_set = sorted({_norm(c[2 * l - 1], c[2 * l]) for c in copies})
+    seconds = {}
+    links = {}
+    for c in copies:
+        last = _norm(c[2 * l - 1], c[2 * l])
+        seconds.setdefault(last, set()).add(_norm(c[2 * l - 3], c[2 * l - 2]))
+        links.setdefault(last, set()).add(_norm(c[2 * l - 2], c[2 * l - 1]))
+    return {e: (len(seconds[e]), len(links[e])) for e in sorted(seconds)}
+
+
+def gamma_stats(g: Graph, t, e_last=None) -> GammaStats:
+    """The feasible final edges of ``gamma_table``, and with ``e_last``
+    fixed, the feasible edges at positions 2l-2 and 2l-1."""
+    table = gamma_table(g, t)
+    s_set = tuple(table)
     if e_last is None:
-        return GammaStats(tuple(s_set), len(s_set), None, None)
+        return GammaStats(s_set, len(s_set), None, None)
     e_last = _norm(*e_last)
-    if e_last not in s_set:
+    if e_last not in table:
         raise ValueError(f"{e_last} is not a feasible final edge")
-    sel = [c for c in copies if _norm(c[2 * l - 1], c[2 * l]) == e_last]
-    g1 = {_norm(c[2 * l - 3], c[2 * l - 2]) for c in sel}
-    g2 = {_norm(c[2 * l - 2], c[2 * l - 1]) for c in sel}
-    return GammaStats(tuple(s_set), len(s_set), len(g1), len(g2))
+    return GammaStats(s_set, len(s_set), *table[e_last])
 
 
 def _norm(u, v):

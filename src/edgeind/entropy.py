@@ -17,10 +17,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .graph import Graph
 from .families import parse_family
-from .counting import _norm, alpha_extension_edges, gamma_stats
+from .counting import _extension_edges, _norm, alpha_extension_edges, gamma_table, is_well_ordered
 from .canon import automorphism_order
 from . import kernels
 
@@ -322,20 +323,12 @@ def _even_path_terms(host, edge_tuples, k, m, alpha, report):
 def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
     l = (k - 1) // 2
     n = len(edge_tuples)
-    gamma_memo = {}
-    gamma12_memo = {}
+    tables = {}
 
-    def gammas0(prefix):
-        if prefix not in gamma_memo:
-            gamma_memo[prefix] = gamma_stats(host, prefix).gamma0
-        return gamma_memo[prefix]
-
-    def gammas12(prefix, e_last):
-        key = (prefix, e_last)
-        if key not in gamma12_memo:
-            st = gamma_stats(host, prefix, e_last)
-            gamma12_memo[key] = (st.gamma1, st.gamma2)
-        return gamma12_memo[key]
+    def gamma(prefix):
+        if prefix not in tables:
+            tables[prefix] = gamma_table(host, prefix)
+        return tables[prefix]
 
     chain = _h([t[0] for t in edge_tuples])
     for i in range(1, l - 1):
@@ -346,7 +339,7 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
     prefixes = [_odd_prefix(t, l - 1) for t in edge_tuples]
     last_u = [_norm(*t[2 * l - 1]) for t in edge_tuples]
     h_last = _h_cond(list(zip(last_u, prefixes)))
-    avg0 = sum(math.log(gammas0(p)) for p in prefixes) / n
+    avg0 = sum(math.log(len(gamma(p))) for p in prefixes) / n
     report.add("conditional_final_vs_gamma0", "inequality", h_last, avg0)
     chain += h_last
     if l >= 3:
@@ -366,8 +359,9 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
     budgets = []
     worst_amgm = None
     for t, prefix, e_last in zip(edge_tuples, prefixes, last_u):
-        g1, g2 = gammas12(prefix, e_last)
-        g0 = gammas0(prefix)
+        table = gamma(prefix)
+        g1, g2 = table[e_last]
+        g0 = len(table)
         avg1 += math.log(g1)
         avg2 += math.log(g2)
         a = [alpha(_odd_prefix(t, i)) for i in range(1, l - 1)]
@@ -520,95 +514,124 @@ def _validate_induced_cycle(host, seq):
 
 
 def _contribution_cap(adjacent, j, k):
-    """Per-position contribution cap as a function of which cycle positions
-    are adjacent to the edge.  The caps are recorded and checked, not
-    assumed: rows exceeding them are flagged."""
-    jn = (j + 1) % k
-    if j in adjacent and jn in adjacent:
-        return Fraction(0)
-    if j in adjacent:
-        window_clear = all((j + t) % k not in adjacent for t in range(2, k - 3))
-        if window_clear and (j + k - 3) % k in adjacent:
-            return Fraction(3, 2)
-        return Fraction(1, 2)
-    if jn in adjacent:
-        return Fraction(1, 2)
-    if not adjacent:
-        return Fraction(0)
-    d = min((p - j) % k for p in adjacent)
-    return Fraction(1) if d % 2 else Fraction(0)
+    """Per-position contribution cap, in half-units, as a function of the
+    bitmask of cycle positions adjacent to the edge.  The caps are recorded
+    and checked, not assumed: rows exceeding them are flagged."""
+    full = (1 << k) - 1
+    # rotate so that bit t stands for position j + t
+    rot = (adjacent >> j | adjacent << (k - j)) & full
+    if rot & 1:
+        if rot & 2:
+            return 0
+        window = ((1 << (k - 3)) - 1) & ~3  # positions j+2 .. j+k-4
+        if not rot & window and rot >> (k - 3) & 1:
+            return 3
+        return 1
+    if rot & 2:
+        return 1
+    if not rot:
+        return 0
+    return 2 if ((rot & -rot).bit_length() - 1) % 2 else 0
+
+
+@lru_cache(maxsize=None)
+def _half(h):
+    return Fraction(h, 2)
+
+
+def _half_fractions(values):
+    return tuple(map(_half, values))
+
+
+def _position_masks(host, seq):
+    """Bitmask of the cycle positions adjacent to each host vertex."""
+    masks = [0] * host.n
+    for j, v in enumerate(seq):
+        row = host.adj[v]
+        while row:
+            w = (row & -row).bit_length() - 1
+            row &= row - 1
+            masks[w] |= 1 << j
+    return masks
+
+
+def _reverse_bits(mask, k):
+    return int(format(mask, f"0{k}b")[::-1], 2)
 
 
 def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
     """Per-position extension-count sums S_j+/S_j- for one induced even
     cycle, with the per-host-edge contribution rows, the adjacency
     bookkeeping, and the edge-budget verdicts (m*l, with the (l+1)*m
-    fallback for 6-cycles)."""
+    fallback for 6-cycles).  Sums, contributions and caps are kept in
+    half-units: an edge extending the one-entry tuple at a position counts
+    1, one extending a longer tuple counts 2."""
     seq = tuple(cycle)
     _validate_induced_cycle(host, seq)
     k = len(seq)
     l = k // 2
     m = host.m
-    plus_sets = []
-    minus_sets = []
-    for j in range(k):
-        psets = [set(alpha_extension_edges(host, _forward_tuple(seq, j, 1)))]
-        msets = [set(alpha_extension_edges(host, _backward_tuple(seq, j, 1)))]
-        for i in range(2, l):
-            mode = "path-extend" if i <= l - 2 else "cycle-close"
-            psets.append(set(alpha_extension_edges(host, _forward_tuple(seq, j, i), mode, k)))
-            msets.append(set(alpha_extension_edges(host, _backward_tuple(seq, j, i), mode, k)))
-        plus_sets.append(psets)
-        minus_sets.append(msets)
-    s_plus = tuple(Fraction(len(ps[0]), 2) + sum(len(s) for s in ps[1:]) for ps in plus_sets)
-    s_minus = tuple(Fraction(len(ms[0]), 2) + sum(len(s) for s in ms[1:]) for ms in minus_sets)
+    plus_weights = [_extension_weights(host, seq, j, l, _forward_tuple) for j in range(k)]
+    minus_weights = [_extension_weights(host, seq, j, l, _backward_tuple) for j in range(k)]
+    s_plus = [sum(w.values()) for w in plus_weights]
+    s_minus = [sum(w.values()) for w in minus_weights]
 
-    rev = tuple(reversed(seq))
+    position_masks = _position_masks(host, seq)
+    caps = {}  # adjacency mask -> per-position plus and minus caps
     rows = []
     flagged = []
-    check_plus = [Fraction(0)] * k
-    check_minus = [Fraction(0)] * k
-    per_edge_cap = l if l >= 4 else l + 1
+    check_plus = [0] * k
+    check_minus = [0] * k
+    per_edge_cap = 2 * (l if l >= 4 else l + 1)
     for edge in host.edges():
         x, y = edge
-        adjacent = tuple(j for j in range(k)
-                         if host.has_edge(x, seq[j]) or host.has_edge(y, seq[j]))
-        adjacent_rev = tuple(j for j in range(k)
-                             if host.has_edge(x, rev[j]) or host.has_edge(y, rev[j]))
-        plus = []
-        minus = []
-        pcaps = []
-        mcaps = []
-        flags = []
-        for j in range(k):
-            p = Fraction(edge in plus_sets[j][0], 2) + sum(edge in s for s in plus_sets[j][1:])
-            q = Fraction(edge in minus_sets[j][0], 2) + sum(edge in s for s in minus_sets[j][1:])
-            plus.append(p)
-            minus.append(q)
-            check_plus[j] += p
-            check_minus[j] += q
-            pcap = _contribution_cap(set(adjacent), j, k)
+        adjacent = position_masks[x] | position_masks[y]
+        if adjacent not in caps:
             # minus tuples at position j equal the plus tuples of the
             # reversed sequence at position k-2-j
-            mcap = _contribution_cap(set(adjacent_rev), (k - 2 - j) % k, k)
-            pcaps.append(pcap)
-            mcaps.append(mcap)
-            if p > pcap:
+            adjacent_rev = _reverse_bits(adjacent, k)
+            caps[adjacent] = (
+                [_contribution_cap(adjacent, j, k) for j in range(k)],
+                [_contribution_cap(adjacent_rev, (k - 2 - j) % k, k) for j in range(k)])
+        pcaps, mcaps = caps[adjacent]
+        plus = [w.get(edge, 0) for w in plus_weights]
+        minus = [w.get(edge, 0) for w in minus_weights]
+        flags = []
+        for j in range(k):
+            check_plus[j] += plus[j]
+            check_minus[j] += minus[j]
+            if plus[j] > pcaps[j]:
                 flags.append(f"plus_{j}_exceeds_case_cap")
-            if q > mcap:
+            if minus[j] > mcaps[j]:
                 flags.append(f"minus_{j}_exceeds_case_cap")
         if sum(plus) > per_edge_cap:
             flags.append("plus_total_exceeds_edge_cap")
         if sum(minus) > per_edge_cap:
             flags.append("minus_total_exceeds_edge_cap")
-        row = LedgerRow(edge, adjacent, tuple(plus), tuple(minus),
-                        tuple(pcaps), tuple(mcaps), tuple(flags))
-        rows.append(row)
+        positions = tuple(j for j in range(k) if adjacent >> j & 1)
+        rows.append(LedgerRow(edge, positions, _half_fractions(plus), _half_fractions(minus),
+                              _half_fractions(pcaps), _half_fractions(mcaps), tuple(flags)))
         if flags:
             flagged.append((edge, tuple(flags)))
-    if tuple(check_plus) != s_plus or tuple(check_minus) != s_minus:
+    if check_plus != s_plus or check_minus != s_minus:
         raise AssertionError("ledger rows do not reconstruct the extension sums")
-    return ClaimLedger(seq, m, s_plus, s_minus, tuple(rows), tuple(flagged))
+    return ClaimLedger(seq, m, _half_fractions(s_plus), _half_fractions(s_minus),
+                       tuple(rows), tuple(flagged))
+
+
+def _extension_weights(host, seq, j, l, tuple_at):
+    """Half-unit weight of each host edge at cycle position j: 1 for an
+    extension of the one-entry tuple, plus 2 for each longer tuple (up to
+    the cycle-closing one) it extends."""
+    weights = {}
+    for i in range(1, l):
+        t = tuple_at(seq, j, i)
+        if not is_well_ordered(host, t):
+            raise ValueError("tuple is not well-ordered")
+        w = 1 if i == 1 else 2
+        for e in _extension_edges(host.adj, t, i == l - 1):
+            weights[e] = weights.get(e, 0) + w
+    return weights
 
 
 def induced_cycles(host: Graph, k: int):

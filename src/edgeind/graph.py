@@ -9,6 +9,8 @@ pure path.  All graphs are immutable.
 
 from __future__ import annotations
 
+import re
+
 MAX_VERTICES = 128
 WORD_VERTICES = 64
 
@@ -281,31 +283,31 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"byte {offset + len(s)}: truncated edge data")
     if len(s) - body > need:
         raise Graph6Error(f"byte {offset + body + need}: trailing garbage after edge data")
+    bad = _OUTSIDE_RANGE.search(s, body)
+    if bad:
+        i = bad.start()
+        raise Graph6Error(f"byte {offset + i}: character {s[i]!r} outside graph6 range")
+    bits = s[body:].translate(_SIX_BITS)
+    if "1" in bits[nbits:]:
+        raise Graph6Error(f"byte {offset + len(s) - 1}: nonzero padding bits")
 
+    # Column v holds the bits of rows 0..v-1, row 0 first.
     adj = [0] * n
-    bit = 0
-    for i in range(need):
-        group = val(body + i)
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> k & 1:
-                    raise Graph6Error(f"byte {offset + body + i}: nonzero padding bits")
-                continue
-            if group >> k & 1:
-                u, v = _bit_to_pair(bit)
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            bit += 1
-    return Graph(n, adj)
+    start = 0
+    for v in range(1, n):
+        col = int(bits[start:start + v][::-1], 2)
+        start += v
+        adj[v] |= col
+        bit = 1 << v
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
+    return Graph._unchecked(n, tuple(adj))
 
 
-def _bit_to_pair(bit):
-    # Column-major upper triangle: column v holds v bits for rows 0..v-1.
-    v = 1
-    while bit >= v:
-        bit -= v
-        v += 1
-    return bit, v
+_OUTSIDE_RANGE = re.compile("[^?-~]")  # graph6 bytes are chr(63)..chr(126)
+_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 def parse_graph6_file(lines):

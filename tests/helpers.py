@@ -204,3 +204,120 @@ def permutation_group_order(gens, n):
     for reps in trans:
         order *= len(reps)
     return order
+
+
+# -- entropy-lab oracles: whole-tuple predicates and Fraction arithmetic --
+
+
+def predicate_extension_edges(g: Graph, t, mode="path-extend", k=None):
+    """Extension edges by testing ``t + e`` with the tuple predicates in
+    both orientations, edge by edge in ``g.edges()`` order."""
+    from edgeind import characterizes_cycle, is_well_ordered
+
+    t = tuple(tuple(e) for e in t)
+    assert is_well_ordered(g, t)
+    if mode == "cycle-close":
+        assert k == 2 * (len(t) + 1)
+        test = characterizes_cycle
+    else:
+        test = is_well_ordered
+    used = {v for e in t for v in e}
+    return [(x, y) for x, y in g.edges()
+            if x not in used and y not in used
+            and (test(g, t + ((x, y),)) or test(g, t + ((y, x),)))]
+
+
+def fraction_contribution_cap(adjacent, j, k):
+    """The claim1 per-position cap, on a set of adjacent cycle positions,
+    as a Fraction."""
+    jn = (j + 1) % k
+    if j in adjacent and jn in adjacent:
+        return Fraction(0)
+    if j in adjacent:
+        window_clear = all((j + t) % k not in adjacent for t in range(2, k - 3))
+        if window_clear and (j + k - 3) % k in adjacent:
+            return Fraction(3, 2)
+        return Fraction(1, 2)
+    if jn in adjacent:
+        return Fraction(1, 2)
+    if not adjacent:
+        return Fraction(0)
+    d = min((p - j) % k for p in adjacent)
+    return Fraction(1) if d % 2 else Fraction(0)
+
+
+def fraction_ledger(host: Graph, seq):
+    """The claim1 ledger of one induced even cycle, from predicate-tested
+    extension sets and Fraction sums: a plus (minus) tuple of i entries at
+    position j reads the cycle forwards (backwards) from position j, one
+    entry per two steps."""
+    from edgeind.entropy import ClaimLedger, LedgerRow
+
+    seq = tuple(seq)
+    k = len(seq)
+    l = k // 2
+
+    def forward(j, count):
+        return tuple((seq[(j + 2 * t) % k], seq[(j + 2 * t + 1) % k]) for t in range(count))
+
+    def backward(j, count):
+        return tuple((seq[(j - 2 * t + 1) % k], seq[(j - 2 * t) % k]) for t in range(count))
+
+    def sets(tuple_at, j):
+        out = [set(predicate_extension_edges(host, tuple_at(j, 1)))]
+        for i in range(2, l):
+            mode = "path-extend" if i <= l - 2 else "cycle-close"
+            out.append(set(predicate_extension_edges(host, tuple_at(j, i), mode, k)))
+        return out
+
+    plus_sets = [sets(forward, j) for j in range(k)]
+    minus_sets = [sets(backward, j) for j in range(k)]
+    s_plus = tuple(Fraction(len(ps[0]), 2) + sum(len(s) for s in ps[1:]) for ps in plus_sets)
+    s_minus = tuple(Fraction(len(ms[0]), 2) + sum(len(s) for s in ms[1:]) for ms in minus_sets)
+    rev = tuple(reversed(seq))
+    per_edge_cap = l if l >= 4 else l + 1
+    rows, flagged = [], []
+    for edge in host.edges():
+        x, y = edge
+        adjacent = tuple(j for j in range(k)
+                         if host.has_edge(x, seq[j]) or host.has_edge(y, seq[j]))
+        adjacent_rev = {j for j in range(k)
+                        if host.has_edge(x, rev[j]) or host.has_edge(y, rev[j])}
+        plus, minus, pcaps, mcaps, flags = [], [], [], [], []
+        for j in range(k):
+            p = Fraction(edge in plus_sets[j][0], 2) + sum(edge in s for s in plus_sets[j][1:])
+            q = Fraction(edge in minus_sets[j][0], 2) + sum(edge in s for s in minus_sets[j][1:])
+            pcap = fraction_contribution_cap(set(adjacent), j, k)
+            mcap = fraction_contribution_cap(adjacent_rev, (k - 2 - j) % k, k)
+            plus.append(p)
+            minus.append(q)
+            pcaps.append(pcap)
+            mcaps.append(mcap)
+            if p > pcap:
+                flags.append(f"plus_{j}_exceeds_case_cap")
+            if q > mcap:
+                flags.append(f"minus_{j}_exceeds_case_cap")
+        if sum(plus) > per_edge_cap:
+            flags.append("plus_total_exceeds_edge_cap")
+        if sum(minus) > per_edge_cap:
+            flags.append("minus_total_exceeds_edge_cap")
+        rows.append(LedgerRow(edge, adjacent, tuple(plus), tuple(minus),
+                              tuple(pcaps), tuple(mcaps), tuple(flags)))
+        if flags:
+            flagged.append((edge, tuple(flags)))
+    return ClaimLedger(seq, host.m, s_plus, s_minus, tuple(rows), tuple(flagged))
+
+
+def gamma_by_filtering(g: Graph, t, e_last):
+    """(gamma1, gamma2) for one final edge: enumerate the odd-path
+    completions of prefix t and keep those ending in e_last."""
+    from edgeind import enumerate_ordered
+
+    l = len(t) + 1
+    pins = [(q, v) for i, (a, b) in enumerate(t) for q, v in ((2 * i, a), (2 * i + 1, b))]
+    e_last = tuple(sorted(e_last))
+    sel = [c for c in enumerate_ordered(g, Graph.path(2 * l + 1), pins)
+           if tuple(sorted((c[2 * l - 1], c[2 * l]))) == e_last]
+    g1 = {tuple(sorted((c[2 * l - 3], c[2 * l - 2]))) for c in sel}
+    g2 = {tuple(sorted((c[2 * l - 2], c[2 * l - 1]))) for c in sel}
+    return len(g1), len(g2)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeind import (
     Graph,
@@ -12,10 +13,18 @@ from edgeind import (
     count_induced,
     enumerate_ordered,
     gamma_stats,
+    gamma_table,
     is_well_ordered,
 )
 
-from helpers import naive_count_ordered, naive_count_unordered, petersen, random_graph
+from helpers import (
+    gamma_by_filtering,
+    naive_count_ordered,
+    naive_count_unordered,
+    petersen,
+    predicate_extension_edges,
+    random_graph,
+)
 
 PATTERNS = {
     "P3": Graph.path(3),
@@ -209,3 +218,85 @@ def test_parse_graph6_file():
 
 def test_count_of_smaller_host_is_zero():
     assert count_induced(Graph.path(3), Graph.cycle(4)).unordered == 0
+
+
+@st.composite
+def hosts_with_path_tuples(draw, max_n=12):
+    """A host on at most 12 vertices, random or a blown-up cycle with a few
+    pairs flipped, and the odd-edge tuple of one of its ordered induced
+    paths on 2i vertices, oriented along the path: a well-ordered tuple of
+    i entries."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, max_n))
+        p = draw(st.sampled_from([0.2, 0.35, 0.5, 0.7]))
+        g = random_graph(rng, n, p)
+    else:
+        k = draw(st.integers(4, 8))
+        sizes = [1 + (rng.random() < 0.4) for _ in range(k)]
+        while sum(sizes) > max_n:
+            sizes[sizes.index(2)] = 1
+        part = [i for i, size in enumerate(sizes) for _ in range(size)]
+        n = len(part)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (part[u] - part[v]) % k in (1, k - 1)}
+        edges ^= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.05}
+        name = list(range(n))
+        rng.shuffle(name)
+        g = Graph.from_edges(n, [(name[u], name[v]) for u, v in edges])
+    for entries in range(draw(st.integers(1, 4)), 0, -1):
+        copies = enumerate_ordered(g, Graph.path(2 * entries))
+        if copies:
+            c = copies[draw(st.integers(0, len(copies) - 1))]
+            return g, tuple((c[2 * i], c[2 * i + 1]) for i in range(entries))
+    return Graph.path(2), ((0, 1),)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hosts_with_path_tuples())
+def test_extension_sets_match_tuple_predicates(case):
+    g, t = case
+    for mode, k in (("path-extend", None), ("cycle-close", 2 * (len(t) + 1))):
+        got = alpha_extension_edges(g, t, mode, k)
+        assert got == predicate_extension_edges(g, t, mode, k)
+        assert got == sorted(got) and all(u < v for u, v in got)
+
+
+def test_extension_sets_close_c4_from_one_entry():
+    c4 = Graph.cycle(4)
+    assert alpha_extension_edges(c4, [(0, 1)], "cycle-close", 4) == [(2, 3)]
+    assert alpha_extension_edges(c4, [(1, 0)], "cycle-close", 4) == [(2, 3)]
+    k33 = Graph.complete_bipartite(3, 3)
+    for t in ([(0, 3)], [(3, 0)]):
+        got = alpha_extension_edges(k33, t, "cycle-close", 4)
+        assert got == predicate_extension_edges(k33, t, "cycle-close", 4)
+        assert len(got) == 4
+    with pytest.raises(ValueError):
+        alpha_extension_edges(c4, [(0, 1)], "cycle-close", 6)
+    with pytest.raises(ValueError):
+        alpha_extension_edges(c4, [(0, 1)], "cycle-open")
+
+
+def test_gamma_table_matches_filtered_completions():
+    rng = random.Random(4242)
+    hosts = [Graph.cycle(7), Graph.cycle(9)]
+    for _ in range(12):
+        hosts.append(random_graph(rng, rng.randint(7, 10), rng.choice([0.3, 0.4])))
+    checked = 0
+    for g in hosts:
+        for k, l in ((5, 2), (7, 3)):
+            prefixes = {tuple((c[2 * i], c[2 * i + 1]) for i in range(l - 1))
+                        for c in enumerate_ordered(g, Graph.path(k))}
+            for t in sorted(prefixes):
+                table = gamma_table(g, t)
+                s_set = gamma_stats(g, t).s_set
+                assert tuple(table) == s_set == tuple(sorted(s_set))
+                for e in s_set:
+                    st_ = gamma_stats(g, t, e)
+                    expected = gamma_by_filtering(g, t, e)
+                    assert (st_.gamma1, st_.gamma2) == table[e] == expected
+                    assert st_.gamma0 == len(s_set)
+                    checked += 1
+    assert checked > 50
+    with pytest.raises(ValueError):
+        gamma_table(Graph.cycle(6), [(0, 1), (3, 4)])

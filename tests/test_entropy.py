@@ -21,10 +21,12 @@ from edgeind import (
     is_capable,
     projection_entropy,
     verify_chain_shearer,
+    kernels,
     verify_path_decomposition,
 )
+from edgeind.entropy import _contribution_cap
 
-from helpers import random_graph
+from helpers import fraction_contribution_cap, fraction_ledger, random_graph
 
 
 def test_projection_entropy_c4_in_k22():
@@ -207,3 +209,96 @@ def test_capable_triples_match_direct_definition():
             if is_capable(g, t)
         }
         assert direct == set(rep.capable_triples)
+
+
+def _relabelled_blowup(rng, k, sizes):
+    host = blow_up(BlowupSpec(Graph.cycle(k), tuple(sizes)))
+    perm = list(range(host.n))
+    rng.shuffle(perm)
+    return host.relabel(perm)
+
+
+def _assert_same_ledger(led, ref):
+    assert (led.cycle, led.m) == (ref.cycle, ref.m)
+    assert led.s_plus == ref.s_plus and led.s_minus == ref.s_minus
+    for row, ref_row in zip(led.rows, ref.rows, strict=True):
+        assert row.edge == ref_row.edge
+        assert row.adjacent_positions == ref_row.adjacent_positions
+        assert (row.plus, row.minus) == (ref_row.plus, ref_row.minus)
+        assert (row.plus_caps, row.minus_caps) == (ref_row.plus_caps, ref_row.minus_caps)
+        assert row.flags == ref_row.flags
+        for values in (row.plus, row.minus, row.plus_caps, row.minus_caps):
+            assert all(type(x) is Fraction for x in values)
+    assert all(type(x) is Fraction for x in led.s_plus + led.s_minus)
+    assert led.flagged == ref.flagged
+    assert led == ref
+    assert led.to_json() == ref.to_json()
+    buf, ref_buf = io.StringIO(), io.StringIO()
+    led.write_csv(buf)
+    ref.write_csv(ref_buf)
+    assert buf.getvalue() == ref_buf.getvalue()
+
+
+def test_ledger_matches_fraction_oracle_on_blowups():
+    rng = random.Random(6810)
+    checked = 0
+    for k in (6, 8, 10):
+        for _ in range(4):
+            sizes = [rng.choice((1, 1, 2, 3)) for _ in range(k)]
+            host = _relabelled_blowup(rng, k, sizes)
+            cycles = induced_cycles(host, k)
+            for cyc in rng.sample(cycles, min(3, len(cycles))):
+                _assert_same_ledger(cycle_extension_ledger(host, cyc), fraction_ledger(host, cyc))
+                checked += 1
+    assert checked >= 30
+
+
+def test_ledger_matches_fraction_oracle_on_random_hosts():
+    # an induced C_k planted among random extra vertices and edges, which
+    # random graphs this small rarely contain by themselves
+    rng = random.Random(1357)
+    checked = 0
+    for _ in range(40):
+        k = rng.choice((6, 8, 10))
+        extra = random_graph(rng, rng.randint(2, 6), rng.choice((0.25, 0.5)))
+        n = k + extra.n
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        edges += [(k + u, k + v) for u, v in extra.edges()]
+        p = rng.choice((0.15, 0.3))
+        edges += [(i, k + v) for i in range(k) for v in range(extra.n) if rng.random() < p]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        cycles = induced_cycles(g, k)
+        for cyc in cycles[:3]:
+            _assert_same_ledger(cycle_extension_ledger(g, cyc), fraction_ledger(g, cyc))
+            checked += 1
+    assert checked >= 40
+
+
+def test_half_unit_caps_match_fraction_caps():
+    # the flag path never fires on random hosts, so every adjacency mask
+    # and position is compared here
+    for k in (6, 8, 10):
+        for mask in range(1 << k):
+            adjacent = {j for j in range(k) if mask >> j & 1}
+            for j in range(k):
+                assert Fraction(_contribution_cap(mask, j, k), 2) == \
+                    fraction_contribution_cap(adjacent, j, k)
+
+
+def test_odd_path_check_enumerates_once_per_prefix(monkeypatch):
+    host = blow_up(BlowupSpec(Graph.cycle(8), (2,) * 8))
+    copies = kernels.enumerate_ordered(host, Graph.path(7))
+    prefixes = {((c[0], c[1]), (c[2], c[3])) for c in copies}
+    calls = []
+    enumerate_ordered = kernels.enumerate_ordered
+
+    def counted(g, h, pins=()):
+        calls.append(pins)
+        return enumerate_ordered(g, h, pins)
+
+    monkeypatch.setattr(kernels, "enumerate_ordered", counted)
+    rep = verify_path_decomposition(host, "P7")
+    assert rep.passed
+    assert len(calls) == 1 + len(prefixes) == 257

@@ -49,6 +49,32 @@ def test_large_vertex_count_form():
     assert parse_graph6(write_graph6(big)) == big
 
 
+def test_roundtrip_against_reference_up_to_128_vertices():
+    # the long form (4-byte header) starts at 63 vertices
+    rng = random.Random(128)
+    sizes = [rng.randint(0, 128) for _ in range(30)] + [62, 63, 64, 100, 127, 128]
+    for n in sizes:
+        g = random_graph(rng, n, rng.random())
+        line = nx_graph6(g)
+        back = parse_graph6(line)
+        assert back == g and hash(back) == hash(g)
+        assert write_graph6(g) == line
+        assert parse_graph6(">>graph6<<" + line + "\n") == g
+
+
+def test_parse_errors_keep_offsets_in_edge_data():
+    with pytest.raises(Graph6Error, match="byte 1: nonzero padding bits"):
+        parse_graph6("Bx")
+    with pytest.raises(Graph6Error, match="byte 11: nonzero padding bits"):
+        parse_graph6(">>graph6<<Bx")
+    with pytest.raises(Graph6Error, match="byte 2: character ' ' outside graph6 range"):
+        parse_graph6("D? ")
+    with pytest.raises(Graph6Error, match="byte 5: truncated edge data"):
+        parse_graph6(chr(126) + "?A??")
+    with pytest.raises(Graph6Error, match="byte 0: 130 vertices"):
+        parse_graph6(chr(126) + "?AA" + "?" * 10)
+
+
 def test_parse_errors_name_byte_offset():
     with pytest.raises(Graph6Error, match="byte 0"):
         parse_graph6(">>graph5<<Bw")
