@@ -5,8 +5,21 @@ parts completely exactly when the base vertices are adjacent.  The
 optimizer searches the standard templates (balanced cycle blow-ups,
 alternating two-size even-cycle blow-ups, unit even parts for odd paths,
 weighting-sized parts for a generic pattern) refined by a deterministic
-+-1 local search, scoring candidates by the exact induced-copy count of
-the realized graph under the edge budget.
++-1 local search under the edge budget.
+
+Candidates are scored by a closed-form count, not by counting in the
+realized graph.  An ordered induced copy of H in the blow-up F[n_1..n_k]
+is a map phi: V(H) -> V(F) with uv in E(H) exactly when phi(u) != phi(v)
+and phi(u)phi(v) in E(F), followed by an injective choice of vertices
+inside each part; the parts are independent sets, so vertices of H that
+share a part are non-adjacent, as they must be.  Grouping the maps by
+their multiplicity vector r gives the count sum_r c_r prod_i (n_i)_{r_i}
+over |Aut H|, a polynomial in the part sizes through falling factorials
+(Lovasz, *Large Networks and Graph Limits*, AMS 2012).  The maps are
+enumerated once per optimizer run.  Counts that are printed (the
+construction row of ``bound_eval``, ``construct`` and the sandwich's lower
+bound) are still kernel counts of the realized graph, so they cross-check
+the formula.
 """
 
 from __future__ import annotations
@@ -14,12 +27,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graph import Graph, MAX_VERTICES, WORD_VERTICES, write_graph6
 from .families import family_graph, family_name, parse_family
 from .counting import count_induced
 from .canon import automorphism_order
+from .kernels import visit_order
 from .fracind import alpha_f, optimal_weighting
 
 
@@ -143,48 +156,138 @@ def _seed_specs(kind, k, pattern, m):
     return seeds
 
 
-def _feasible(spec, m):
-    # constructions stay within one machine word so scoring stays on the
-    # compiled kernel
-    return spec.edge_count() <= m and spec.vertex_count() <= WORD_VERTICES
+def _within(base, m):
+    """``fits(sizes)``: the blow-up of ``base`` with these part sizes has at
+    most m edges and fits one machine word, so the realized graph is
+    counted on the compiled kernel."""
+    edges = base.edges()
+
+    def fits(sizes):
+        return sum(sizes) <= WORD_VERTICES and sum(sizes[u] * sizes[v] for u, v in edges) <= m
+
+    return fits
 
 
-def _clip(spec, m):
-    """Shrink parts (largest first) until the spec fits the edge budget."""
-    sizes = list(spec.sizes)
-    while sizes and (BlowupSpec(spec.base, tuple(sizes)).edge_count() > m
-                     or sum(sizes) > WORD_VERTICES):
+def _clip(sizes, fits):
+    """Shrink parts (largest first) until the sizes fit."""
+    sizes = list(sizes)
+    while sizes and not fits(sizes):
         i = max(range(len(sizes)), key=lambda j: (sizes[j], j))
         if sizes[i] == 0:
             break
         sizes[i] -= 1
-    return BlowupSpec(spec.base, tuple(sizes))
+    return tuple(sizes)
 
 
-def _score(spec, pattern, memo):
-    if spec.sizes in memo:
-        return memo[spec.sizes]
-    value = count_induced(blow_up(spec), pattern).unordered
-    memo[spec.sizes] = value
-    return value
+def map_profile(base: Graph, pattern: Graph) -> tuple:
+    """The maps phi: V(pattern) -> V(base) with uv a pattern edge exactly
+    when phi(u) != phi(v) and phi(u)phi(v) is a base edge, grouped by
+    multiplicity vector: ``(maps, ((part, multiplicity), ...))`` pairs,
+    zero multiplicities left out.
+
+    Pattern vertices are placed in the kernels' visit order, each on the
+    base vertices its placed neighbours and non-neighbours allow (the base
+    has no loops, so a non-neighbour's image is allowed).  Placed vertices
+    with the same neighbours among the unplaced ones constrain the rest
+    only through the set of their images, so partial maps that agree on
+    those sets and on the multiplicities are merged and counted together.
+    That keeps patterns with many twins (a star's leaves) from costing
+    |V(base)| ** |V(pattern)| steps."""
+    full = (1 << base.n) - 1
+    adj = base.adj
+    comp = [full & ~row for row in adj]
+    states = {((), (0,) * base.n): 1}  # (image set per class, multiplicities) -> maps
+    classes = []  # neighbourhoods among the unplaced vertices, one per class
+    unplaced = (1 << pattern.n) - 1
+    placed = []
+    for p in visit_order(pattern):
+        unplaced ^= 1 << p
+        placed.append(p)
+        next_classes = sorted({pattern.adj[q] & unplaced for q in placed})
+        slot = {c: j for j, c in enumerate(next_classes)}
+        target = [slot[c & unplaced] for c in classes]
+        own = slot[pattern.adj[p] & unplaced]
+        grown = {}
+        for (images, mult), maps in states.items():
+            cand = full
+            sets = [0] * len(next_classes)
+            for c, mask, j in zip(classes, images, target):
+                rows = adj if c >> p & 1 else comp
+                sets[j] |= mask
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    cand &= rows[low.bit_length() - 1]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                after = list(mult)
+                after[low.bit_length() - 1] += 1
+                images_after = list(sets)
+                images_after[own] |= low
+                key = (tuple(images_after), tuple(after))
+                grown[key] = grown.get(key, 0) + maps
+        states = grown
+        classes = next_classes
+    groups = {}
+    for (_, mult), maps in states.items():
+        groups[mult] = groups.get(mult, 0) + maps
+    return tuple((maps, tuple((i, r) for i, r in enumerate(mult) if r))
+                 for mult, maps in groups.items())
+
+
+def _copies(profile, sizes, aut):
+    ordered = 0
+    for maps, parts in profile:
+        for i, r in parts:
+            maps *= math.perm(sizes[i], r)
+        ordered += maps
+    if ordered % aut:
+        raise AssertionError("ordered copy count not divisible by |Aut|")
+    return ordered // aut
+
+
+def _scorer(base, pattern):
+    """``score(sizes)``: induced copies of the pattern in the blow-up of
+    ``base`` with those part sizes, from the closed form, memoised; equal
+    to ``count_induced(blow_up(BlowupSpec(base, sizes)), pattern).unordered``."""
+    profile = map_profile(base, pattern)
+    aut = automorphism_order(pattern)
+    memo = {}
+
+    def score(sizes):
+        value = memo.get(sizes)
+        if value is None:
+            value = memo[sizes] = _copies(profile, sizes, aut)
+        return value
+
+    return score
+
+
+def _rank(sizes, score):
+    """Larger is better: the count, then the lexicographically smallest
+    size vector."""
+    return score(sizes), [-x for x in sizes]
 
 
 def optimize_part_sizes(family, m: int) -> BlowupSpec:
-    """Best blow-up found for the family under the edge budget; exact
-    induced-copy count of the realized graph is the objective.
-    Deterministic: fixed seed templates plus steepest-ascent +-1 and
-    transfer moves, ties to the lexicographically smallest size vector.
+    """Best blow-up found for the family under the edge budget; the exact
+    induced-copy count of the blow-up is the objective.  Deterministic:
+    fixed seed templates plus steepest-ascent +-1 and transfer moves, ties
+    to the lexicographically smallest size vector.
     """
     kind, arg = parse_family(family)
     pattern = family_graph(family)
     if pattern.isolated_vertices():
         raise ValueError("pattern must have no isolated vertices")
     k = arg if kind != "H" else None
-    seeds = [_clip(s, m) for s in _seed_specs(kind, k, pattern, m)]
-    seeds = [s for s in seeds if _feasible(s, m)]
-    memo = {}
-    climbed = [_climb(s, pattern, m, memo) for s in seeds]
-    return max(climbed, key=lambda s: (_score(s, pattern, memo), [-x for x in s.sizes]))
+    seeds = _seed_specs(kind, k, pattern, m)
+    base = seeds[0].base  # every template of a family blows up one base graph
+    fits = _within(base, m)
+    starts = [_clip(s.sizes, fits) for s in seeds]
+    score = _scorer(base, pattern)
+    climbed = [_climb(s, score, fits) for s in starts if fits(s)]
+    return BlowupSpec(base, max(climbed, key=lambda s: _rank(s, score)))
 
 
 def _moves(sizes):
@@ -204,34 +307,30 @@ def _moves(sizes):
                 yield tuple(move)
 
 
-def _climb(start, pattern, m, memo):
+def _climb(start, score, fits):
     """Steepest ascent over single +-1 moves and unit transfers between two
     parts.  Equal-score steps are allowed (plateaus hide the exits at tight
     budgets) with a visited set and an iteration cap keeping the walk
     finite; ties go to the lexicographically smallest size vector."""
     best = current = start
-    visited = {start.sizes}
+    visited = {start}
     for _ in range(200):
-        score_here = _score(current, pattern, memo)
+        score_here = score(current)
         step = None
-        for cand in _moves(current.sizes):
-            if cand in visited:
+        for cand in _moves(current):
+            if cand in visited or not fits(cand):
                 continue
-            spec = BlowupSpec(current.base, cand)
-            if not _feasible(spec, m):
-                continue
-            sc = _score(spec, pattern, memo)
+            sc = score(cand)
             if sc < score_here:
                 continue
             key = (sc, [-x for x in cand])
             if step is None or key > step[0]:
-                step = (key, spec)
+                step = (key, cand)
         if step is None:
             break
         current = step[1]
-        visited.add(current.sizes)
-        if (_score(current, pattern, memo), [-x for x in current.sizes]) > \
-                (_score(best, pattern, memo), [-x for x in best.sizes]):
+        visited.add(current)
+        if _rank(current, score) > _rank(best, score):
             best = current
     return best
 
@@ -324,7 +423,7 @@ def bound_eval(family, m: int, include_construction=True):
         name, m, "fractional_independence_upper",
         2 ** (pattern.n / 2) / aut * m ** float(alpha_f(pattern)), "upper"))
     if include_construction:
-        spec = _optimize_cached(_family_key(family), m)
+        spec = optimize_part_sizes(family, m)
         count = count_induced(blow_up(spec), pattern).unordered
         rows.append(BoundValue(name, m, "construction_lower", float(count), "lower"))
     return rows
@@ -333,13 +432,3 @@ def bound_eval(family, m: int, include_construction=True):
 def effective_upper(rows) -> BoundValue:
     uppers = [r for r in rows if r.kind in ("upper", "exact")]
     return min(uppers, key=lambda r: r.value)
-
-
-def _family_key(family):
-    kind, arg = parse_family(family)
-    return (kind, arg)
-
-
-@lru_cache(maxsize=None)
-def _optimize_cached(key, m):
-    return optimize_part_sizes(key, m)

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .graph import Graph, Graph6Error, parse_graph6, write_graph6
@@ -95,7 +96,10 @@ def _int_at_least(low):
     return parse
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every ``dispatch`` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="edgeind",
         description="induced-copy counting, fractional independence, blow-up "

@@ -85,6 +85,17 @@ def count_ordered(g: Graph, h: Graph, pins=()) -> int:
     return _backend_for(g).count_ordered(g.adj, h.adj, order, hosts)
 
 
+def count_ordered_many(hosts, h: Graph) -> list:
+    """``count_ordered(g, h)`` for every host g, in order: one visit order
+    for the pattern, and one kernel call per host that is at least as
+    large as the pattern, on the backend its vertex count allows."""
+    order = visit_order(h)
+    k = h.n
+    h_adj = h.adj
+    return [_backend_for(g).count_ordered(g.adj, h_adj, order, ()) if g.n >= k else 0
+            for g in hosts]
+
+
 def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:
     """All ordered induced copies as host-vertex tuples indexed by pattern
     vertex, sorted lexicographically."""

@@ -25,10 +25,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import Graph, parse_graph6
-from .canon import canonical_form, orbit_representatives
+from .canon import automorphism_order, canonical_form, orbit_representatives
 from .counting import count_induced
 from .families import family_graph, family_name
 from .blowups import blow_up, bound_eval, effective_upper, optimize_part_sizes
+from . import kernels
 
 DEFAULT_CEILING = 12
 GENERATOR_VERSION = "1"
@@ -164,18 +165,22 @@ class SearchResult:
 
 
 def _scan(pairs, pattern: Graph):
+    """Maximum induced-copy count over the level and its maximizers: one
+    kernel loop over the hosts, |Aut(pattern)| taken once."""
+    aut = automorphism_order(pattern)
     rho = 0
     maximizers = []
-    scanned = 0
-    for label, g in pairs:
-        scanned += 1
-        c = count_induced(g, pattern).unordered if g.n >= pattern.n else 0
+    counts = kernels.count_ordered_many([g for _, g in pairs], pattern)
+    for (label, _), ordered in zip(pairs, counts):
+        if ordered % aut:
+            raise AssertionError("ordered copy count not divisible by |Aut|")
+        c = ordered // aut
         if c > rho:
             rho = c
             maximizers = [label]
         elif c == rho:
             maximizers.append(label)
-    return rho, maximizers, scanned
+    return rho, maximizers, len(counts)
 
 
 class ResultCache:

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeind import (
     BlowupSpec,
@@ -11,12 +12,17 @@ from edgeind import (
     alpha_f,
     automorphism_order,
     blow_up,
+    blowups,
     bound_eval,
     count_induced,
     effective_upper,
+    kernels,
     lower_bound_construction,
     optimize_part_sizes,
+    parse_graph6,
 )
+from edgeind.blowups import map_profile
+from edgeind.families import family_graph
 
 
 def test_blowup_examples():
@@ -169,3 +175,102 @@ def test_construction_lower_row_included():
     rows = {r.provenance: r for r in bound_eval("C5", 20)}
     assert rows["construction_lower"].kind == "lower"
     assert rows["construction_lower"].value <= effective_upper(rows.values()).value + 1e-9
+
+
+# (family, budget) of every optimizer run in the tests above
+OPTIMIZER_RUNS = [("C5", 500), ("C4", 100), ("P5", 16),
+                  ("C5", 23), ("C6", 17), ("P4", 11), ("P3", 8), ("C4", 12),
+                  ("C5", 10), ("C5", 14), ("C6", 14), ("P4", 9), ("P5", 12), ("P3", 7)]
+
+
+def closed_form(spec, pattern):
+    return blowups._scorer(spec.base, pattern)(spec.sizes)
+
+
+def test_closed_form_matches_kernel_on_visited_specs(backends, monkeypatch):
+    scores = {}
+    scorer = blowups._scorer
+
+    def recording(base, pattern):
+        score = scorer(base, pattern)
+
+        def record(sizes):
+            value = scores[BlowupSpec(base, sizes), pattern] = score(sizes)
+            return value
+
+        return record
+
+    monkeypatch.setattr(blowups, "_scorer", recording)
+    for family, m in OPTIMIZER_RUNS:
+        optimize_part_sizes(family, m)
+    assert len(scores) > 2000
+    monkeypatch.setattr(kernels, "_impl", backends[-1])  # the compiled kernel when built
+    for (spec, pattern), score in scores.items():
+        assert score == count_induced(blow_up(spec), pattern).unordered, spec
+
+
+# (base, pattern) pairs the optimizer blows up: C4 on K2, each cycle and odd
+# path on itself, P4 and P6 on C5 and C7, a generic pattern (the star "Cs")
+# on itself, plus a path on a cycle and a cycle on a path for zero counts.
+FORMULA_PAIRS = ([(Graph.complete(2), Graph.cycle(4))]
+                 + [(Graph.cycle(k), Graph.cycle(k)) for k in range(4, 9)]
+                 + [(Graph.path(k), Graph.path(k)) for k in (3, 5, 7)]
+                 + [(Graph.cycle(k + 1), Graph.path(k)) for k in (4, 6)]
+                 + [(parse_graph6("Cs"), parse_graph6("Cs")),
+                    (Graph.cycle(6), Graph.path(4)), (Graph.path(5), Graph.cycle(4))])
+
+
+@st.composite
+def small_graphs(draw, low, high):
+    n = draw(st.integers(low, high))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def blowup_cases(draw):
+    """One of the pairs above or a random base and pattern, with part sizes
+    of 0 to 3."""
+    if draw(st.booleans()):
+        base, pattern = draw(st.sampled_from(FORMULA_PAIRS))
+    else:
+        base = draw(small_graphs(1, 5))
+        pattern = draw(small_graphs(2, 5).filter(lambda h: h.m and not h.isolated_vertices()))
+    sizes = tuple(draw(st.lists(st.integers(0, 3), min_size=base.n, max_size=base.n)))
+    return BlowupSpec(base, sizes), pattern
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(blowup_cases())
+def test_closed_form_matches_kernel_on_drawn_sizes(case):
+    spec, pattern = case
+    assert closed_form(spec, pattern) == count_induced(blow_up(spec), pattern).unordered
+
+
+def test_map_profile_merges_twins():
+    # a star's leaves are twins: K_{1,8} on itself has 8 ** 8 + 8 maps, in
+    # one group per way of spreading the leaves over the base's leaves and
+    # one per base leaf that takes the centre
+    star = Graph.complete_bipartite(1, 8)
+    profile = map_profile(star, star)
+    assert sum(maps for maps, _ in profile) == 8 ** 8 + 8
+    assert len(profile) == math.comb(15, 7) + 8
+    assert map_profile(Graph.cycle(6), Graph.cycle(6)) == ((12, tuple((i, 1) for i in range(6))),)
+
+
+# Optimizer results from when candidates were scored by kernel counts of the
+# realized graph, with those counts.
+PINNED_SPECS = {
+    ("C6", 200): (Graph.cycle(6), (2, 16, 2, 17, 2, 17), 36992),
+    ("C5", 500): (Graph.cycle(5), (10, 10, 10, 10, 10), 100000),
+    ("P7", 60): (Graph.path(7), (14, 1, 8, 1, 8, 1, 14), 12544),
+    ("P6", 34): (Graph.cycle(7), (2, 2, 2, 2, 2, 2, 3), 640),
+}
+
+
+def test_optimizer_specs_are_pinned():
+    for (family, m), (base, sizes, count) in PINNED_SPECS.items():
+        spec = optimize_part_sizes(family, m)
+        assert spec == BlowupSpec(base, sizes), (family, m)
+        assert closed_form(spec, family_graph(family)) == count

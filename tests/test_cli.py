@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from edgeind import Graph, kernels, write_graph6
+from edgeind import Graph, cli, kernels, write_graph6
 from edgeind.cli import dispatch
 
 C5 = write_graph6(Graph.cycle(5))
@@ -47,10 +47,14 @@ def test_rho_star(tmp_path):
 
 
 def test_repeated_runs_byte_identical(tmp_path):
-    args = ["--cache-dir", str(tmp_path), "rho", "--pattern", C5, "-m", "6"]
-    _, first, _ = run(args)
-    _, second, _ = run(args)
-    assert first == second
+    # one parser serves every dispatch in the process
+    assert cli._build_parser() is cli._build_parser()
+    for args in (["--cache-dir", str(tmp_path), "rho", "--pattern", C5, "-m", "6"],
+                 ["construct", "--family", "C5", "-m", "20"],
+                 ["--table", "bound", "--family", "P4", "-m", "10"]):
+        _, first, _ = run(args)
+        _, second, _ = run(args)
+        assert first == second
 
 
 def test_shards_do_not_change_bytes(tmp_path):
@@ -73,6 +77,29 @@ def test_bad_search_options_are_usage_errors():
     assert code == 0
     outputs = json.loads(out)["outputs"]
     assert outputs["extremal"] == [] and outputs["truncated"] is True
+
+
+def test_no_argument_state_leaks_between_calls(monkeypatch):
+    # every 5-edge class holds 5 induced edges, so all 26 are maximizers
+    monkeypatch.delenv("EDGEIND_CACHE_DIR", raising=False)
+    capped = json.loads(run(["--max-certificates", "1", "rho", "--pattern", "A_", "-m", "5"])[1])
+    assert len(capped["outputs"]["extremal"]) == 1 and capped["outputs"]["truncated"]
+    full = json.loads(run(["rho", "--pattern", "A_", "-m", "5"])[1])
+    assert len(full["outputs"]["extremal"]) == 26 and not full["outputs"]["truncated"]
+    table = run(["--table", "bound", "--family", "C6", "-m", "36"])[1]
+    assert not table.startswith("{")
+    assert run(["bound", "--family", "C6", "-m", "36"])[1].startswith("{")
+
+
+def test_usage_error_after_a_successful_call(monkeypatch):
+    monkeypatch.delenv("EDGEIND_CACHE_DIR", raising=False)
+    assert run(["rho", "--pattern", P3, "-m", "3"])[0] == 0
+    for argv in (["rho", "--pattern", P3], ["--shards", "0", "rho", "--pattern", P3, "-m", "3"],
+                 ["count", "--host", "not graph6!", "--pattern", P3]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+    assert run(["rho", "--pattern", P3, "-m", "3"])[0] == 0
 
 
 def test_bound_and_construct():

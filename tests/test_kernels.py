@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -178,3 +179,14 @@ def test_empty_and_undersized():
 def test_full_64_vertex_host():
     g = Graph.complete_bipartite(32, 32)
     assert kernels.count_ordered(g, Graph.complete(2)) == 2 * 32 * 32
+
+
+def test_count_many_routes_each_host_by_size(compiled, monkeypatch):
+    # the compiled kernel refuses hosts above 64 vertices, so the
+    # 66-vertex host must go to the pure twin
+    monkeypatch.setattr(kernels, "_impl", compiled)
+    hosts = [Graph.complete_bipartite(33, 33), Graph.cycle(4), Graph.path(3),
+             Graph.complete_bipartite(3, 5)]
+    c4 = Graph.cycle(4)
+    assert kernels.count_ordered_many(hosts, c4) == [kernels.count_ordered(g, c4) for g in hosts]
+    assert kernels.count_ordered_many(hosts, c4)[:3] == [8 * math.comb(33, 2) ** 2, 8, 0]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -250,17 +251,47 @@ def test_cache_returns_the_last_matching_record(tmp_path):
 def test_scan_makes_one_kernel_call_per_host(monkeypatch):
     pattern = Graph.path(4)
     automorphism_order(pattern)
-    hosts = []
-    count_ordered = kernels.count_ordered
-
-    def spy(g, h, pins=()):
-        hosts.append(g)
-        return count_ordered(g, h, pins)
-
-    monkeypatch.setattr(kernels, "count_ordered", spy)
     level = search._level(6)
+    hosts = []
+    backend = kernels._impl
+
+    def spy(g_adj, h_adj, order, pins):
+        hosts.append(g_adj)
+        return backend.count_ordered(g_adj, h_adj, order, pins)
+
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(count_ordered=spy))
     search._scan(level, pattern)
-    assert hosts == [g for _, g in level if g.n >= pattern.n]
+    assert hosts == [g.adj for _, g in level if g.n >= pattern.n]
+
+
+def connected(g):
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for v in range(g.n):
+            if frontier >> v & 1:
+                reach |= g.adj[v]
+        frontier = reach & ~seen
+        seen |= reach
+    return seen == (1 << g.n) - 1
+
+
+def test_scan_matches_per_host_count_induced(backends, monkeypatch):
+    levels = [search._level(m) for m in range(8)]
+    patterns = [g for level in levels[1:7] for _, g in level if connected(g)]
+    assert len(patterns) == 52  # connected graphs with 1..6 edges
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        for h in patterns:
+            for level in levels:
+                rho, maximizers = 0, []
+                for label, g in level:
+                    c = count_induced(g, h).unordered
+                    if c > rho:
+                        rho, maximizers = c, [label]
+                    elif c == rho:
+                        maximizers.append(label)
+                assert search._scan(level, h) == (rho, maximizers, len(level)), backend.BACKEND
 
 
 def test_certificate_cap(tmp_path):
