@@ -2,9 +2,14 @@
 
 Reports are JSON envelopes {"command", "inputs", "outputs", "version"}
 printed on stdout; they are byte-identical for identical inputs and
-version.  Wall time and the kernel backend go to stderr so they never
-perturb the payload.  Exit codes: 0 success, 1 a verified inequality
-failed, 2 usage error, 3 resource ceiling.
+version.  A report is written in one walk, straight to the stream: the
+bytes are those of ``json.dump(report, indent=2)`` after floats are
+rounded to 12 significant digits and Fractions turned into strings, but
+no normalized copy is built and json's pure-Python indenting encoder is
+not used.  ``--table`` prints the normalized report as indented lines.
+Wall time and the kernel backend go to stderr so they never perturb the
+payload.  Exit codes: 0 success, 1 a verified inequality failed, 2 usage
+error, 3 resource ceiling.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ CACHE_ENV = "EDGEIND_CACHE_DIR"
 
 def _normalize(obj):
     """Round floats to 12 significant digits and stringify rationals so
-    repeated runs serialize byte-identically."""
+    repeated runs serialize byte-identically; ``--table`` prints the
+    result."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
@@ -49,12 +55,147 @@ def _normalize(obj):
 
 def _emit(report, table, stream=None):
     stream = stream or sys.stdout
-    report = _normalize(report)
     if table:
-        _print_table(report, stream)
+        _print_table(_normalize(report), stream)
     else:
-        json.dump(report, stream, indent=2)
+        _write_json(report, stream.write, "\n")
         stream.write("\n")
+
+
+# -- JSON reports --------------------------------------------------------
+#
+# _write_json writes the bytes of ``json.dump(_normalize(obj), fh,
+# indent=2)`` in one walk, with no normalized copy and without json's
+# pure-Python indenting encoder: strings go through the C escaper json
+# itself uses under ensure_ascii, floats are rounded as _normalize rounds
+# them and spelled as json spells them, and a list of one scalar type is
+# joined in one call.  Dict keys are converted, not normalized, as json
+# converts them.
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _rounded_float_text(x):
+    return _float_text(float(f"{x:.12g}"))
+
+
+def _fraction_text(q):
+    return _encode_str(str(q))
+
+
+def _container(obj):
+    return None
+
+
+# Text of a scalar by exact type, and None for a container.
+_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    float: _rounded_float_text,
+    Fraction: _fraction_text,
+    dict: _container,
+    list: _container,
+    tuple: _container,
+}
+
+
+def _scalar_text(obj):
+    """JSON text of a scalar after _normalize, or None for a container."""
+    text = _TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    # subclasses: _normalize's order, then json's
+    if isinstance(obj, Fraction):
+        return _fraction_text(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _rounded_float_text(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        return None
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        text = _float_text(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _encode_str(text)
+
+
+def _write_json(obj, write, nl):
+    """Write ``obj`` as ``json.dump(_normalize(obj), indent=2)`` does; ``nl``
+    is the newline and indent of the line ``obj`` starts on."""
+    text = _scalar_text(obj)
+    if text is None:
+        _write_container(obj, write, nl)
+    else:
+        write(text)
+
+
+def _write_container(obj, write, nl):
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        sep = "{" + inner
+        for key, value in obj.items():
+            text = _scalar_text(value)
+            if text is None:
+                write(sep + _key_text(key) + ": ")
+                _write_container(value, write, inner)
+            else:
+                write(sep + _key_text(key) + ": " + text)
+            sep = "," + inner
+        write(nl + "}")
+        return
+    if not obj:
+        write("[]")
+        return
+    kinds = set(map(type, obj))
+    if len(kinds) == 1:
+        text = _TEXT.get(kinds.pop())
+        if text is not None and text is not _container:
+            write("[" + inner + ("," + inner).join(map(text, obj)) + nl + "]")
+            return
+    sep = "[" + inner
+    for value in obj:
+        text = _scalar_text(value)
+        if text is None:
+            write(sep)
+            _write_container(value, write, inner)
+        else:
+            write(sep + text)
+        sep = "," + inner
+    write(nl + "]")
 
 
 def _print_table(obj, stream, indent=0):

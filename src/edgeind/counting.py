@@ -12,6 +12,7 @@ or cycles are well-ordered with the orientation inherited from the copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import Graph
 from .families import parse_family
@@ -193,6 +194,12 @@ class GammaStats:
     gamma2: int | None
 
 
+@lru_cache(maxsize=None)
+def _path(k):
+    """The path on k vertices, built once per k (graphs are immutable)."""
+    return Graph.path(k)
+
+
 def gamma_table(g: Graph, t) -> dict:
     """For the odd path on 2l+1 vertices with odd-edge prefix ``t``
     (l-1 entries, l >= 2): ``{final edge: (gamma1, gamma2)}`` over the
@@ -205,7 +212,7 @@ def gamma_table(g: Graph, t) -> dict:
     l = len(t) + 1
     if l < 2:
         raise ValueError("need at least one tuple entry")
-    copies = kernels.enumerate_ordered(g, Graph.path(2 * l + 1), _odd_edge_pins(t))
+    copies = kernels.enumerate_ordered(g, _path(2 * l + 1), _odd_edge_pins(t))
     # Pattern vertices are 0-based: the free ones are 2l-2, 2l-1, 2l.
     seconds = {}
     links = {}

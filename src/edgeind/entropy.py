@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .graph import Graph
 from .families import parse_family
@@ -64,14 +65,10 @@ class CopyDistribution:
         must carry the natural path/cycle labeling."""
         k = self.pattern.n
         if k >= 3 and self.pattern == Graph.cycle(k):
-            return [tuple((c[i], c[(i + 1) % k]) for i in range(k)) for c in self.copies]
+            return [tuple(zip(c, c[1:] + c[:1])) for c in self.copies]
         if k >= 2 and self.pattern == Graph.path(k):
-            return [tuple((c[i], c[i + 1]) for i in range(k - 1)) for c in self.copies]
+            return [tuple(zip(c, c[1:])) for c in self.copies]
         raise ValueError("edge view needs a naturally labeled path or cycle pattern")
-
-
-def _project(t, coords):
-    return tuple(t[i - 1] for i in coords)
 
 
 def _check_coords(k, target, given):
@@ -90,25 +87,33 @@ def _check_coords(k, target, given):
 def _support(dist):
     """The copies of a CopyDistribution, or a list of equal-length tuples,
     as a non-empty list of tuples."""
-    tuples = dist.copies if isinstance(dist, CopyDistribution) else [tuple(t) for t in dist]
+    tuples = dist.copies if isinstance(dist, CopyDistribution) else list(map(tuple, dist))
     if not tuples:
         raise EmptySupportError("empty support")
     return tuples
 
 
 def _h(values) -> float:
-    """Entropy of the uniform distribution over the listed values."""
-    n = len(values)
+    """Entropy of the uniform distribution over the values of an iterable."""
     counts = Counter(values)
+    n = counts.total()
     return math.log(n) - sum(c * math.log(c) for c in counts.values()) / n
 
 
 def _h_cond(pairs) -> float:
-    """Conditional entropy from (target, given) value pairs, uniform."""
+    """Conditional entropy from a list of (target, given) value pairs,
+    uniform."""
     n = len(pairs)
     joint = Counter(pairs)
-    marginal = Counter(g for _, g in pairs)
+    marginal = Counter(map(itemgetter(1), pairs))
     return sum(c * (math.log(marginal[g]) - math.log(c)) for (_, g), c in joint.items()) / n
+
+
+def _projector(coords):
+    """The projection onto 1-based coordinates.  One coordinate projects to
+    the bare value, not a 1-tuple; the value counts, and so the entropies,
+    are the same either way."""
+    return itemgetter(*(i - 1 for i in coords))
 
 
 def projection_entropy(dist, target, given=()) -> float:
@@ -119,8 +124,8 @@ def projection_entropy(dist, target, given=()) -> float:
     tuples = _support(dist)
     target, given = _check_coords(len(tuples[0]), target, given)
     if not given:
-        return _h([_project(t, target) for t in tuples])
-    return _h_cond([(_project(t, target), _project(t, given)) for t in tuples])
+        return _h(map(_projector(target), tuples))
+    return _h_cond(list(zip(map(_projector(target), tuples), map(_projector(given), tuples))))
 
 
 # -- reports --------------------------------------------------------------
@@ -259,10 +264,10 @@ def cycle_path_shearer(host: Graph, k: int) -> EntropyReport:
 # coordinates read without orientation again.  The ledger therefore
 # carries an explicit orientation-reveal term (at most log 2), making
 # every reported identity and inequality valid on an arbitrary host.
-
-
-def _odd_prefix(edges, count):
-    return tuple(edges[2 * i] for i in range(count))
+#
+# An edge tuple t is sliced: t[:2 * i:2] is its odd-edge prefix of i
+# entries (the 1st, 3rd, ... edges) and t[1:2 * j:2] its first j even
+# edges.
 
 
 def verify_path_decomposition(host: Graph, family) -> EntropyReport:
@@ -302,18 +307,16 @@ def _even_path_terms(host, edge_tuples, k, m, alpha, report):
     n = len(edge_tuples)
     chain = _h([t[0] for t in edge_tuples])
     for i in range(1, l):
-        cond = _h_cond([(t[2 * i], _odd_prefix(t, i)) for t in edge_tuples])
+        prefixes = [t[:2 * i:2] for t in edge_tuples]
+        cond = _h_cond(list(zip(map(itemgetter(2 * i), edge_tuples), prefixes)))
         chain += cond
-        avg = sum(math.log(alpha(_odd_prefix(t, i))) for t in edge_tuples) / n
+        avg = sum(math.log(alpha(p)) for p in prefixes) / n
         report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality", cond, avg)
-    h_evens = _h_cond([
-        (tuple(t[j] for j in range(1, 2 * l - 2, 2)), _odd_prefix(t, l))
-        for t in edge_tuples
-    ])
+    h_evens = _h_cond([(t[1:2 * l - 2:2], t[:2 * l:2]) for t in edge_tuples])
     report.add("evens_determined", "identity", h_evens, 0.0)
     chain += h_evens
     report.add("chain_rule", "identity", _h(edge_tuples), chain)
-    budgets = [sum(alpha(_odd_prefix(t, i)) for i in range(1, l)) for t in edge_tuples]
+    budgets = [sum(alpha(t[:2 * i:2]) for i in range(1, l)) for t in edge_tuples]
     report.add("per_copy_budget", "inequality", max(budgets), m)
     report.value("budget_equality_copies", sum(b == m for b in budgets))
     report.add("closed_form", "inequality",
@@ -332,19 +335,19 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
 
     chain = _h([t[0] for t in edge_tuples])
     for i in range(1, l - 1):
-        cond = _h_cond([(t[2 * i], _odd_prefix(t, i)) for t in edge_tuples])
-        avg = sum(math.log(alpha(_odd_prefix(t, i))) for t in edge_tuples) / n
+        prefixes = [t[:2 * i:2] for t in edge_tuples]
+        cond = _h_cond(list(zip(map(itemgetter(2 * i), edge_tuples), prefixes)))
+        avg = sum(math.log(alpha(p)) for p in prefixes) / n
         report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality", cond, avg)
         chain += cond
-    prefixes = [_odd_prefix(t, l - 1) for t in edge_tuples]
+    prefixes = [t[:2 * l - 2:2] for t in edge_tuples]
     last_u = [_norm(*t[2 * l - 1]) for t in edge_tuples]
     h_last = _h_cond(list(zip(last_u, prefixes)))
     avg0 = sum(math.log(len(gamma(p))) for p in prefixes) / n
     report.add("conditional_final_vs_gamma0", "inequality", h_last, avg0)
     chain += h_last
     if l >= 3:
-        middle = [(tuple(t[j] for j in range(1, 2 * l - 4, 2)), p)
-                  for t, p in zip(edge_tuples, prefixes)]
+        middle = [(t[1:2 * l - 4:2], p) for t, p in zip(edge_tuples, prefixes)]
         report.add("middle_evens_determined", "identity", _h_cond(middle), 0.0)
     given = list(zip(prefixes, last_u))
     g1_u = [_norm(*t[2 * l - 3]) for t in edge_tuples]
@@ -364,7 +367,7 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
         g0 = len(table)
         avg1 += math.log(g1)
         avg2 += math.log(g2)
-        a = [alpha(_odd_prefix(t, i)) for i in range(1, l - 1)]
+        a = [alpha(t[:2 * i:2]) for i in range(1, l - 1)]
         budgets.append(sum(a) + g0 + g1 + g2)
         lhs = 2 * sum(math.log(x) for x in a) + 2 * math.log(g0) + math.log(g1) + math.log(g2)
         if worst_amgm is None or lhs > worst_amgm:

@@ -73,20 +73,12 @@ def bipartite_matching(adj_left) -> dict:
     return match_left
 
 
-def bipartite_matching_number(adj_left) -> int:
-    """Maximum matching size; ``adj_left[u]`` lists right-side neighbors."""
-    return len(bipartite_matching(adj_left))
-
-
-def double_cover_matching_number(h: Graph) -> int:
-    """Matching number of the bipartite double cover (vertices v0/v1,
-    edges u0-v1 and v0-u1 for every edge uv)."""
-    adj_left = [h.neighbors(v) for v in range(h.n)]
-    return bipartite_matching_number(adj_left)
-
-
 def alpha_f(h: Graph) -> Fraction:
-    return Fraction(2 * h.n - double_cover_matching_number(h), 2)
+    """n - nu/2, with nu the matching number of the bipartite double cover
+    (vertices v0/v1, edges u0-v1 and v0-u1 for every edge uv): left vertex
+    v0 is adjacent to the right copies of v's neighbors."""
+    matching = bipartite_matching([h.neighbors(v) for v in range(h.n)])
+    return Fraction(2 * h.n - len(matching), 2)
 
 
 def _cap(adj, w, i):

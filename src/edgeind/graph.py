@@ -183,14 +183,6 @@ class Graph:
         adj[v] |= 1 << u
         return Graph._unchecked(n, tuple(adj))
 
-    def remove_edge(self, u, v):
-        if not self.has_edge(u, v):
-            raise ValueError("no such edge")
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return Graph(self.n, adj)
-
     def add_vertex(self, neighbors=0):
         """Append vertex n, adjacent to the given bitmask of old vertices."""
         n = self.n

@@ -110,7 +110,9 @@ _LEVELS = {}
 def _level(m, shards=1):
     """All m-edge classes without isolated vertices, as (label, graph)
     pairs sorted by label.  A level is grown once per process from level
-    m-1; with shards > 1, pool workers grow disjoint slices of its parents."""
+    m-1; with shards > 1, pool workers grow disjoint slices of its parents.
+    A level within CLASS_COUNTS that does not have exactly that many
+    classes raises RuntimeError."""
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
     if m not in _LEVELS:
@@ -123,6 +125,9 @@ def _level(m, shards=1):
             slices = [parent_labels[i::shards] for i in range(shards)]
             with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
                 labels = set().union(*pool.map(_shard_worker, slices))
+        if m < len(CLASS_COUNTS) and len(labels) != CLASS_COUNTS[m]:
+            raise RuntimeError(f"level {m} has {len(labels)} classes, expected "
+                               f"{CLASS_COUNTS[m]} (OEIS A000664)")
         _LEVELS[m] = tuple((label, parse_graph6(label)) for label in sorted(labels))
     return _LEVELS[m]
 

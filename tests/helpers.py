@@ -2,6 +2,10 @@
 dumb recursion instead of bitset propagation, permutation minimums instead
 of refinement, and a cycle-index count instead of generation."""
 
+import io
+import json
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -321,3 +325,79 @@ def gamma_by_filtering(g: Graph, t, e_last):
     g1 = {tuple(sorted((c[2 * l - 3], c[2 * l - 2]))) for c in sel}
     g2 = {tuple(sorted((c[2 * l - 2], c[2 * l - 1]))) for c in sel}
     return len(g1), len(g2)
+
+
+# -- entropy-lab oracles: tuple-by-tuple projections and edge views --
+
+
+def _list_entropy(values):
+    n = len(values)
+    counts = Counter(values)
+    return math.log(n) - sum(c * math.log(c) for c in counts.values()) / n
+
+
+def _list_cond_entropy(pairs):
+    n = len(pairs)
+    joint = Counter(pairs)
+    marginal = Counter(g for _, g in pairs)
+    return sum(c * (math.log(marginal[g]) - math.log(c)) for (_, g), c in joint.items()) / n
+
+
+def project(t, coords):
+    """The tuple of t's entries at the 1-based coordinates."""
+    return tuple(t[i - 1] for i in coords)
+
+
+def projection_entropy_oracle(tuples, target, given=()):
+    """Entropy (nats) of the projections of the uniform list of tuples onto
+    the target coordinates, conditioned on the given ones, with every
+    projection a tuple built coordinate by coordinate."""
+    tuples = [tuple(t) for t in tuples]
+    if not given:
+        return _list_entropy([project(t, target) for t in tuples])
+    return _list_cond_entropy([(project(t, target), project(t, given)) for t in tuples])
+
+
+def odd_prefix(edges, count):
+    """The first ``count`` odd-indexed entries (1-based) of an edge tuple."""
+    return tuple(edges[2 * i] for i in range(count))
+
+
+def even_entries(edges, count):
+    """The first ``count`` even-indexed entries (1-based) of an edge tuple."""
+    return tuple(edges[j] for j in range(1, 2 * count, 2))
+
+
+def edge_tuples_oracle(copies, k, cycle):
+    """Copies as tuples of oriented edges (c[i], c[i+1]), wrapping around
+    for a cycle."""
+    if cycle:
+        return [tuple((c[i], c[(i + 1) % k]) for i in range(k)) for c in copies]
+    return [tuple((c[i], c[i + 1]) for i in range(k - 1)) for c in copies]
+
+
+# -- the JSON report oracle --
+
+
+def normalize_report(obj):
+    """Floats rounded to 12 significant digits, Fractions as strings,
+    tuples as lists; dict keys untouched."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: normalize_report(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [normalize_report(v) for v in obj]
+    return obj
+
+
+def json_report_oracle(report):
+    """The stdout text of a JSON report, by the standard library encoder."""
+    out = io.StringIO()
+    json.dump(normalize_report(report), out, indent=2)
+    out.write("\n")
+    return out.getvalue()

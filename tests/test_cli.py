@@ -1,11 +1,16 @@
+import enum
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edgeind import Graph, cli, kernels, write_graph6
+from edgeind import Graph, automorphism_order, cli, kernels, search, write_graph6
 from edgeind.cli import dispatch
+
+from helpers import json_report_oracle
 
 C5 = write_graph6(Graph.cycle(5))
 C6 = write_graph6(Graph.cycle(6))
@@ -240,9 +245,106 @@ STDOUT_SHA256 = {
 }
 
 
-def test_stdout_digests_are_pinned(monkeypatch):
+def test_stdout_digests_are_pinned(backends, monkeypatch):
     monkeypatch.delenv("EDGEIND_CACHE_DIR", raising=False)
-    for command, digest in STDOUT_SHA256.items():
-        code, out, _ = run(command.split())
-        assert code == 0, command
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+    for backend in backends:
+        # nothing computed under another backend is reused
+        monkeypatch.setattr(kernels, "_impl", backend)
+        monkeypatch.setattr(search, "_LEVELS", {})
+        automorphism_order.cache_clear()
+        for command, digest in STDOUT_SHA256.items():
+            code, out, _ = run(command.split())
+            assert code == 0, (backend.BACKEND, command)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (backend.BACKEND, command)
+
+
+# -- the report writer against the standard library encoder --
+
+
+class Level(enum.IntEnum):
+    LOW = 3
+
+
+class Label(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+SPECIAL_TEXT = ["\\", '"', "[", "{", "O]KoWWB?o@_E?B?BW?]?E", "caf\u00e9", "\u2603",
+                "\U0001f600", "\ud800", "\x00\x1f\x7f", "a\nb\tc", "", Label("g6")]
+SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 0.1 + 0.2, 1 / 3,
+                  2.0 / 3.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789012.5,
+                  0.30000000000000004, 1e16, 1e22, -2.5e-7, Ratio(1 / 7)]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 64 - 2, max_value=2 ** 200),
+    st.integers(max_value=-1),
+    st.just(Level.LOW),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.fractions(),
+    st.text(),
+    st.sampled_from(SPECIAL_TEXT),
+)
+keys = st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL_TEXT), st.integers(),
+                 st.booleans(), st.none(), st.floats(), st.sampled_from(SPECIAL_FLOATS))
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+        # lists of one scalar type, which are joined in one call
+        st.lists(st.integers(), max_size=8),
+        st.lists(st.text(max_size=4), max_size=8),
+        st.lists(st.floats(), max_size=8),
+        st.lists(st.booleans(), max_size=8),
+        st.lists(st.fractions(), max_size=8),
+        st.lists(st.none(), max_size=3),
+    )
+
+
+reports = st.recursive(scalars, containers, max_leaves=40)
+
+
+def emitted(report):
+    out = io.StringIO()
+    cli._emit(report, False, out)
+    return out.getvalue()
+
+
+def outcome(write, report):
+    try:
+        return write(report)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(reports)
+def test_emit_matches_the_json_encoder(report):
+    assert emitted(report) == json_report_oracle(report)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(reports, st.sampled_from([(1, 2), Fraction(1, 2), frozenset()]),
+       st.sampled_from(["key", "value"]))
+def test_emit_rejects_what_the_json_encoder_rejects(report, bad, where):
+    wrapped = {bad: report} if where == "key" else {"x": [report, bad]}
+    assert outcome(emitted, wrapped) == outcome(json_report_oracle, wrapped)
+
+
+def test_emit_matches_the_json_encoder_on_deep_and_empty_nesting():
+    deep = []
+    for i in range(60):
+        deep = [deep, {}] if i % 2 else {"k": deep, "e": [], "t": ()}
+    for report in (deep, {}, [], (), {"a": {}, "b": [[]], "c": [{}]}, 7, "x", None, 1.5):
+        assert emitted(report) == json_report_oracle(report)
+

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeind import (
     BlowupSpec,
@@ -26,7 +27,15 @@ from edgeind import (
 )
 from edgeind.entropy import _contribution_cap
 
-from helpers import fraction_contribution_cap, fraction_ledger, random_graph
+from helpers import (
+    edge_tuples_oracle,
+    even_entries,
+    fraction_contribution_cap,
+    fraction_ledger,
+    odd_prefix,
+    projection_entropy_oracle,
+    random_graph,
+)
 
 
 def test_projection_entropy_c4_in_k22():
@@ -36,6 +45,68 @@ def test_projection_entropy_c4_in_k22():
     edges = dist.edge_tuples()
     unoriented = [tuple(tuple(sorted(e)) for e in t) for t in edges]
     assert projection_entropy(unoriented, (2, 4), (1, 3)) == pytest.approx(math.log(2), abs=1e-12)
+
+
+@st.composite
+def tuples_with_coordinates(draw):
+    """1-200 equal-length tuples of vertex and edge values, with 1-3 target
+    and 0-3 given coordinates, disjoint.  The rows come from a seeded
+    stream, because drawn lists stay too short for the order of a sum of
+    many distinct counts to show in the last bit."""
+    k = draw(st.integers(1, 7))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    spread = draw(st.integers(1, 9))
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(0, spread)
+        return rng.randint(0, spread), rng.randint(0, spread)
+
+    rows = [tuple(entry() for _ in range(k)) for _ in range(draw(st.integers(1, 200)))]
+    coords = draw(st.permutations(range(1, k + 1)))
+    n_target = draw(st.integers(1, min(3, k)))
+    n_given = draw(st.integers(0, min(3, k - n_target)))
+    return rows, tuple(coords[:n_target]), tuple(coords[n_target:n_target + n_given])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(tuples_with_coordinates())
+def test_projection_entropy_equals_the_tuple_oracle_exactly(case):
+    rows, target, given = case
+    assert projection_entropy(rows, target, given) == \
+        projection_entropy_oracle(rows, target, given)
+
+
+def test_projection_entropy_on_copies_equals_the_tuple_oracle_exactly():
+    dist = CopyDistribution.collect(blow_up(BlowupSpec(Graph.cycle(6), (2, 1, 2, 1, 2, 1))),
+                                    Graph.cycle(6))
+    for target, given in (((1,), ()), ((1, 2, 3, 4, 5, 6), ()), ((4,), (1, 2, 3)),
+                          ((2, 5), (6,)), ((6, 1, 3), (2, 4, 5))):
+        assert projection_entropy(dist, target, given) == \
+            projection_entropy_oracle(dist.copies, target, given)
+
+
+def test_edge_views_and_slices_equal_the_generators():
+    """Edge views, odd-edge prefixes and even-edge tuples, as the path
+    checks slice them, on copies of C5..C10 and P4..P9."""
+    cases = [(Graph.cycle(k), blow_up(BlowupSpec(Graph.cycle(k), (2,) + (1,) * (k - 1))), True)
+             for k in range(5, 11)]
+    cases += [(Graph.path(k), Graph.cycle(k + 3), False) for k in range(4, 10)]
+    for pattern, host, cycle in cases:
+        k = pattern.n
+        dist = CopyDistribution.collect(host, pattern)
+        edges = dist.edge_tuples()
+        assert edges == edge_tuples_oracle(dist.copies, k, cycle)
+        for t in edges:
+            for count in range(1, (len(t) + 1) // 2 + 1):
+                assert t[:2 * count:2] == odd_prefix(t, count)
+            for count in range(len(t) // 2 + 1):
+                assert t[1:2 * count:2] == even_entries(t, count)
+            if not cycle:
+                l = k // 2 if k % 2 == 0 else (k - 1) // 2
+                assert t[1:2 * l - 2:2] == even_entries(t, l - 1)
+                if l >= 3:
+                    assert t[1:2 * l - 4:2] == even_entries(t, l - 2)
 
 
 def test_deterministic_coordinate_has_zero_entropy():

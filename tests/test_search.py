@@ -192,6 +192,21 @@ def test_sharded_growth_equals_level(monkeypatch):
             assert search._level(m, shards) == serial
 
 
+def test_level_with_a_missing_class_raises(monkeypatch):
+    # every grown level is checked against A000664, serial or sharded; C6
+    # is one of the 68 classes with 6 edges, and the pool's forked workers
+    # run the lossy growth too
+    dropped = canonical_label(Graph.cycle(6))
+    grow = search._grow
+    monkeypatch.setattr(search, "_grow", lambda parents: grow(parents) - {dropped})
+    for shards in (1, 2):
+        monkeypatch.setattr(search, "_LEVELS", {})
+        assert len(search._level(5, shards)) == 26
+        with pytest.raises(RuntimeError, match=r"^level 6 has 67 classes, expected 68 "):
+            search._level(6, shards)
+        assert 6 not in search._LEVELS
+
+
 def test_sharded_rho_identical():
     h = Graph.path(4)
     a = rho_exact(h, 7, shards=1)
