@@ -188,8 +188,7 @@ def _quotient(ref_perm, perm):
 
 
 def orbit_closure(start, maps):
-    """Points reachable from ``start`` under the maps, each indexable by a
-    point (a permutation tuple on vertices, or a dict on any points)."""
+    """Vertices reachable from ``start`` under the permutation tuples."""
     orbit = set(start)
     frontier = list(orbit)
     while frontier:

@@ -276,6 +276,8 @@ def optimize_part_sizes(family, m: int) -> BlowupSpec:
     fixed seed templates plus steepest-ascent +-1 and transfer moves, ties
     to the lexicographically smallest size vector.
     """
+    if m < 0:
+        raise ValueError("edge budget must be nonnegative")
     kind, arg = parse_family(family)
     pattern = family_graph(family)
     if pattern.isolated_vertices():

@@ -8,40 +8,23 @@ graph6 text of the relabeling that minimizes the adjacency certificate
 over the (pruned) search tree.  The label, not the traversal,
 is the contract: equal labels if and only if isomorphic.  The
 automorphisms found on the way generate the whole automorphism group
-(every pruned branch is the image of an explored one under them), so
-they are returned too, for callers that need orbits.
+(every pruned branch is the image of an explored one under them); they
+are returned with the label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graph import Graph
 from . import kernels
-from ._kernels_py import orbit_closure
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     label: str
     perm: tuple
     gens: tuple  # sorted generators of Aut(g), as image tuples
-
-    def apply(self, g: Graph) -> Graph:
-        return g.relabel(self.perm)
-
-
-def orbit_representatives(points, maps):
-    """The first point of each orbit of ``points`` under the maps, in the
-    order given; the maps must send ``points`` into itself."""
-    covered = set()
-    reps = []
-    for x in points:
-        if x not in covered:
-            reps.append(x)
-            covered |= orbit_closure((x,), maps)
-    return reps
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

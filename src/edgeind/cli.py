@@ -441,6 +441,8 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "csv", None) and args.verify != "claim1":
+        parser.error("--csv needs --verify claim1")
     started = time.monotonic()
     try:
         inputs, outputs, code = _COMMANDS[args.command](args)

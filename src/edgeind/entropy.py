@@ -18,11 +18,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from operator import itemgetter
 
 from .graph import Graph
 from .families import parse_family
-from .counting import _extension_edges, _norm, alpha_extension_edges, gamma_table, is_well_ordered
+from .counting import (_extension_edges, _norm, alpha_extension_edges, characterizes_cycle,
+                       gamma_table, is_well_ordered)
 from .canon import automorphism_order
 from . import kernels
 
@@ -302,16 +304,25 @@ def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     return report
 
 
-def _even_path_terms(host, edge_tuples, k, m, alpha, report):
-    l = k // 2
+def _odd_edge_chain(edge_tuples, count, alpha, report):
+    """H(edge 0) plus, for 0 < i < count, the conditional entropy of edge
+    2i given edges 0, 2, ..., 2i-2; each conditional is reported against its
+    log-average extension bound."""
     n = len(edge_tuples)
     chain = _h([t[0] for t in edge_tuples])
-    for i in range(1, l):
+    for i in range(1, count):
         prefixes = [t[:2 * i:2] for t in edge_tuples]
         cond = _h_cond(list(zip(map(itemgetter(2 * i), edge_tuples), prefixes)))
         chain += cond
         avg = sum(math.log(alpha(p)) for p in prefixes) / n
         report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality", cond, avg)
+    return chain
+
+
+def _even_path_terms(host, edge_tuples, k, m, alpha, report):
+    l = k // 2
+    n = len(edge_tuples)
+    chain = _odd_edge_chain(edge_tuples, l, alpha, report)
     h_evens = _h_cond([(t[1:2 * l - 2:2], t[:2 * l:2]) for t in edge_tuples])
     report.add("evens_determined", "identity", h_evens, 0.0)
     chain += h_evens
@@ -333,13 +344,7 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
             tables[prefix] = gamma_table(host, prefix)
         return tables[prefix]
 
-    chain = _h([t[0] for t in edge_tuples])
-    for i in range(1, l - 1):
-        prefixes = [t[:2 * i:2] for t in edge_tuples]
-        cond = _h_cond(list(zip(map(itemgetter(2 * i), edge_tuples), prefixes)))
-        avg = sum(math.log(alpha(p)) for p in prefixes) / n
-        report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality", cond, avg)
-        chain += cond
+    chain = _odd_edge_chain(edge_tuples, l - 1, alpha, report)
     prefixes = [t[:2 * l - 2:2] for t in edge_tuples]
     last_u = [_norm(*t[2 * l - 1]) for t in edge_tuples]
     h_last = _h_cond(list(zip(last_u, prefixes)))
@@ -498,11 +503,6 @@ def _forward_tuple(seq, j, count):
     return tuple((seq[(j + 2 * t) % k], seq[(j + 2 * t + 1) % k]) for t in range(count))
 
 
-def _backward_tuple(seq, j, count):
-    k = len(seq)
-    return tuple((seq[(j - 2 * t + 1) % k], seq[(j - 2 * t) % k]) for t in range(count))
-
-
 def _validate_induced_cycle(host, seq):
     k = len(seq)
     if k < 6 or k % 2:
@@ -574,8 +574,12 @@ def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
     k = len(seq)
     l = k // 2
     m = host.m
-    plus_weights = [_extension_weights(host, seq, j, l, _forward_tuple) for j in range(k)]
-    minus_weights = [_extension_weights(host, seq, j, l, _backward_tuple) for j in range(k)]
+    plus_weights = [_extension_weights(host, seq, j, l) for j in range(k)]
+    # minus tuples at position j equal the plus tuples of the reversed
+    # sequence at position k-2-j
+    rev = seq[::-1]
+    reversed_plus = [_extension_weights(host, rev, j, l) for j in range(k)]
+    minus_weights = [reversed_plus[(k - 2 - j) % k] for j in range(k)]
     s_plus = [sum(w.values()) for w in plus_weights]
     s_minus = [sum(w.values()) for w in minus_weights]
 
@@ -590,8 +594,7 @@ def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
         x, y = edge
         adjacent = position_masks[x] | position_masks[y]
         if adjacent not in caps:
-            # minus tuples at position j equal the plus tuples of the
-            # reversed sequence at position k-2-j
+            # the minus caps come from the reversed sequence, as above
             adjacent_rev = _reverse_bits(adjacent, k)
             caps[adjacent] = (
                 [_contribution_cap(adjacent, j, k) for j in range(k)],
@@ -622,13 +625,13 @@ def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
                        tuple(rows), tuple(flagged))
 
 
-def _extension_weights(host, seq, j, l, tuple_at):
+def _extension_weights(host, seq, j, l):
     """Half-unit weight of each host edge at cycle position j: 1 for an
     extension of the one-entry tuple, plus 2 for each longer tuple (up to
     the cycle-closing one) it extends."""
     weights = {}
     for i in range(1, l):
-        t = tuple_at(seq, j, i)
+        t = _forward_tuple(seq, j, i)
         if not is_well_ordered(host, t):
             raise ValueError("tuple is not well-ordered")
         w = 1 if i == 1 else 2
@@ -655,9 +658,6 @@ def induced_cycles(host: Graph, k: int):
 def is_capable(host: Graph, triple) -> bool:
     """Whether some ordering and orientation of the three edges
     characterizes an induced 6-cycle."""
-    from itertools import permutations
-    from .counting import characterizes_cycle
-
     edges = list(triple)
     if len({_norm(*e) for e in edges}) != 3:
         return False
@@ -705,16 +705,8 @@ def c6_hypergraph_check(host: Graph) -> C6HypergraphReport:
     triples = set()
     for c in copies:
         triples.add(frozenset((_norm(c[0], c[1]), _norm(c[2], c[3]), _norm(c[4], c[5]))))
-    codegree = Counter()
-    for t in triples:
-        a, b, c_ = sorted(t)
-        codegree[frozenset((a, b))] += 1
-        codegree[frozenset((b, c_))] += 1
-        codegree[frozenset((a, c_))] += 1
-    codegree_sum = sum(
-        codegree[frozenset(pair)] for t in triples
-        for pair in _pairs(sorted(t))
-    )
+    codegree = Counter(frozenset(pair) for t in triples for pair in combinations(t, 2))
+    codegree_sum = sum(codegree[frozenset(pair)] for t in triples for pair in combinations(t, 2))
     sum_d = sum(codegree.values())
     sum_d_sq = sum(c * c for c in codegree.values())
     two_section = len(codegree)
@@ -732,9 +724,3 @@ def c6_hypergraph_check(host: Graph) -> C6HypergraphReport:
         (tuple(sorted(pair)), c) for pair, c in codegree.items()
     ))
     return C6HypergraphReport(m, gamma, ordered_triples, ordered_codegrees, report)
-
-
-def _pairs(items):
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            yield (items[i], items[j])

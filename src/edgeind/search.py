@@ -1,10 +1,12 @@
 """Exact edge-inducibility by isomorph-free exhaustive generation.
 
 Graphs with m edges and no isolated vertices are generated one per
-isomorphism class, level by level: the one-edge extensions of every
-(m-1)-edge class, one per orbit of its automorphism group (McKay,
-"Isomorph-free exhaustive generation", 1998), are labelled once with
-``canonical_form`` and kept if their label is new to the level.  A
+isomorphism class, level by level: every one-edge extension of every
+(m-1)-edge class is labelled once with ``canonical_form`` and kept if its
+label is new to the level.  With labelling in the compiled kernel, this
+costs no more than labelling one extension per orbit of the parent's
+automorphism group (McKay, "Isomorph-free exhaustive generation", 1998),
+and needs no orbit bookkeeping.  A
 level-wide seen-set of labels is sound because labels are canonical (equal
 exactly for isomorphic graphs), and the representative of a class is
 ``parse_graph6(label)``, so it does not depend on which parent or which
@@ -25,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import Graph, parse_graph6
-from .canon import automorphism_order, canonical_form, orbit_representatives
+from .canon import automorphism_order, canonical_form
 from .counting import count_induced
 from .families import family_graph, family_name
 from .blowups import blow_up, bound_eval, effective_upper, optimize_part_sizes
@@ -69,21 +71,30 @@ def estimated_class_count(m):
 
 def _children(parent: Graph, seen: set):
     """Labels of the one-edge extensions of ``parent`` that are not yet in
-    ``seen``; new labels join ``seen``.  Extensions in one orbit of
-    Aut(parent) are isomorphic, so only the first non-edge of each orbit of
-    non-edges, the first vertex of each vertex orbit (for a pendant edge)
-    and the disjoint edge are labelled."""
+    ``seen``; new labels join ``seen``.  Every extension is labelled once:
+    each non-edge added, a pendant edge at each vertex and, within the
+    64-vertex word, the disjoint edge."""
     n = parent.n
-    gens = canonical_form(parent).gens
-    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not parent.has_edge(u, v)]
-    pair_maps = [{(u, v): (min(p[u], p[v]), max(p[u], p[v])) for u, v in non_edges} for p in gens]
-    candidates = [parent.add_edge(u, v) for u, v in orbit_representatives(non_edges, pair_maps)]
-    candidates += [parent.add_vertex(1 << u) for u in orbit_representatives(range(n), gens)]
+    adj = parent.adj
+    bit = 1 << n
+    candidates = []
+    for u in range(n):
+        row = adj[u]
+        for v in range(u + 1, n):
+            if not row >> v & 1:
+                rows = list(adj)
+                rows[u] = row | 1 << v
+                rows[v] |= 1 << u
+                candidates.append(rows)
+        rows = list(adj)
+        rows[u] = row | bit
+        rows.append(1 << u)
+        candidates.append(rows)
     if n + 2 <= 64:
-        candidates.append(parent.add_vertex(0).add_vertex(1 << n))
+        candidates.append([*adj, bit << 1, bit])
     new = []
-    for child in candidates:
-        label = canonical_form(child).label
+    for rows in candidates:
+        label = canonical_form(Graph._unchecked(len(rows), tuple(rows))).label
         if label not in seen:
             seen.add(label)
             new.append(label)

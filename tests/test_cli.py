@@ -147,6 +147,22 @@ def test_entropy_modes(tmp_path):
     assert code == 0
 
 
+def test_csv_without_claim1_is_usage_error(tmp_path):
+    csv_path = tmp_path / "ledger.csv"
+    for verify in ([], ["--verify", "chain"], ["--verify", "c6"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["entropy", "--host", C6, "--pattern", C6, *verify, "--csv", str(csv_path)])
+        assert exc.value.code == 2
+    assert not csv_path.exists()
+
+
+def test_negative_construct_budget_is_an_error():
+    for family in ("P3", "P4", "P5", "C4", "C5", "C6", C5):
+        code, out, err = run(["construct", "--family", family, "-m", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "error: edge budget must be nonnegative\n", family
+
+
 def test_entropy_empty_support_is_usage_error():
     k33 = write_graph6(Graph.complete_bipartite(3, 3))
     code, _, err = run(["entropy", "--host", k33, "--pattern", write_graph6(Graph.path(5)), "--verify", "path"])

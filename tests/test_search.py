@@ -166,9 +166,10 @@ def test_candidate_labels_and_perms_match_fixture(backends, monkeypatch):
         assert digest.hexdigest() == CANDIDATE_FORMS_SHA256, backend.BACKEND
 
 
-def test_growth_labels_one_child_per_orbit(monkeypatch):
-    # levels 0..8 made 8,253 canonical_form calls when every one-edge
-    # extension was labelled
+def test_growth_labels_every_extension_once(monkeypatch):
+    # one call for the level-1 label and one per one-edge extension of the
+    # classes of levels 1..7: the candidate fixture's 8,252 less level 0's
+    # single extension, plus one; a parent labelled again would add more
     calls = 0
 
     def counting(g):
@@ -179,7 +180,7 @@ def test_growth_labels_one_child_per_orbit(monkeypatch):
     monkeypatch.setattr(search, "_LEVELS", {})
     monkeypatch.setattr(search, "canonical_form", counting)
     assert len(search._level(8)) == 497
-    assert calls <= 3700
+    assert calls == 8252
 
 
 def test_sharded_growth_equals_level(monkeypatch):
