@@ -16,14 +16,12 @@ from .canon import (
 from .kernels import BACKEND, count_ordered, enumerate_ordered
 from .counting import (
     CountSummary,
-    GammaStats,
     InvalidTupleError,
     alpha_extension_edges,
     alpha_extensions,
     beta_embeddings,
     characterizes_cycle,
     count_induced,
-    gamma_stats,
     gamma_table,
     is_well_ordered,
     validate_edge_tuple,

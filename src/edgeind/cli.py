@@ -2,14 +2,16 @@
 
 Reports are JSON envelopes {"command", "inputs", "outputs", "version"}
 printed on stdout; they are byte-identical for identical inputs and
-version.  A report is written in one walk, straight to the stream: the
-bytes are those of ``json.dump(report, indent=2)`` after floats are
-rounded to 12 significant digits and Fractions turned into strings, but
-no normalized copy is built and json's pure-Python indenting encoder is
-not used.  ``--table`` prints the normalized report as indented lines.
-Wall time and the kernel backend go to stderr so they never perturb the
-payload.  Exit codes: 0 success, 1 a verified inequality failed, 2 usage
-error, 3 resource ceiling.
+version.  A report holds str-keyed dicts, lists, str, int, bool, None and
+float, and nothing else; any other key or value type raises TypeError.
+It is written in one walk, straight to the stream: the bytes are those
+of ``json.dump(report, indent=2)`` after floats are rounded to 12
+significant digits, but json's pure-Python indenting encoder is not
+used.  ``--table`` prints the same report as indented lines, floats
+rounded the same way.  Wall time and the kernel backend go to stderr so
+they never perturb the payload.  Exit codes: 0 success, 1 a verified
+inequality failed, 2 usage error or any OSError (an unreadable or
+unwritable path, say, or a failed worker fork), 3 resource ceiling.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
@@ -36,27 +37,9 @@ from . import entropy as ent
 CACHE_ENV = "EDGEIND_CACHE_DIR"
 
 
-def _normalize(obj):
-    """Round floats to 12 significant digits and stringify rationals so
-    repeated runs serialize byte-identically; ``--table`` prints the
-    result."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    return obj
-
-
-def _emit(report, table, stream=None):
-    stream = stream or sys.stdout
+def _emit(report, table, stream):
     if table:
-        _print_table(_normalize(report), stream)
+        _print_table(report, stream.write, "")
     else:
         _write_json(report, stream.write, "\n")
         stream.write("\n")
@@ -64,157 +47,91 @@ def _emit(report, table, stream=None):
 
 # -- JSON reports --------------------------------------------------------
 #
-# _write_json writes the bytes of ``json.dump(_normalize(obj), fh,
-# indent=2)`` in one walk, with no normalized copy and without json's
-# pure-Python indenting encoder: strings go through the C escaper json
-# itself uses under ensure_ascii, floats are rounded as _normalize rounds
-# them and spelled as json spells them, and a list of one scalar type is
-# joined in one call.  Dict keys are converted, not normalized, as json
-# converts them.
+# _write_json writes the bytes of ``json.dump(report, fh, indent=2)``, floats
+# rounded to 12 significant digits, in one walk and without json's
+# pure-Python indenting encoder: scalars are spelled by exact type through
+# _SCALAR, strings by the C escaper json uses under ensure_ascii; a scalar
+# dict value goes out in one write with its key, and a list of one scalar
+# type is joined in one call.
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
+    text = float.__repr__(float(f"{x:.12g}"))
+    return _NONFINITE.get(text, text)
 
 
-def _rounded_float_text(x):
-    return _float_text(float(f"{x:.12g}"))
-
-
-def _fraction_text(q):
-    return _encode_str(str(q))
-
-
-def _container(obj):
-    return None
-
-
-# Text of a scalar by exact type, and None for a container.
-_TEXT = {
+_SCALAR = {
     str: _encode_str,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
-    float: _rounded_float_text,
-    Fraction: _fraction_text,
-    dict: _container,
-    list: _container,
-    tuple: _container,
+    float: _float_text,
 }
 
 
-def _scalar_text(obj):
-    """JSON text of a scalar after _normalize, or None for a container."""
-    text = _TEXT.get(type(obj))
-    if text is not None:
-        return text(obj)
-    # subclasses: _normalize's order, then json's
-    if isinstance(obj, Fraction):
-        return _fraction_text(obj)
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _rounded_float_text(obj)
-    if isinstance(obj, (dict, list, tuple)):
-        return None
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+def _key(key):
+    if type(key) is not str:
+        raise TypeError(f"report keys must be str, not {type(key).__name__}")
+    return key
 
 
-def _key_text(key):
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, float):
-        text = _float_text(key)
-    elif key is True:
-        text = "true"
-    elif key is False:
-        text = "false"
-    elif key is None:
-        text = "null"
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _encode_str(text)
+def _not_a_report(obj):
+    return TypeError(f"a report holds no {type(obj).__name__}")
 
 
 def _write_json(obj, write, nl):
-    """Write ``obj`` as ``json.dump(_normalize(obj), indent=2)`` does; ``nl``
-    is the newline and indent of the line ``obj`` starts on."""
-    text = _scalar_text(obj)
-    if text is None:
-        _write_container(obj, write, nl)
-    else:
-        write(text)
-
-
-def _write_container(obj, write, nl):
+    """Write ``obj``; ``nl`` is the newline and indent of its first line."""
+    text = _SCALAR.get(type(obj))
     inner = nl + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
+    if text is not None:
+        write(text(obj))
+    elif type(obj) is dict:
         sep = "{" + inner
         for key, value in obj.items():
-            text = _scalar_text(value)
+            text = _SCALAR.get(type(value))
+            write(sep + _encode_str(_key(key)) + ": " + (text(value) if text else ""))
             if text is None:
-                write(sep + _key_text(key) + ": ")
-                _write_container(value, write, inner)
-            else:
-                write(sep + _key_text(key) + ": " + text)
+                _write_json(value, write, inner)
             sep = "," + inner
-        write(nl + "}")
-        return
-    if not obj:
-        write("[]")
-        return
-    kinds = set(map(type, obj))
-    if len(kinds) == 1:
-        text = _TEXT.get(kinds.pop())
-        if text is not None and text is not _container:
+        write(nl + "}" if obj else "{}")
+    elif type(obj) is list:
+        kinds = set(map(type, obj))
+        text = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
             write("[" + inner + ("," + inner).join(map(text, obj)) + nl + "]")
             return
-    sep = "[" + inner
-    for value in obj:
-        text = _scalar_text(value)
-        if text is None:
+        sep = "[" + inner
+        for value in obj:
             write(sep)
-            _write_container(value, write, inner)
-        else:
-            write(sep + text)
-        sep = "," + inner
-    write(nl + "]")
-
-
-def _print_table(obj, stream, indent=0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list)):
-                stream.write(f"{pad}{k}:\n")
-                _print_table(v, stream, indent + 1)
-            else:
-                stream.write(f"{pad}{k}: {v}\n")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                _print_table(v, stream, indent)
-            else:
-                stream.write(f"{pad}- {v}\n")
+            _write_json(value, write, inner)
+            sep = "," + inner
+        write(nl + "]" if obj else "[]")
     else:
-        stream.write(f"{pad}{obj}\n")
+        raise _not_a_report(obj)
+
+
+def _print_table(obj, write, pad, mark=""):
+    """``--table``: a ``key: value`` or ``- value`` line per scalar, floats
+    rounded as in JSON; a list's items keep the list's indent."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            if type(value) in (dict, list):
+                write(f"{pad}{_key(key)}:\n")
+                _print_table(value, write, pad + "  ")
+            else:
+                _print_table(value, write, pad, f"{_key(key)}: ")
+    elif type(obj) is list:
+        for value in obj:
+            _print_table(value, write, pad, "- ")
+    elif type(obj) is float:
+        write(f"{pad}{mark}{float(f'{obj:.12g}')}\n")
+    elif type(obj) in _SCALAR:
+        write(f"{pad}{mark}{obj}\n")
+    else:
+        raise _not_a_report(obj)
 
 
 def _graph_arg(text):
@@ -449,10 +366,7 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
     except CeilingError as exc:
         print(f"error: {exc}", file=stderr)
         return 3
-    except ent.EmptySupportError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    except (ValueError, Graph6Error) as exc:
+    except (ValueError, OSError) as exc:  # Graph6Error and EmptySupportError included
         print(f"error: {exc}", file=stderr)
         return 2
     report = {

@@ -181,19 +181,6 @@ def beta_embeddings(g: Graph, t, family) -> int:
     return kernels.count_ordered(g, pattern, _odd_edge_pins(t))
 
 
-@dataclass(frozen=True)
-class GammaStats:
-    """Final-edge statistics for odd-path completions of a well-ordered
-    tuple: the set of feasible last edges, its size, and (once the last
-    edge is fixed) the counts of feasible second-to-last / last-link
-    edges."""
-
-    s_set: tuple
-    gamma0: int
-    gamma1: int | None
-    gamma2: int | None
-
-
 @lru_cache(maxsize=None)
 def _path(k):
     """The path on k vertices, built once per k (graphs are immutable)."""
@@ -221,19 +208,6 @@ def gamma_table(g: Graph, t) -> dict:
         seconds.setdefault(last, set()).add(_norm(c[2 * l - 3], c[2 * l - 2]))
         links.setdefault(last, set()).add(_norm(c[2 * l - 2], c[2 * l - 1]))
     return {e: (len(seconds[e]), len(links[e])) for e in sorted(seconds)}
-
-
-def gamma_stats(g: Graph, t, e_last=None) -> GammaStats:
-    """The feasible final edges of ``gamma_table``, and with ``e_last``
-    fixed, the feasible edges at positions 2l-2 and 2l-1."""
-    table = gamma_table(g, t)
-    s_set = tuple(table)
-    if e_last is None:
-        return GammaStats(s_set, len(s_set), None, None)
-    e_last = _norm(*e_last)
-    if e_last not in table:
-        raise ValueError(f"{e_last} is not a feasible final edge")
-    return GammaStats(s_set, len(s_set), *table[e_last])
 
 
 def _norm(u, v):

@@ -463,7 +463,7 @@ class ClaimLedger:
             "fallback_budget": self.fallback_budget,
             "within_budget": self.within_budget,
             "within_fallback": self.within_fallback,
-            "flagged": list(self.flagged),
+            "flagged": [[list(edge), list(flags)] for edge, flags in self.flagged],
             "rows": [
                 {
                     "edge": list(r.edge),

@@ -32,12 +32,6 @@ class HalfIntegralWeighting:
     def total(self) -> Fraction:
         return Fraction(sum(self.half_units), 2)
 
-    def weight(self, v) -> Fraction:
-        return Fraction(self.half_units[v], 2)
-
-    def as_floats(self):
-        return {v: h / 2 for v, h in enumerate(self.half_units)}
-
 
 @dataclass(frozen=True)
 class ABCDecomposition:

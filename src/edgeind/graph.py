@@ -22,7 +22,7 @@ class Graph6Error(ValueError):
 class Graph:
     """Immutable simple graph: ``n`` vertices 0..n-1, ``adj[v]`` a bitmask."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n, adj):
         if not 0 <= n <= MAX_VERTICES:
@@ -40,14 +40,16 @@ class Graph:
             for v in range(u + 1, n):
                 if (adj[u] >> v & 1) != (adj[v] >> u & 1):
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        _fill(self, n, adj)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def _unchecked(cls, n, adj: tuple):
         """A graph from rows that are valid by construction, such as a valid
         graph's rows with one checked edge or vertex added."""
         g = object.__new__(cls)
-        _fill(g, n, adj)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
         return g
 
     def __setattr__(self, name, value):
@@ -57,7 +59,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, g6={write_graph6(self)!r})"
@@ -193,12 +195,6 @@ class Graph:
         adj = [row | (neighbors >> v & 1) << n for v, row in enumerate(self.adj)]
         adj.append(neighbors)
         return Graph._unchecked(n + 1, tuple(adj))
-
-
-def _fill(g, n, adj):
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "adj", adj)
-    object.__setattr__(g, "_hash", hash((n, adj)))
 
 
 # -- graph6 ------------------------------------------------------------

@@ -380,17 +380,12 @@ def edge_tuples_oracle(copies, k, cycle):
 
 
 def normalize_report(obj):
-    """Floats rounded to 12 significant digits, Fractions as strings,
-    tuples as lists; dict keys untouched."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
+    """Floats rounded to 12 significant digits, everything else untouched."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: normalize_report(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [normalize_report(v) for v in obj]
     return obj
 

@@ -1,13 +1,17 @@
+import dataclasses
 import enum
+import errno
 import hashlib
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeind import Graph, automorphism_order, cli, kernels, search, write_graph6
+from edgeind import entropy as ent
 from edgeind.cli import dispatch
 
 from helpers import json_report_oracle
@@ -147,6 +151,33 @@ def test_entropy_modes(tmp_path):
     assert code == 0
 
 
+def with_a_flagged_row(ledger):
+    """The ledger with its first row flagged, as a row over a case cap is."""
+    edge = ledger.rows[0].edge
+    return dataclasses.replace(ledger, flagged=((edge, ("plus_0_exceeds_case_cap",)),))
+
+
+def test_flagged_claim1_rows_are_reported(monkeypatch):
+    ledger = with_a_flagged_row(ent.cycle_extension_ledger(Graph.cycle(6), tuple(range(6))))
+    u, v = ledger.rows[0].edge
+    # same bytes as json.dump of the ledger's (edge, flags) tuples
+    tuples = {**ledger.to_json(), "flagged": list(ledger.flagged)}
+    assert emitted(ledger.to_json()) == json.dumps(tuples, indent=2) + "\n"
+    assert f"\nflagged:\n  - {u}\n  - {v}\n  - plus_0_exceeds_case_cap\nrows:\n" \
+        in emitted(ledger.to_json(), table=True)
+    real = ent.cycle_extension_ledger
+    monkeypatch.setattr(ent, "cycle_extension_ledger",
+                        lambda host, cycle: with_a_flagged_row(real(host, cycle)))
+    argv = ["entropy", "--host", C6, "--pattern", C6, "--verify", "claim1"]
+    code, out, _ = run(argv)
+    assert code == 0
+    assert [l["flagged"] for l in json.loads(out)["outputs"]["ledgers"]] \
+        == [[[[u, v], ["plus_0_exceeds_case_cap"]]]]
+    code, out, _ = run(["--table"] + argv)
+    assert code == 0
+    assert "  - plus_0_exceeds_case_cap\n" in out
+
+
 def test_csv_without_claim1_is_usage_error(tmp_path):
     csv_path = tmp_path / "ledger.csv"
     for verify in ([], ["--verify", "chain"], ["--verify", "c6"]):
@@ -161,6 +192,19 @@ def test_negative_construct_budget_is_an_error():
         code, out, err = run(["construct", "--family", family, "-m", "-1"])
         assert (code, out) == (2, "")
         assert err == "error: edge budget must be nonnegative\n", family
+
+
+def test_unusable_paths_are_errors(tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    missing = tmp_path / "missing" / "x.csv"
+    for argv, exc in (
+            (["--cache-dir", str(not_a_dir), "rho", "--pattern", "Bw", "-m", "3"],
+             FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(not_a_dir))),
+            (["entropy", "--host", C6, "--pattern", C6, "--verify", "claim1", "--csv", str(missing)],
+             FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(missing)))):
+        code, out, err = run(argv)
+        assert (code, out, err) == (2, "", f"error: {exc}\n"), argv
 
 
 def test_entropy_empty_support_is_usage_error():
@@ -261,6 +305,22 @@ STDOUT_SHA256 = {
 }
 
 
+# sha256 of the ``--table`` stdout of each command, taken while --table
+# still printed a normalized copy of the report.
+TABLE_SHA256 = {
+    "--table alphaf Dhc":
+        "15a49f00668d8803287c87aa4cd08fdc8ccfa3e390c4a3c2e5050e3150803a25",
+    "--table bound --family P5 -m 90":
+        "56876f9a69ed6e6b4df98aa00c796c0ac9c4238f4b7a9466c23a75ce2798b635",
+    "--table sandwich --family P4 -m 7":
+        "f3fd8fddce9425dc6f32662b5821b63520c8db1b039cd4805e24e96610597fcd",
+    "--table rho --pattern Dhc -m 7":
+        "a3453709b18c412cb97b29db5f445bb6c14388cecae0eaeabb18ad10371bfdfe",
+    "--table entropy --host K]KoWWB?u@wE --pattern EhEG --verify c6":
+        "487c47693e182fb98e27cba4667147ec482109829516e6865333c276352ebee5",
+}
+
+
 def test_stdout_digests_are_pinned(backends, monkeypatch):
     monkeypatch.delenv("EDGEIND_CACHE_DIR", raising=False)
     for backend in backends:
@@ -268,13 +328,15 @@ def test_stdout_digests_are_pinned(backends, monkeypatch):
         monkeypatch.setattr(kernels, "_impl", backend)
         monkeypatch.setattr(search, "_LEVELS", {})
         automorphism_order.cache_clear()
-        for command, digest in STDOUT_SHA256.items():
+        for command, digest in {**STDOUT_SHA256, **TABLE_SHA256}.items():
             code, out, _ = run(command.split())
             assert code == 0, (backend.BACKEND, command)
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (backend.BACKEND, command)
 
 
 # -- the report writer against the standard library encoder --
+#
+# A report holds str-keyed dicts, lists, str, int, bool, None and float.
 
 
 class Level(enum.IntEnum):
@@ -290,10 +352,10 @@ class Ratio(float):
 
 
 SPECIAL_TEXT = ["\\", '"', "[", "{", "O]KoWWB?o@_E?B?BW?]?E", "caf\u00e9", "\u2603",
-                "\U0001f600", "\ud800", "\x00\x1f\x7f", "a\nb\tc", "", Label("g6")]
+                "\U0001f600", "\ud800", "\x00\x1f\x7f", "a\nb\tc", ""]
 SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 0.1 + 0.2, 1 / 3,
                   2.0 / 3.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789012.5,
-                  0.30000000000000004, 1e16, 1e22, -2.5e-7, Ratio(1 / 7)]
+                  0.30000000000000004, 1e16, 1e22, -2.5e-7]
 
 scalars = st.one_of(
     st.none(),
@@ -301,28 +363,23 @@ scalars = st.one_of(
     st.integers(),
     st.integers(min_value=2 ** 64 - 2, max_value=2 ** 200),
     st.integers(max_value=-1),
-    st.just(Level.LOW),
     st.floats(),
     st.sampled_from(SPECIAL_FLOATS),
-    st.fractions(),
     st.text(),
     st.sampled_from(SPECIAL_TEXT),
 )
-keys = st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL_TEXT), st.integers(),
-                 st.booleans(), st.none(), st.floats(), st.sampled_from(SPECIAL_FLOATS))
+keys = st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL_TEXT))
 
 
 def containers(children):
     return st.one_of(
         st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
         st.dictionaries(keys, children, max_size=5),
         # lists of one scalar type, which are joined in one call
         st.lists(st.integers(), max_size=8),
         st.lists(st.text(max_size=4), max_size=8),
         st.lists(st.floats(), max_size=8),
         st.lists(st.booleans(), max_size=8),
-        st.lists(st.fractions(), max_size=8),
         st.lists(st.none(), max_size=3),
     )
 
@@ -330,17 +387,10 @@ def containers(children):
 reports = st.recursive(scalars, containers, max_leaves=40)
 
 
-def emitted(report):
+def emitted(report, table=False):
     out = io.StringIO()
-    cli._emit(report, False, out)
+    cli._emit(report, table, out)
     return out.getvalue()
-
-
-def outcome(write, report):
-    try:
-        return write(report)
-    except TypeError as exc:
-        return TypeError, str(exc)
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -349,18 +399,25 @@ def test_emit_matches_the_json_encoder(report):
     assert emitted(report) == json_report_oracle(report)
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(reports, st.sampled_from([(1, 2), Fraction(1, 2), frozenset()]),
-       st.sampled_from(["key", "value"]))
-def test_emit_rejects_what_the_json_encoder_rejects(report, bad, where):
-    wrapped = {bad: report} if where == "key" else {"x": [report, bad]}
-    assert outcome(emitted, wrapped) == outcome(json_report_oracle, wrapped)
-
-
 def test_emit_matches_the_json_encoder_on_deep_and_empty_nesting():
     deep = []
     for i in range(60):
-        deep = [deep, {}] if i % 2 else {"k": deep, "e": [], "t": ()}
-    for report in (deep, {}, [], (), {"a": {}, "b": [[]], "c": [{}]}, 7, "x", None, 1.5):
+        deep = [deep, {}] if i % 2 else {"k": deep, "e": []}
+    for report in (deep, {}, [], {"a": {}, "b": [[]], "c": [{}]}, 7, "x", None, 1.5):
         assert emitted(report) == json_report_oracle(report)
 
+
+OUTSIDE_VALUES = [(1, 2), Fraction(1, 2), frozenset(), Level.LOW, Label("g6"), Ratio(1 / 7)]
+OUTSIDE_KEYS = OUTSIDE_VALUES + [1, 1.5, True, None]
+
+
+def test_emit_rejects_types_outside_the_report_domain():
+    cases = [(bad, report) for bad in OUTSIDE_VALUES
+             for report in (bad, {"x": bad}, [bad], [bad, bad], {"x": [1, bad]},
+                            {"x": [{}, {"y": bad}]})]
+    cases += [(bad, report) for bad in OUTSIDE_KEYS
+              for report in ({bad: 1}, {bad: []}, {"x": [{"y": {}, bad: "z"}]})]
+    for bad, report in cases:
+        for table in (False, True):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                emitted(report, table)

@@ -12,7 +12,6 @@ from edgeind import (
     characterizes_cycle,
     count_induced,
     enumerate_ordered,
-    gamma_stats,
     gamma_table,
     is_well_ordered,
 )
@@ -133,14 +132,11 @@ def test_beta_examples_and_partition():
 
 def test_gamma_examples():
     c6 = Graph.cycle(6)
-    st = gamma_stats(c6, [(0, 1)])
-    assert st.gamma0 == 1 and st.s_set == ((3, 4),)
-    st = gamma_stats(c6, [(0, 1)], (3, 4))
-    assert (st.gamma1, st.gamma2) == (1, 1)
+    assert gamma_table(c6, [(0, 1)]) == {(3, 4): (1, 1)}
     k23 = Graph.complete_bipartite(2, 3)
-    assert gamma_stats(k23, [(0, 2)]).gamma0 == 0
+    assert gamma_table(k23, [(0, 2)]) == {}
     with pytest.raises(ValueError):
-        gamma_stats(c6, [(0, 1)], (0, 3))
+        gamma_table(c6, [])
 
 
 def test_path_budget_sets_disjoint():
@@ -170,11 +166,11 @@ def test_path_budget_sets_disjoint():
                 sets = []
                 for i in range(1, l - 1):
                     sets.append(set(alpha_extension_edges(g, prefix[:i])))
-                st = gamma_stats(g, prefix, tuple(sorted(edges[2 * l - 1])))
-                s_set = set(st.s_set)
+                table = gamma_table(g, prefix)
+                gamma1, gamma2 = table[tuple(sorted(edges[2 * l - 1]))]
                 for s in sets:
-                    assert not s & s_set
-                assert sum(len(s) for s in sets) + st.gamma0 + st.gamma1 + st.gamma2 <= m
+                    assert not s & table.keys()
+                assert sum(len(s) for s in sets) + len(table) + gamma1 + gamma2 <= m
 
 
 def test_beta_partition_for_cycles():
@@ -289,13 +285,9 @@ def test_gamma_table_matches_filtered_completions():
                         for c in enumerate_ordered(g, Graph.path(k))}
             for t in sorted(prefixes):
                 table = gamma_table(g, t)
-                s_set = gamma_stats(g, t).s_set
-                assert tuple(table) == s_set == tuple(sorted(s_set))
-                for e in s_set:
-                    st_ = gamma_stats(g, t, e)
-                    expected = gamma_by_filtering(g, t, e)
-                    assert (st_.gamma1, st_.gamma2) == table[e] == expected
-                    assert st_.gamma0 == len(s_set)
+                assert list(table) == sorted(table)
+                for e, gammas in table.items():
+                    assert gammas == gamma_by_filtering(g, t, e)
                     checked += 1
     assert checked > 50
     with pytest.raises(ValueError):
