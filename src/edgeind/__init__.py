@@ -52,22 +52,36 @@ from .search import (
     rho_exact,
     verify_sandwich,
 )
-from .entropy import (
-    C6HypergraphReport,
-    ClaimLedger,
-    CopyDistribution,
-    EmptySupportError,
-    EntropyReport,
-    c6_hypergraph_check,
-    cycle_extension_ledger,
-    cycle_path_shearer,
-    drop_one_covers,
-    full_tuple_identity,
-    induced_cycles,
-    is_capable,
-    projection_entropy,
-    verify_chain_shearer,
-    verify_path_decomposition,
-)
+# The entropy lab is imported on first use, since rho and sandwich never
+# need it; its names are served by __getattr__ (PEP 562).
+_ENTROPY_NAMES = frozenset({
+    "C6HypergraphReport",
+    "ClaimLedger",
+    "CopyDistribution",
+    "EmptySupportError",
+    "EntropyReport",
+    "c6_hypergraph_check",
+    "cycle_extension_ledger",
+    "cycle_path_shearer",
+    "drop_one_covers",
+    "full_tuple_identity",
+    "induced_cycles",
+    "is_capable",
+    "projection_entropy",
+    "verify_chain_shearer",
+    "verify_path_decomposition",
+})
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name == "entropy" or name in _ENTROPY_NAMES:
+        # not ``from . import entropy``, whose lookup would call this again
+        from importlib import import_module
+
+        entropy = import_module(".entropy", __name__)
+        return entropy if name == "entropy" else getattr(entropy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["entropy", *_ENTROPY_NAMES])

@@ -1,10 +1,11 @@
 /*
- * Compiled twin of edgeind._kernels_py: ordered induced-copy search and
- * the canonical-labelling search core, for graphs of at most 64 vertices,
- * so that one adjacency row fits in one machine word.  The pure module
- * states the contract; both must return identical results, down to the
- * order of subcells in a refinement and the order of sibling branches,
- * because canonical labels are CLI output and cache keys.
+ * Compiled twin of edgeind._kernels_py: ordered induced-copy search, the
+ * canonical-labelling search core and the one-edge growth of a search
+ * level, for graphs of at most 64 vertices, so that one adjacency row fits
+ * in one machine word.  The pure module states the contract; both must
+ * return identical results, down to the order of subcells in a refinement
+ * and the order of sibling branches, because canonical labels are CLI
+ * output and cache keys.
  *
  * The labelling follows individualisation-refinement (McKay and Piperno,
  * "Practical graph isomorphism, II", JSC 2014) with the pure module's
@@ -569,34 +570,42 @@ image_tuple(const uint8_t *img, int n)
     return t;
 }
 
+/* Label the graph in cs->adj: best_cert and best_perm of its canonical
+   relabelling.  The generator store is emptied first and kept allocated,
+   so one Canon can label many graphs. */
+static int
+label_graph(Canon *cs)
+{
+    Part root;
+    uint8_t fixed[WORD];
+    cs->have_first = 0;
+    cs->ngens = 0;
+    if (cs->n == 0) {
+        memset(cs->best_cert, 0, sizeof cs->best_cert);
+        memset(cs->best_perm, 0, WORD);
+        return 0;
+    }
+    root.ncells = 1;
+    root.start[0] = 0;
+    root.start[1] = (uint8_t)cs->n;
+    for (int v = 0; v < cs->n; v++)
+        root.lab[v] = (uint8_t)v;
+    return search(cs, &root, fixed, 0);
+}
+
 static PyObject *
 canonical_search(PyObject *Py_UNUSED(self), PyObject *rows)
 {
     Canon cs;
-    Part root;
-    uint8_t fixed[WORD];
     PyObject *label = NULL, *perm = NULL, *gens = NULL, *result = NULL;
     Py_ssize_t n = read_rows(rows, cs.adj, "graph");
     if (n < 0)
         return NULL;
     cs.n = (int)n;
-    cs.have_first = 0;
     cs.gens = NULL;
-    cs.ngens = cs.cap = 0;
-    if (n == 0) {
-        memset(cs.best_cert, 0, sizeof cs.best_cert);
-        memset(cs.best_perm, 0, WORD);
-    }
-    else {
-        root.ncells = 1;
-        root.start[0] = 0;
-        root.start[1] = (uint8_t)n;
-        for (int v = 0; v < n; v++)
-            root.lab[v] = (uint8_t)v;
-        if (search(&cs, &root, fixed, 0) < 0)
-            goto done;
-    }
-    if ((label = graph6(cs.best_cert, cs.n)) == NULL ||
+    cs.cap = 0;
+    if (label_graph(&cs) < 0 ||
+        (label = graph6(cs.best_cert, cs.n)) == NULL ||
         (perm = image_tuple(cs.best_perm, cs.n)) == NULL ||
         (gens = PyTuple_New(cs.ngens)) == NULL)
         goto done;
@@ -615,6 +624,108 @@ done:
     return result;
 }
 
+/* -- level growth ----------------------------------------------------------- */
+
+/* Label the extension in cs->adj; if its label is not in ``seen``, add it
+   there and append (label, canonical rows) to ``out``. */
+static int
+offer(Canon *cs, PyObject *seen, PyObject *out)
+{
+    if (label_graph(cs) < 0)
+        return -1;
+    PyObject *label = graph6(cs->best_cert, cs->n);
+    if (label == NULL)
+        return -1;
+    int known = PySet_Contains(seen, label);
+    PyObject *rows = NULL, *pair = NULL;
+    int rc = -1;
+    if (known < 0)
+        goto done;
+    if (known) {
+        rc = 0;
+        goto done;
+    }
+    if ((rows = PyTuple_New(cs->n)) == NULL)
+        goto done;
+    for (int i = 0; i < cs->n; i++) {
+        PyObject *row = PyLong_FromUnsignedLongLong(cs->best_cert[i]);
+        if (row == NULL)
+            goto done;
+        PyTuple_SET_ITEM(rows, i, row);
+    }
+    if ((pair = PyTuple_Pack(2, label, rows)) != NULL &&
+        PySet_Add(seen, label) == 0 && PyList_Append(out, pair) == 0)
+        rc = 0;
+done:
+    Py_DECREF(label);
+    Py_XDECREF(rows);
+    Py_XDECREF(pair);
+    return rc;
+}
+
+/* The pure module's ``children``: each one-edge extension of the parent in
+   the same order (for each vertex u, the non-edges uv with v > u, then a
+   pendant edge at u; last, while it fits in the word, a disjoint edge),
+   labelled without building perm or generator tuples. */
+static PyObject *
+children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Canon cs;
+    u64 parent[WORD];
+    if (check_nargs(nargs, 2, "children") < 0)
+        return NULL;
+    if (!PySet_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "children() needs a set of seen labels");
+        return NULL;
+    }
+    Py_ssize_t n = read_rows(args[0], parent, "parent");
+    if (n < 0)
+        return NULL;
+    if (n >= WORD) {
+        PyErr_Format(PyExc_ValueError, "a parent of %zd vertices has children beyond %d vertices",
+                     n, WORD);
+        return NULL;
+    }
+    PyObject *out = PyList_New(0);
+    if (out == NULL)
+        return NULL;
+    size_t size = n * sizeof(u64);
+    cs.gens = NULL;
+    cs.cap = 0;
+    int rc = 0;
+    for (int u = 0; u < n && rc == 0; u++) {
+        for (u64 non = ~parent[u] & (BIT(n) - 1) & ~(BIT(u + 1) - 1); non && rc == 0;
+             non &= non - 1) {
+            int v = lowest(non);
+            memcpy(cs.adj, parent, size);
+            cs.adj[u] |= BIT(v);
+            cs.adj[v] |= BIT(u);
+            cs.n = (int)n;
+            rc = offer(&cs, args[1], out);
+        }
+        if (rc == 0) {
+            memcpy(cs.adj, parent, size);
+            cs.adj[u] |= BIT(n);
+            cs.adj[n] = BIT(u);
+            cs.n = (int)n + 1;
+            rc = offer(&cs, args[1], out);
+        }
+    }
+    if (rc == 0 && n + 2 <= WORD) {
+        memcpy(cs.adj, parent, size);
+        cs.adj[n] = BIT(n + 1);
+        cs.adj[n + 1] = BIT(n);
+        cs.n = (int)n + 2;
+        rc = offer(&cs, args[1], out);
+    }
+    PyMem_Free(cs.gens);
+    if (rc < 0) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"count_ordered", (PyCFunction)(void (*)(void))count_ordered, METH_FASTCALL,
      "count_ordered(g_adj, h_adj, order, pin_hosts) -> int"},
@@ -622,6 +733,8 @@ static PyMethodDef methods[] = {
      "enumerate_ordered(g_adj, h_adj, order, pin_hosts) -> list of tuples"},
     {"canonical_search", canonical_search, METH_O,
      "canonical_search(rows) -> (label, perm, gens)"},
+    {"children", (PyCFunction)(void (*)(void))children, METH_FASTCALL,
+     "children(rows, seen) -> list of (label, canonical rows) new to seen"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,5 +1,5 @@
-"""Pure-Python kernels: ordered induced-copy search and the canonical
-labelling search core.
+"""Pure-Python kernels: ordered induced-copy search, the canonical
+labelling search core and the one-edge growth of a search level.
 
 Twin of the compiled module ``edgeind._kernels``; both expose the same
 functions and must produce identical results.  Adjacency rows are integer
@@ -9,7 +9,7 @@ are assigned; the first ``len(pin_hosts)`` of them are forced to the given
 host vertices.
 """
 
-from .graph import encode_graph6
+from .graph import WORD_VERTICES, encode_graph6
 
 BACKEND = "pure"
 
@@ -206,9 +206,16 @@ def canonical_search(adj):
     the graph6 text of the relabeling ``perm`` (old vertex v becomes
     perm[v]) that minimizes the certificate, compared row by row, over the
     pruned search tree, and the automorphisms found on the way, sorted."""
+    cert, perm, gens = _canonical(adj)
+    return encode_graph6(cert), perm, gens
+
+
+def _canonical(adj):
+    """``(cert, perm, gens)``: the least certificate, which is the rows of
+    the canonical relabeling, with ``perm`` and the generators as above."""
     n = len(adj)
     if n == 0:
-        return encode_graph6(()), (), ()
+        return (), (), ()
     best_cert = None
     best_perm = None
     first_cert = None
@@ -256,4 +263,42 @@ def canonical_search(adj):
             orbit = orbit_closure(orbit, [p for p in gens if all(p[f] == f for f in fixed)])
 
     rec([list(range(n))], ())
-    return encode_graph6(best_cert), tuple(best_perm), tuple(sorted(gens))
+    return best_cert, tuple(best_perm), tuple(sorted(gens))
+
+
+# -- level growth --------------------------------------------------------
+
+
+def children(adj, seen):
+    """``(label, rows)`` for each one-edge extension of the graph with rows
+    ``adj`` whose label is not in ``seen``, where ``rows`` are those of the
+    canonical relabeling; each new label joins ``seen``.  The extensions
+    come in a fixed order: for each vertex u, the non-edges uv with v > u,
+    then a pendant edge at u; last, while it fits in the 64-vertex word, a
+    disjoint edge."""
+    n = len(adj)
+    bit = 1 << n
+    out = []
+
+    def offer(rows):
+        cert = _canonical(rows)[0]
+        label = encode_graph6(cert)
+        if label not in seen:
+            seen.add(label)
+            out.append((label, cert))
+
+    for u in range(n):
+        row = adj[u]
+        for v in range(u + 1, n):
+            if not row >> v & 1:
+                rows = list(adj)
+                rows[u] = row | 1 << v
+                rows[v] |= 1 << u
+                offer(rows)
+        rows = list(adj)
+        rows[u] = row | bit
+        rows.append(1 << u)
+        offer(rows)
+    if n + 2 <= WORD_VERTICES:
+        offer([*adj, bit << 1, bit])
+    return out

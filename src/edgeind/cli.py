@@ -32,7 +32,6 @@ from .fracind import alpha_f, optimal_weighting
 from .blowups import blow_up, bound_eval, effective_upper, optimize_part_sizes
 from .search import CeilingError, ResultCache, SandwichError, rho_exact, verify_sandwich
 from .kernels import BACKEND
-from . import entropy as ent
 
 CACHE_ENV = "EDGEIND_CACHE_DIR"
 
@@ -273,6 +272,8 @@ def _cmd_construct(args):
 
 
 def _entropy_verify(args):
+    from . import entropy as ent  # imported here: no other command needs it
+
     host, pattern = args.host, args.pattern
     k = pattern.n
     if args.verify is None:

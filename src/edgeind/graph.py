@@ -55,6 +55,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy would otherwise set the slots through __setattr__
+        return Graph._unchecked, (self.n, self.adj)
+
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -1,12 +1,12 @@
 """Backend selection and the public kernel interface: ordered induced-copy
-search and canonical labelling.
+search, canonical labelling and the one-edge growth of a search level.
 
 At import time the compiled C extension ``edgeind._kernels`` (backend
 ``"c"``) is preferred; the pure-Python twin ``edgeind._kernels_py``
 (backend ``"pure"``) is used when the extension was not built or when the
-environment variable ``EDGEIND_PURE`` is set.  Graphs above 64 vertices
-always take the pure twin, because the C code packs a neighborhood into
-one machine word.
+environment variable ``EDGEIND_PURE`` is set.  Graphs above 64 vertices,
+and parents whose extensions could exceed 64 vertices, always take the
+pure twin, because the C code packs a neighborhood into one machine word.
 """
 
 from __future__ import annotations
@@ -28,14 +28,24 @@ else:
 BACKEND = _impl.BACKEND
 
 
-def _backend_for(g: Graph):
-    return _kernels_py if g.n > WORD_VERTICES else _impl
+def _backend_for(g: Graph, extra=0):
+    """The backend for g, or for graphs of up to ``extra`` more vertices."""
+    return _kernels_py if g.n + extra > WORD_VERTICES else _impl
 
 
 def canonical_search(g: Graph) -> tuple:
     """``(label, perm, gens)``: the canonical graph6 label of g, the
     relabeling that produces it and sorted automorphism generators."""
     return _backend_for(g).canonical_search(g.adj)
+
+
+def children(parent: Graph, seen: set) -> list:
+    """``(label, rows)`` for each one-edge extension of ``parent`` whose
+    canonical label is not in ``seen``, ``rows`` being the adjacency rows of
+    its canonical relabeling; each new label joins ``seen``.  The extensions
+    are each non-edge added, a pendant edge at each vertex and, within the
+    64-vertex word, a disjoint edge, each labelled once."""
+    return _backend_for(parent, 2).children(parent.adj, seen)
 
 
 def visit_order(h: Graph, pinned=()) -> tuple:

@@ -2,15 +2,17 @@
 
 Graphs with m edges and no isolated vertices are generated one per
 isomorphism class, level by level: every one-edge extension of every
-(m-1)-edge class is labelled once with ``canonical_form`` and kept if its
-label is new to the level.  With labelling in the compiled kernel, this
-costs no more than labelling one extension per orbit of the parent's
-automorphism group (McKay, "Isomorph-free exhaustive generation", 1998),
-and needs no orbit bookkeeping.  A
-level-wide seen-set of labels is sound because labels are canonical (equal
-exactly for isomorphic graphs), and the representative of a class is
-``parse_graph6(label)``, so it does not depend on which parent or which
-worker found the class first.
+(m-1)-edge class is canonically labelled once and kept if its label is
+new to the level.  With labelling in the compiled kernel, this costs no
+more than labelling one extension per orbit of the parent's automorphism
+group (McKay, "Isomorph-free exhaustive generation", 1998), and needs no
+orbit bookkeeping.  One kernel call per parent (``kernels.children``)
+builds and labels its extensions and returns each new class with the rows
+of its canonical relabeling, which represent the class.  A level-wide
+seen-set of labels is sound because labels are canonical (equal exactly
+for isomorphic graphs), and the representative is the graph the label
+encodes, so it does not depend on which parent or which worker found the
+class first.
 
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value the closed-form bounds are
@@ -23,7 +25,6 @@ import json
 import os
 import sys
 import urllib.parse
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import Graph, parse_graph6
@@ -69,44 +70,32 @@ def estimated_class_count(m):
     return int(CLASS_COUNTS[-1] * ratio ** (m - len(CLASS_COUNTS) + 1))
 
 
+def __getattr__(name):
+    # concurrent.futures costs a cold process about 30 ms and only sharded
+    # growth needs it, so the pool class is imported on first use; a class
+    # set on this module in its place is the one _level uses.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _children(parent: Graph, seen: set):
-    """Labels of the one-edge extensions of ``parent`` that are not yet in
-    ``seen``; new labels join ``seen``.  Every extension is labelled once:
-    each non-edge added, a pendant edge at each vertex and, within the
-    64-vertex word, the disjoint edge."""
-    n = parent.n
-    adj = parent.adj
-    bit = 1 << n
-    candidates = []
-    for u in range(n):
-        row = adj[u]
-        for v in range(u + 1, n):
-            if not row >> v & 1:
-                rows = list(adj)
-                rows[u] = row | 1 << v
-                rows[v] |= 1 << u
-                candidates.append(rows)
-        rows = list(adj)
-        rows[u] = row | bit
-        rows.append(1 << u)
-        candidates.append(rows)
-    if n + 2 <= 64:
-        candidates.append([*adj, bit << 1, bit])
-    new = []
-    for rows in candidates:
-        label = canonical_form(Graph._unchecked(len(rows), tuple(rows))).label
-        if label not in seen:
-            seen.add(label)
-            new.append(label)
-    return new
+    """``(label, canonical rows)`` of each class among the one-edge
+    extensions of ``parent`` whose label is not yet in ``seen``; new labels
+    join ``seen`` (``kernels.children``)."""
+    return kernels.children(parent, seen)
 
 
 def _grow(parents):
-    """Labels of all one-edge extensions of the given graphs, each class once."""
+    """All one-edge extensions of the given graphs, each class once, as a
+    dict from canonical label to canonical rows."""
     seen = set()
+    found = {}
     for parent in parents:
-        _children(parent, seen)
-    return seen
+        found.update(_children(parent, seen))
+    return found
 
 
 def _shard_worker(parent_labels):
@@ -120,26 +109,32 @@ _LEVELS = {}
 
 def _level(m, shards=1):
     """All m-edge classes without isolated vertices, as (label, graph)
-    pairs sorted by label.  A level is grown once per process from level
-    m-1; with shards > 1, pool workers grow disjoint slices of its parents.
-    A level within CLASS_COUNTS that does not have exactly that many
-    classes raises RuntimeError."""
+    pairs sorted by label, each graph the canonical relabeling.  A level is
+    grown once per process from level m-1; with shards > 1, pool workers
+    grow disjoint slices of its parents.  A level within CLASS_COUNTS that
+    does not have exactly that many classes raises RuntimeError."""
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
     if m not in _LEVELS:
         if m <= 1:
-            labels = {canonical_form(Graph.complete(2) if m else Graph.empty(0)).label}
+            g = Graph.complete(2) if m else Graph.empty(0)
+            form = canonical_form(g)
+            found = {form.label: g.relabel(form.perm).adj}
         elif shards <= 1:
-            labels = _grow(g for _, g in _level(m - 1))
+            found = _grow(g for _, g in _level(m - 1))
         else:
             parent_labels = [label for label, _ in _level(m - 1)]
             slices = [parent_labels[i::shards] for i in range(shards)]
-            with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
-                labels = set().union(*pool.map(_shard_worker, slices))
-        if m < len(CLASS_COUNTS) and len(labels) != CLASS_COUNTS[m]:
-            raise RuntimeError(f"level {m} has {len(labels)} classes, expected "
+            pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+            found = {}
+            with pool_class(max_workers=min(shards, os.cpu_count() or 1)) as pool:
+                for part in pool.map(_shard_worker, slices):
+                    found.update(part)
+        if m < len(CLASS_COUNTS) and len(found) != CLASS_COUNTS[m]:
+            raise RuntimeError(f"level {m} has {len(found)} classes, expected "
                                f"{CLASS_COUNTS[m]} (OEIS A000664)")
-        _LEVELS[m] = tuple((label, parse_graph6(label)) for label in sorted(labels))
+        _LEVELS[m] = tuple((label, Graph._unchecked(len(found[label]), found[label]))
+                           for label in sorted(found))
     return _LEVELS[m]
 
 
@@ -260,6 +255,7 @@ def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
         raise CeilingError(m, ceiling, estimated_class_count(m))
     pattern_label = canonical_form(pattern).label
     if cache is not None:
+        os.makedirs(cache.directory, exist_ok=True)  # an unusable path fails before the search
         hit = cache.get(pattern_label, m)
         if hit is not None and hit.truncated and len(hit.extremal) < max_certificates:
             hit = None  # cached under a smaller cap; recompute

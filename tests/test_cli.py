@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,6 +207,48 @@ def test_unusable_paths_are_errors(tmp_path):
              FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(missing)))):
         code, out, err = run(argv)
         assert (code, out, err) == (2, "", f"error: {exc}\n"), argv
+
+
+def test_unusable_cache_dir_fails_before_the_search(tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    searched = []
+    monkeypatch.setattr(search, "_level", lambda *args: searched.append(args))
+    message = f"error: {FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(not_a_dir))}\n"
+    for argv in (["rho", "--pattern", "Bw", "-m", "10"], ["sandwich", "--family", "C5", "-m", "10"]):
+        code, out, err = run(["--cache-dir", str(not_a_dir), *argv])
+        assert (code, out, err) == (2, "", message), argv
+    assert searched == []
+
+
+def test_rejected_search_inputs_make_no_cache_dir(tmp_path):
+    # the input errors come first, as without a cache, and leave nothing behind
+    isolated = write_graph6(Graph(3, (0b10, 0b01, 0)))
+    (tmp_path / "file").write_text("")
+    for argv in (["rho", "--pattern", isolated, "-m", "3"], ["rho", "--pattern", "Bw", "-m", "40"]):
+        for cache_dir in (tmp_path / "new", tmp_path / "file" / "sub"):
+            assert run(["--cache-dir", str(cache_dir), *argv]) == run(argv), argv
+            assert not cache_dir.exists()
+
+
+def test_cold_searches_import_neither_entropy_nor_the_pool():
+    # a fresh process per command; the entropy names still import
+    probe = (
+        "import io, sys\n"
+        "from edgeind.cli import dispatch\n"
+        "code = dispatch(sys.argv[1:], io.StringIO(), io.StringIO())\n"
+        "print(code, *[name for name in ('edgeind.entropy', 'concurrent.futures')"
+        " if name in sys.modules])\n"
+        "from edgeind import ClaimLedger\n"
+        "print(ClaimLedger.__module__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["rho", "--pattern", "Bw", "-m", "5"], ["sandwich", "--family", "C5", "-m", "6"]):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["0", "edgeind.entropy", ""], argv
 
 
 def test_entropy_empty_support_is_usage_error():

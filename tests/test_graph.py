@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import networkx as nx
@@ -132,3 +134,14 @@ def test_without_isolated():
     g = Graph.from_edges(5, [(1, 3)])
     stripped = g.without_isolated()
     assert stripped.n == 2 and stripped.m == 1
+
+
+def test_pickle_and_copy_round_trip():
+    for g in (Graph.cycle(5), Graph.empty(0), Graph.complete_bipartite(40, 40)):
+        copies = [pickle.loads(pickle.dumps(g, protocol)) for protocol in (0, pickle.HIGHEST_PROTOCOL)]
+        copies += [copy.copy(g), copy.deepcopy(g), copy.deepcopy([g, g])[1]]
+        for h in copies:
+            assert type(h) is Graph and h == g and hash(h) == hash(g)
+            assert (h.n, h.adj) == (g.n, g.adj)
+            with pytest.raises(AttributeError):
+                h.n = 3

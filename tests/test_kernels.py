@@ -77,6 +77,43 @@ def test_labels_above_64_vertices_take_the_pure_path(compiled, monkeypatch):
     assert kernels._backend_for(Graph.path(64)) is compiled
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(graphs(max_n=10), st.integers(0, 3))
+def test_backends_agree_on_growth(compiled, parent, keep):
+    # seen-sets empty and holding every (keep + 1)-th new class
+    fresh = _kernels_py.children(parent.adj, set())
+    for start in (set(), {label for label, _ in fresh[::keep + 1]}):
+        seen_c, seen_py = set(start), set(start)
+        new = compiled.children(parent.adj, seen_c)
+        assert new == _kernels_py.children(parent.adj, seen_py)
+        assert seen_c == seen_py == start | {label for label, _ in fresh}
+        assert new == [(label, rows) for label, rows in fresh if label not in start]
+    for label, rows in fresh:
+        child = Graph._unchecked(len(rows), rows)
+        assert child == parse_graph6(label)
+        assert child.m == parent.m + 1 and child.n - parent.n in (0, 1, 2)
+
+
+def test_growth_up_to_the_word(compiled):
+    # the disjoint edge of a 62-vertex parent fills the word, a 63-vertex
+    # parent has no disjoint-edge extension, and the compiled entry refuses
+    # a 64-vertex parent
+    for n, sizes in ((62, {62, 63, 64}), (63, {63, 64})):
+        parent = Graph.path(n)
+        new = compiled.children(parent.adj, set())
+        assert len(new) == len({label for label, _ in new})
+        assert {len(rows) for _, rows in new} == sizes
+        assert [len(rows) for _, rows in new].count(n + 2) == (n == 62)
+        for label, rows in new:
+            assert label.startswith("~") == (len(rows) > 62)
+            assert Graph._unchecked(len(rows), rows) == parse_graph6(label)
+        assert compiled.children(parent.adj, {label for label, _ in new}) == []
+    with pytest.raises(ValueError):
+        compiled.children(Graph.path(64).adj, set())
+    with pytest.raises(TypeError):
+        compiled.children(Graph.path(3).adj, frozenset())
+
+
 def test_backends_agree_on_counts_and_lists(compiled):
     rng = random.Random(31)
     for _ in range(60):

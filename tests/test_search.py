@@ -18,7 +18,7 @@ from edgeind import (
     verify_sandwich,
     write_graph6,
 )
-from edgeind import automorphism_order, kernels, search
+from edgeind import _kernels_py, automorphism_order, kernels, search
 from edgeind.search import SearchResult, estimated_class_count
 
 from helpers import polya_edge_class_count
@@ -167,20 +167,65 @@ def test_candidate_labels_and_perms_match_fixture(backends, monkeypatch):
 
 
 def test_growth_labels_every_extension_once(monkeypatch):
-    # one call for the level-1 label and one per one-edge extension of the
-    # classes of levels 1..7: the candidate fixture's 8,252 less level 0's
-    # single extension, plus one; a parent labelled again would add more
-    calls = 0
+    # under the pure backend: one label for level 1 (its canonical_form
+    # call) and one per one-edge extension of the classes of levels 1..7,
+    # the candidate fixture's 8,252 less level 0's single extension; a
+    # parent labelled again would add more
+    forms = labels = 0
+    form = search.canonical_form
+    label = _kernels_py._canonical
 
-    def counting(g):
-        nonlocal calls
-        calls += 1
-        return canonical_form(g)
+    def counting_form(g):
+        nonlocal forms
+        forms += 1
+        return form(g)
 
+    def counting_label(adj):
+        nonlocal labels
+        labels += 1
+        return label(adj)
+
+    monkeypatch.setattr(kernels, "_impl", _kernels_py)
+    monkeypatch.setattr(search, "canonical_form", counting_form)
+    monkeypatch.setattr(_kernels_py, "_canonical", counting_label)
     monkeypatch.setattr(search, "_LEVELS", {})
-    monkeypatch.setattr(search, "canonical_form", counting)
     assert len(search._level(8)) == 497
-    assert calls == 8252
+    assert (forms, labels) == (1, 8252)
+
+
+def test_growth_entries_agree(backends):
+    # every class of levels 0..7 as a parent, with an empty seen-set and
+    # with one holding every other class of the next level
+    levels = [search._level(m) for m in range(9)]
+    for m in range(8):
+        filled = {label for label, _ in levels[m + 1][::2]}
+        for _, parent in levels[m]:
+            for start in (set(), filled):
+                runs = []
+                for backend in backends:
+                    seen = set(start)
+                    runs.append((backend.children(parent.adj, seen), seen))
+                assert all(run == runs[0] for run in runs[1:])
+                new, seen = runs[0]
+                assert seen == start | {label for label, _ in new}
+                assert len(seen) == len(start) + len(new)
+                for label, rows in new:
+                    assert Graph._unchecked(len(rows), rows) == parse_graph6(label)
+
+
+def test_children_of_large_parents_take_the_pure_path(monkeypatch):
+    # the compiled entry packs a child's rows into 64-bit words, so a
+    # parent with n + 2 > 64 goes to the pure twin
+    calls = []
+
+    def spy(name):
+        return lambda adj, seen: calls.append((name, len(adj))) or []
+
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(children=spy("impl")))
+    monkeypatch.setattr(_kernels_py, "children", spy("pure"))
+    for n in (61, 62, 63, 64, 70):
+        assert search._children(Graph.empty(n), set()) == []
+    assert calls == [("impl", 61), ("impl", 62), ("pure", 63), ("pure", 64), ("pure", 70)]
 
 
 def test_sharded_growth_equals_level(monkeypatch):
@@ -199,13 +244,36 @@ def test_level_with_a_missing_class_raises(monkeypatch):
     # run the lossy growth too
     dropped = canonical_label(Graph.cycle(6))
     grow = search._grow
-    monkeypatch.setattr(search, "_grow", lambda parents: grow(parents) - {dropped})
+    monkeypatch.setattr(search, "_grow", lambda parents: {
+        label: rows for label, rows in grow(parents).items() if label != dropped})
     for shards in (1, 2):
         monkeypatch.setattr(search, "_LEVELS", {})
         assert len(search._level(5, shards)) == 26
         with pytest.raises(RuntimeError, match=r"^level 6 has 67 classes, expected 68 "):
             search._level(6, shards)
         assert 6 not in search._LEVELS
+
+
+def test_sharded_growth_uses_the_pool_class_set_on_the_module(monkeypatch):
+    # the pool class is imported on first use, and a class set on the
+    # module in its place is the one sharded growth starts
+    from concurrent.futures import ProcessPoolExecutor
+
+    assert search.ProcessPoolExecutor is ProcessPoolExecutor
+    started = []
+
+    class Pool(ProcessPoolExecutor):
+        def __enter__(self):
+            started.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+    serial = search._level(5)
+    monkeypatch.setattr(search, "_LEVELS", {m: search._LEVELS[m] for m in range(5)})
+    assert search._level(5, 2) == serial
+    assert len(started) == 1
+    with pytest.raises(AttributeError, match="has no attribute 'ThreadPoolExecutor'"):
+        search.ThreadPoolExecutor
 
 
 def test_sharded_rho_identical():
