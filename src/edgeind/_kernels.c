@@ -9,7 +9,10 @@
  *
  * The labelling follows individualisation-refinement (McKay and Piperno,
  * "Practical graph isomorphism, II", JSC 2014) with the pure module's
- * refinement rule and automorphism pruning.
+ * refinement rule and automorphism pruning.  The growth entry labels the
+ * parent for its automorphism generators and then one extension per orbit,
+ * where the pure twin labels every extension; a skipped extension is
+ * isomorphic to an earlier one, so both return the same list.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -663,22 +666,54 @@ done:
     return rc;
 }
 
-/* The pure module's ``children``: each one-edge extension of the parent in
+/* Mark the orbit of the non-edge {u, v} under the automorphism generators
+   found while labelling ``parent``: bit v of pairs[u] and bit u of
+   pairs[v] for each pair in it. */
+static void
+mark_pair_orbit(const Canon *parent, u64 *pairs, int u, int v)
+{
+    uint8_t queue[WORD * (WORD - 1)]; /* two bytes per pair, each pair once */
+    int head = 0, tail = 0;
+    pairs[u] |= BIT(v);
+    pairs[v] |= BIT(u);
+    queue[tail++] = (uint8_t)u;
+    queue[tail++] = (uint8_t)v;
+    while (head < tail) {
+        int a = queue[head++], b = queue[head++];
+        for (Py_ssize_t g = 0; g < parent->ngens; g++) {
+            int x = parent->gens[g][a], y = parent->gens[g][b];
+            if (!(pairs[x] >> y & 1)) {
+                pairs[x] |= BIT(y);
+                pairs[y] |= BIT(x);
+                queue[tail++] = (uint8_t)x;
+                queue[tail++] = (uint8_t)y;
+            }
+        }
+    }
+}
+
+/* The pure module's ``children``: the one-edge extensions of the parent in
    the same order (for each vertex u, the non-edges uv with v > u, then a
    pendant edge at u; last, while it fits in the word, a disjoint edge),
-   labelled without building perm or generator tuples. */
+   labelled without building perm or generator tuples.  The parent is
+   labelled first for its automorphism generators, and only the first
+   non-edge of each orbit of non-edges and the first vertex of each vertex
+   orbit (for the pendant edge) are labelled: a skipped extension is
+   isomorphic to an earlier one of this call, whose label is in ``seen``
+   by then, so the result and ``seen`` are those of labelling them all
+   (McKay, "Isomorph-free exhaustive generation", 1998). */
 static PyObject *
 children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Canon cs;
-    u64 parent[WORD];
+    Canon cs, parent;
+    u64 pairs[WORD], vertices = 0;
     if (check_nargs(nargs, 2, "children") < 0)
         return NULL;
     if (!PySet_Check(args[1])) {
         PyErr_SetString(PyExc_TypeError, "children() needs a set of seen labels");
         return NULL;
     }
-    Py_ssize_t n = read_rows(args[0], parent, "parent");
+    Py_ssize_t n = read_rows(args[0], parent.adj, "parent");
     if (n < 0)
         return NULL;
     if (n >= WORD) {
@@ -686,25 +721,33 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
                      n, WORD);
         return NULL;
     }
-    PyObject *out = PyList_New(0);
-    if (out == NULL)
+    parent.n = (int)n;
+    parent.gens = cs.gens = NULL;
+    parent.cap = cs.cap = 0;
+    if (label_graph(&parent) < 0) {
+        PyMem_Free(parent.gens);
         return NULL;
+    }
+    PyObject *out = PyList_New(0);
     size_t size = n * sizeof(u64);
-    cs.gens = NULL;
-    cs.cap = 0;
-    int rc = 0;
+    memset(pairs, 0, size);
+    int rc = out == NULL ? -1 : 0;
     for (int u = 0; u < n && rc == 0; u++) {
-        for (u64 non = ~parent[u] & (BIT(n) - 1) & ~(BIT(u + 1) - 1); non && rc == 0;
+        for (u64 non = ~parent.adj[u] & (BIT(n) - 1) & ~(BIT(u + 1) - 1); non && rc == 0;
              non &= non - 1) {
             int v = lowest(non);
-            memcpy(cs.adj, parent, size);
+            if (pairs[u] >> v & 1)
+                continue;
+            mark_pair_orbit(&parent, pairs, u, v);
+            memcpy(cs.adj, parent.adj, size);
             cs.adj[u] |= BIT(v);
             cs.adj[v] |= BIT(u);
             cs.n = (int)n;
             rc = offer(&cs, args[1], out);
         }
-        if (rc == 0) {
-            memcpy(cs.adj, parent, size);
+        if (rc == 0 && !(vertices >> u & 1)) {
+            vertices |= orbit_closure(&parent, BIT(u), NULL, 0);
+            memcpy(cs.adj, parent.adj, size);
             cs.adj[u] |= BIT(n);
             cs.adj[n] = BIT(u);
             cs.n = (int)n + 1;
@@ -712,15 +755,16 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         }
     }
     if (rc == 0 && n + 2 <= WORD) {
-        memcpy(cs.adj, parent, size);
+        memcpy(cs.adj, parent.adj, size);
         cs.adj[n] = BIT(n + 1);
         cs.adj[n + 1] = BIT(n);
         cs.n = (int)n + 2;
         rc = offer(&cs, args[1], out);
     }
+    PyMem_Free(parent.gens);
     PyMem_Free(cs.gens);
     if (rc < 0) {
-        Py_DECREF(out);
+        Py_XDECREF(out);
         return NULL;
     }
     return out;

@@ -11,7 +11,8 @@ used.  ``--table`` prints the same report as indented lines, floats
 rounded the same way.  Wall time and the kernel backend go to stderr so
 they never perturb the payload.  Exit codes: 0 success, 1 a verified
 inequality failed, 2 usage error or any OSError (an unreadable or
-unwritable path, say, or a failed worker fork), 3 resource ceiling.
+unwritable path, say, a failed worker fork or a stdout closed before the
+report was written), 3 resource ceiling.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ def _build_parser():
     parser.add_argument("--cache-dir", default=None,
                         help=f"search-result cache directory (default ${CACHE_ENV})")
     parser.add_argument("--shards", type=_int_at_least(1), default=1,
-                        help="worker processes that grow the last search level; "
-                             "never changes the output")
+                        help="processes that grow the last search level: this one "
+                             "and up to N-1 forked children, at most one per CPU; "
+                             "needs os.fork and never changes the output")
     parser.add_argument("--max-certificates", type=_int_at_least(0), default=1000)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -382,7 +384,16 @@ def dispatch(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> int:
-    return dispatch(sys.argv[1:])
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed before the report was written (``| head``);
+        # stdout goes to devnull so the flush at shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

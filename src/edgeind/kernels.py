@@ -7,6 +7,8 @@ At import time the compiled C extension ``edgeind._kernels`` (backend
 environment variable ``EDGEIND_PURE`` is set.  Graphs above 64 vertices,
 and parents whose extensions could exceed 64 vertices, always take the
 pure twin, because the C code packs a neighborhood into one machine word.
+The pure twin is imported only when one of these needs it, so a process
+on the compiled backend that stays within 64 vertices never loads it.
 """
 
 from __future__ import annotations
@@ -15,22 +17,29 @@ import os
 from functools import lru_cache
 
 from .graph import Graph, WORD_VERTICES
-from . import _kernels_py
+
+
+def _pure():
+    from . import _kernels_py
+
+    return _kernels_py
+
 
 if os.environ.get("EDGEIND_PURE"):
-    _impl = _kernels_py
+    _impl = _pure()
 else:
     try:
         from . import _kernels as _impl  # type: ignore[attr-defined]
     except ImportError:
-        _impl = _kernels_py
+        _impl = _pure()
 
 BACKEND = _impl.BACKEND
 
 
 def _backend_for(g: Graph, extra=0):
-    """The backend for g, or for graphs of up to ``extra`` more vertices."""
-    return _kernels_py if g.n + extra > WORD_VERTICES else _impl
+    """The backend module for g, or for graphs of up to ``extra`` more
+    vertices."""
+    return _pure() if g.n + extra > WORD_VERTICES else _impl
 
 
 def canonical_search(g: Graph) -> tuple:
@@ -44,7 +53,9 @@ def children(parent: Graph, seen: set) -> list:
     canonical label is not in ``seen``, ``rows`` being the adjacency rows of
     its canonical relabeling; each new label joins ``seen``.  The extensions
     are each non-edge added, a pendant edge at each vertex and, within the
-    64-vertex word, a disjoint edge, each labelled once."""
+    64-vertex word, a disjoint edge.  The compiled backend labels one
+    extension per orbit of the parent's automorphisms, the pure twin each
+    extension; both return the same list."""
     return _backend_for(parent, 2).children(parent.adj, seen)
 
 

@@ -1,18 +1,19 @@
 """Exact edge-inducibility by isomorph-free exhaustive generation.
 
 Graphs with m edges and no isolated vertices are generated one per
-isomorphism class, level by level: every one-edge extension of every
-(m-1)-edge class is canonically labelled once and kept if its label is
-new to the level.  With labelling in the compiled kernel, this costs no
-more than labelling one extension per orbit of the parent's automorphism
-group (McKay, "Isomorph-free exhaustive generation", 1998), and needs no
-orbit bookkeeping.  One kernel call per parent (``kernels.children``)
-builds and labels its extensions and returns each new class with the rows
-of its canonical relabeling, which represent the class.  A level-wide
-seen-set of labels is sound because labels are canonical (equal exactly
-for isomorphic graphs), and the representative is the graph the label
-encodes, so it does not depend on which parent or which worker found the
-class first.
+isomorphism class, level by level: the m-edge classes are the canonical
+labels of the one-edge extensions of the (m-1)-edge classes, each kept
+the first time it is seen.  One kernel call per parent (``kernels.children``) builds its extensions,
+labels them and returns each new class with the rows of its canonical
+relabeling, which represent the class.  The compiled kernel labels the
+parent first and then only one extension per orbit of its automorphism
+group (McKay, "Isomorph-free exhaustive generation", 1998); the pure twin
+labels every extension.  Both return the same classes, because a skipped
+extension is isomorphic to a labelled one of the same parent.  A
+level-wide seen-set of labels is sound because labels are canonical
+(equal exactly for isomorphic graphs), and the representative is the
+graph the label encodes, so it does not depend on which parent or which
+forked shard worker found the class first.
 
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value the closed-form bounds are
@@ -22,6 +23,7 @@ sandwiched against.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import sys
 import urllib.parse
@@ -70,17 +72,6 @@ def estimated_class_count(m):
     return int(CLASS_COUNTS[-1] * ratio ** (m - len(CLASS_COUNTS) + 1))
 
 
-def __getattr__(name):
-    # concurrent.futures costs a cold process about 30 ms and only sharded
-    # growth needs it, so the pool class is imported on first use; a class
-    # set on this module in its place is the one _level uses.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _children(parent: Graph, seen: set):
     """``(label, canonical rows)`` of each class among the one-edge
     extensions of ``parent`` whose label is not yet in ``seen``; new labels
@@ -98,10 +89,67 @@ def _grow(parents):
     return found
 
 
-def _shard_worker(parent_labels):
-    """Pool task.  Parents arrive as graph6 labels, so the result does not
-    depend on what the worker inherited from the parent process."""
-    return _grow(parse_graph6(label) for label in parent_labels)
+def _shard_worker(parents):
+    """Grow one slice of a level's parents in a forked child, which
+    inherited them from the process that forked it."""
+    return _grow(parents)
+
+
+def _fork_shard(parents):
+    """Fork a child that runs ``_shard_worker(parents)``, sends the dict back
+    through a pipe with marshal and leaves with ``os._exit``, 0 on success.
+    Returns its pid and the read end of the pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            # looked up on the module at call time, so a wrapper set there
+            # sees the call
+            data = marshal.dumps(_shard_worker(parents))
+            with open(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _grow_sharded(slices):
+    """``_grow`` over the union of the slices: this process grows the first
+    and one forked child each of the others (edgeind starts no threads, so
+    the children inherit a consistent process).  Every child is reaped,
+    also when this process's own slice raises; a child that failed raises
+    RuntimeError."""
+    workers, parts, statuses = [], [], []
+    try:
+        for part in slices[1:]:
+            workers.append(_fork_shard(part))
+        found = _grow(slices[0])
+        for _, r in workers:
+            with open(r, "rb", closefd=False) as fh:
+                parts.append(fh.read())
+    finally:
+        for pid, r in workers:
+            os.close(r)  # a child still writing gets EPIPE instead of blocking
+            statuses.append(os.waitpid(pid, 0)[1])
+    failed = sum(status != 0 for status in statuses)
+    if failed:
+        raise RuntimeError(f"{failed} of {len(workers)} shard workers failed")
+    for data in parts:
+        found.update(marshal.loads(data))
+    return found
 
 
 _LEVELS = {}
@@ -110,26 +158,28 @@ _LEVELS = {}
 def _level(m, shards=1):
     """All m-edge classes without isolated vertices, as (label, graph)
     pairs sorted by label, each graph the canonical relabeling.  A level is
-    grown once per process from level m-1; with shards > 1, pool workers
-    grow disjoint slices of its parents.  A level within CLASS_COUNTS that
-    does not have exactly that many classes raises RuntimeError."""
+    grown once per process from level m-1.  With shards > 1 its parents are
+    cut into k = min(shards, CPUs, parents) interleaved slices; this process
+    grows the first and a forked child each of the others, so sharding
+    needs ``os.fork`` (ValueError without it).  A level within
+    CLASS_COUNTS that does not have exactly that many classes raises
+    RuntimeError."""
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
+    if shards > 1 and not hasattr(os, "fork"):
+        raise ValueError("sharded growth needs os.fork, which this platform lacks")
     if m not in _LEVELS:
         if m <= 1:
             g = Graph.complete(2) if m else Graph.empty(0)
             form = canonical_form(g)
             found = {form.label: g.relabel(form.perm).adj}
-        elif shards <= 1:
-            found = _grow(g for _, g in _level(m - 1))
         else:
-            parent_labels = [label for label, _ in _level(m - 1)]
-            slices = [parent_labels[i::shards] for i in range(shards)]
-            pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
-            found = {}
-            with pool_class(max_workers=min(shards, os.cpu_count() or 1)) as pool:
-                for part in pool.map(_shard_worker, slices):
-                    found.update(part)
+            parents = [g for _, g in _level(m - 1)]
+            k = min(shards, os.cpu_count() or 1, len(parents))
+            if k <= 1:
+                found = _grow(parents)
+            else:
+                found = _grow_sharded([parents[i::k] for i in range(k)])
         if m < len(CLASS_COUNTS) and len(found) != CLASS_COUNTS[m]:
             raise RuntimeError(f"level {m} has {len(found)} classes, expected "
                                f"{CLASS_COUNTS[m]} (OEIS A000664)")

@@ -8,7 +8,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, gcd
 
 from edgeind import Graph, canonical_label
@@ -139,6 +139,26 @@ def polya_edge_class_count(m):
 def random_graph(rng, n, p) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def disjoint_union(*graphs) -> Graph:
+    edges, start = [], 0
+    for g in graphs:
+        edges += [(start + u, start + v) for u, v in g.edges()]
+        start += g.n
+    return Graph.from_edges(start, edges)
+
+
+def one_edge_extensions(g: Graph):
+    """Every one-edge extension of g: each non-edge added, a pendant edge at
+    each vertex, and a disjoint edge."""
+    n = g.n
+    for u, v in combinations(range(n), 2):
+        if not g.has_edge(u, v):
+            yield g.add_edge(u, v)
+    for u in range(n):
+        yield g.add_vertex(1 << u)
+    yield g.add_vertex(0).add_vertex(1 << n)
 
 
 def petersen() -> Graph:

@@ -231,24 +231,59 @@ def test_rejected_search_inputs_make_no_cache_dir(tmp_path):
             assert not cache_dir.exists()
 
 
-def test_cold_searches_import_neither_entropy_nor_the_pool():
-    # a fresh process per command; the entropy names still import
+def test_cold_searches_import_neither_entropy_nor_the_pool(request):
+    # a fresh process per command, on the compiled backend when it can be
+    # built, where nothing within 64 vertices needs the pure twin; the
+    # entropy names still import
     probe = (
         "import io, sys\n"
+        "from edgeind import kernels\n"
         "from edgeind.cli import dispatch\n"
         "code = dispatch(sys.argv[1:], io.StringIO(), io.StringIO())\n"
-        "print(code, *[name for name in ('edgeind.entropy', 'concurrent.futures')"
-        " if name in sys.modules])\n"
+        "print(code, kernels.BACKEND, *[name for name in ('edgeind.entropy',"
+        " 'concurrent.futures', 'edgeind._kernels_py') if name in sys.modules])\n"
         "from edgeind import ClaimLedger\n"
         "print(ClaimLedger.__module__)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    for argv in (["rho", "--pattern", "Bw", "-m", "5"], ["sandwich", "--family", "C5", "-m", "6"]):
+    try:
+        path = str(request.getfixturevalue("built_lib"))
+    except pytest.skip.Exception:
+        path = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "EDGEIND_PURE"}
+    env["PYTHONPATH"] = path
+    for argv in (["rho", "--pattern", "Bw", "-m", "5"], ["sandwich", "--family", "C5", "-m", "6"],
+                 ["--shards", "2", "rho", "--pattern", "Bw", "-m", "6"]):
         proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n") == ["0", "edgeind.entropy", ""], argv
+        code, backend, *loaded = proc.stdout.split("\n")[0].split()
+        assert code == "0"
+        assert loaded == ([] if backend == "c" else ["edgeind._kernels_py"]), argv
+        assert proc.stdout.split("\n")[1:] == ["edgeind.entropy", ""], argv
+
+
+def test_closed_stdout_is_an_error():
+    # the reader is gone before the report is written (``| head`` that
+    # exits early): exit 2 and one error line, no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "edgeind.cli", "sandwich", "--family", C5,
+                               "-m", "6"], stdout=w, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout was closed before the report was written\n"
+
+
+def test_shards_without_fork_are_a_usage_error(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run(["--shards", "2", "rho", "--pattern", P3, "-m", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: sharded growth needs os.fork, which this platform lacks\n"
+    assert run(["rho", "--pattern", P3, "-m", "4"])[0] == 0
 
 
 def test_entropy_empty_support_is_usage_error():

@@ -1,8 +1,10 @@
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from edgeind import Graph, canonical_form, kernels, parse_graph6
 from edgeind import _kernels_py
 
-from helpers import petersen, random_graph
+from helpers import disjoint_union, one_edge_extensions, petersen, random_graph
 
 
 @st.composite
@@ -157,6 +159,55 @@ def test_backends_agree_on_64_vertex_hosts(compiled):
                     copies = compiled.enumerate_ordered(*args)
                     assert len(copies) == count
                     assert copies == _kernels_py.enumerate_ordered(*args)
+
+
+def test_growth_of_symmetric_parents(compiled):
+    # the compiled entry labels one extension per orbit of the parent's
+    # automorphisms and the pure twin labels them all; on these parents
+    # most extensions are skipped
+    c5 = Graph.cycle(5)
+    parents = [Graph.complete(8), Graph.complete_bipartite(4, 4),
+               Graph.complete_bipartite(1, 12), disjoint_union(*[Graph.complete(2)] * 8),
+               disjoint_union(c5, c5, c5), Graph.cycle(16)]
+    for parent in parents:
+        fresh = _kernels_py.children(parent.adj, set())
+        half = {label for label, _ in fresh[::2]}
+        seen_py = set(half)
+        runs = [(set(), fresh, {label for label, _ in fresh}),
+                (half, _kernels_py.children(parent.adj, seen_py), seen_py)]
+        for start, pure, pure_seen in runs:
+            seen_c = set(start)
+            assert compiled.children(parent.adj, seen_c) == pure
+            assert seen_c == pure_seen
+
+
+def test_growth_of_symmetric_62_vertex_parents(compiled):
+    # the whole word, the disjoint edge's 64 vertices included.  C50 + 3C4
+    # against a compiled label of every one-edge extension; 31K2, where one
+    # label takes about 0.5 s, against a label of each of the three classes
+    # its extensions fall into: P4 + 29K2, P3 + 30K2 and 32K2
+    k2, p3, p4 = Graph.complete(2), Graph.path(3), Graph.path(4)
+    c50 = disjoint_union(Graph.cycle(50), *[Graph.cycle(4)] * 3)
+    cases = [(c50, one_edge_extensions(c50)),
+             (disjoint_union(*[k2] * 31), [disjoint_union(p4, *[k2] * 29),
+                                           disjoint_union(p3, *[k2] * 30),
+                                           disjoint_union(*[k2] * 32)])]
+    for parent, extensions in cases:
+        labels = {compiled.canonical_search(child.adj)[0] for child in extensions}
+        new = compiled.children(parent.adj, set())
+        assert len(new) == len(labels)
+        assert {label for label, _ in new} == labels
+
+
+def test_kernel_source_compiles_without_warnings(built_lib):
+    # built_lib skips without a C compiler or the Python headers
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    source = os.path.join(os.path.dirname(kernels.__file__), "_kernels.c")
+    proc = subprocess.run(
+        [*cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+         "-I", sysconfig.get_paths()["include"], source],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_setup_build_compiles_the_extension(built_lib):

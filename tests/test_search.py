@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from edgeind import (
 from edgeind import _kernels_py, automorphism_order, kernels, search
 from edgeind.search import SearchResult, estimated_class_count
 
-from helpers import polya_edge_class_count
+from helpers import one_edge_extensions, polya_edge_class_count
 
 
 def filter_and_canonicalize(m):
@@ -140,16 +141,6 @@ def test_level_labels_match_fixture(backends, monkeypatch):
         assert digest.hexdigest() == LEVEL_LABELS_SHA256, backend.BACKEND
 
 
-def one_edge_extensions(g):
-    n = g.n
-    for u, v in combinations(range(n), 2):
-        if not g.has_edge(u, v):
-            yield g.add_edge(u, v)
-    for u in range(n):
-        yield g.add_vertex(1 << u)
-    yield g.add_vertex(0).add_vertex(1 << n)
-
-
 def test_candidate_labels_and_perms_match_fixture(backends, monkeypatch):
     levels = [search._level(m) for m in range(8)]
     for backend in backends:
@@ -254,26 +245,55 @@ def test_level_with_a_missing_class_raises(monkeypatch):
         assert 6 not in search._LEVELS
 
 
-def test_sharded_growth_uses_the_pool_class_set_on_the_module(monkeypatch):
-    # the pool class is imported on first use, and a class set on the
-    # module in its place is the one sharded growth starts
-    from concurrent.futures import ProcessPoolExecutor
+def test_sharded_growth_calls_the_worker_set_on_the_module(monkeypatch, tmp_path):
+    # a forked child looks _shard_worker up on the module, so a wrapper set
+    # there (as a tracer does) sees the call; this process grows its own
+    # slice without it
+    worker = search._shard_worker
 
-    assert search.ProcessPoolExecutor is ProcessPoolExecutor
-    started = []
+    def wrapper(parents):
+        (tmp_path / str(os.getpid())).write_text(str(len(parents)))
+        return worker(parents)
 
-    class Pool(ProcessPoolExecutor):
-        def __enter__(self):
-            started.append(self)
-            return super().__enter__()
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(search, "_shard_worker", wrapper)
     serial = search._level(5)
-    monkeypatch.setattr(search, "_LEVELS", {m: search._LEVELS[m] for m in range(5)})
+    monkeypatch.setattr(search, "_LEVELS", {m: search._level(m) for m in range(5)})
     assert search._level(5, 2) == serial
-    assert len(started) == 1
-    with pytest.raises(AttributeError, match="has no attribute 'ThreadPoolExecutor'"):
-        search.ThreadPoolExecutor
+    calls = {int(path.name): int(path.read_text()) for path in tmp_path.iterdir()}
+    assert os.getpid() not in calls
+    assert list(calls.values()) == [len(search._level(4)[1::2])]
+    assert not hasattr(search, "ProcessPoolExecutor")
+
+
+def test_a_failed_shard_worker_raises_and_is_reaped(monkeypatch):
+    def failing(parents):
+        raise ValueError("worker failed")
+
+    monkeypatch.setattr(search, "_shard_worker", failing)
+    monkeypatch.setattr(search, "_LEVELS", {m: search._level(m) for m in range(5)})
+    with pytest.raises(RuntimeError, match="^1 of 1 shard workers failed$"):
+        search._level(5, 2)
+    assert 5 not in search._LEVELS
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_children_are_reaped_when_the_own_slice_raises(monkeypatch):
+    # this process's slice fails; the child's slice succeeds
+    me = os.getpid()
+    grow = search._grow
+
+    def failing_here(parents):
+        if os.getpid() == me:
+            raise KeyError("own slice")
+        return grow(parents)
+
+    monkeypatch.setattr(search, "_LEVELS", {m: search._level(m) for m in range(6)})
+    monkeypatch.setattr(search, "_grow", failing_here)
+    with pytest.raises(KeyError, match="own slice"):
+        search._level(6, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sharded_rho_identical():
