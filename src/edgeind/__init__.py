@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .graph import Graph, Graph6Error, parse_graph6, parse_graph6_file, write_graph6
 from .canon import (
     CanonicalForm,
-    are_isomorphic,
     automorphism_order,
     canonical_form,
     canonical_label,
@@ -31,7 +30,6 @@ from .fracind import (
     HalfIntegralWeighting,
     WeightingInvariantError,
     alpha_f,
-    alpha_f_bruteforce,
     optimal_weighting,
 )
 from .blowups import (

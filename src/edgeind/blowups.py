@@ -41,9 +41,6 @@ class BlowupSpec:
     base: Graph
     sizes: tuple
 
-    def vertex_count(self):
-        return sum(self.sizes)
-
     def edge_count(self):
         total = 0
         for u, v in self.base.edges():

@@ -1,4 +1,4 @@
-"""Canonical labels, isomorphism testing and automorphism-group order.
+"""Canonical labels and automorphism-group order.
 
 The canonical form is computed by equitable refinement with
 individualization and backtracking, in the kernel backend
@@ -33,12 +33,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 def canonical_label(g: Graph) -> str:
     return canonical_form(g).label
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_label(g) == canonical_label(h)
 
 
 @lru_cache(maxsize=None)

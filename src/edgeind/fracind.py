@@ -6,10 +6,39 @@ off a maximum matching in the bipartite double cover:
 
     alpha_f(H) = n - matching_number(double_cover(H)) / 2
 
-An exhaustive search over {0, 1/2, 1} assignments is kept alongside as an
-independent oracle, and also produces the witness maximizing the number
-of weight-1 vertices, together with its A/B/C split and a matching of the
-weight-0 vertices into the weight-1 side.
+The witness is the half-integral optimum with the most weight-1 vertices,
+ties broken by the lexicographically smallest weight-1 set.  Write N(S)
+for the neighbors of S, N[S] for S and its neighbors, d(S) for
+|S| - |N(S)|, and | and & for union and intersection.  Three facts reduce
+the witness to alpha_f calls:
+
+1. Every half-integral optimum is w_A: 1 on its weight-1 set A, 0 on N(A)
+   and 1/2 elsewhere (a vertex at 0 outside N(A) could rise to 1/2).  Its
+   total is (n + d(A)) / 2, so d(A) = 2 alpha_f(H) - n for every optimum,
+   and no vertex set has a larger d (the left copies of any S have only
+   |N(S)| neighbors in the double cover).
+2. For an independent S, the best total of a feasible weighting that is 1
+   on S is |S| + alpha_f(H - N[S]), since N(S) carries 0 and H - N[S] is
+   then unconstrained by S.  So S lies in the weight-1 set of some
+   optimum exactly when that sum is alpha_f(H).
+3. A weight-1 set that no optimum's weight-1 set strictly contains is a
+   largest one.  For optima A and B, d is supermodular, so d(A | B) is
+   maximal too; comparing it with the independent sets A | (B - N[A]) and
+   B | (A - N[B]) gives |B & N(A)| = |A & N(B)| and makes A | (B - N[A])
+   the weight-1 set of an optimum.  If A cannot grow, B lies in N[A], so
+   |B| = |A & B| + |A & N(B)| <= |A|.  (The weight-1 sets of optima are
+   the critical independent sets of Larson, "The critical independence
+   number and an independence decomposition", Eur. J. Combin. 2011.)
+
+The union of the weight-1 sets is no witness: in K2 both {0} and {1} are
+optimal, and their union is not independent.  Instead S grows greedily:
+walk v = 0..n-1 and keep v when S + {v} still lies in the weight-1 set of
+an optimum (fact 2).  The walk ends at a weight-1 set that cannot grow,
+which is a largest one (fact 3).  Every set that can still grow reaches a
+largest one, so each kept v is the smallest next vertex of a largest set
+containing S, and the walk ends at the lexicographically smallest.  That
+is at most n + 1 matchings, where an exhaustive search over {0, 1/2, 1}
+assignments is exponential in n.
 """
 
 from __future__ import annotations
@@ -67,92 +96,45 @@ def bipartite_matching(adj_left) -> dict:
     return match_left
 
 
+def _twice_alpha_f(h: Graph, keep) -> int:
+    """2 alpha_f of the subgraph induced on the vertex bitmask ``keep``:
+    twice its order less the matching number of its double cover (left
+    vertex v0 adjacent to the right copies of v's neighbors)."""
+    kept = [v for v in range(h.n) if keep >> v & 1]
+    cover = [[u for u in h.neighbors(v) if keep >> u & 1] for v in kept]
+    return 2 * len(kept) - len(bipartite_matching(cover))
+
+
 def alpha_f(h: Graph) -> Fraction:
-    """n - nu/2, with nu the matching number of the bipartite double cover
-    (vertices v0/v1, edges u0-v1 and v0-u1 for every edge uv): left vertex
-    v0 is adjacent to the right copies of v's neighbors."""
-    matching = bipartite_matching([h.neighbors(v) for v in range(h.n)])
-    return Fraction(2 * h.n - len(matching), 2)
-
-
-def _cap(adj, w, i):
-    """Largest weight (half units) vertex i can take next to the weights
-    ``w`` already given to its neighbors below i."""
-    cap = 2
-    r = adj[i] & ((1 << i) - 1)
-    while r:
-        j = (r & -r).bit_length() - 1
-        r &= r - 1
-        cap = min(cap, 2 - w[j])
-        if cap == 0:
-            break
-    return cap
-
-
-def alpha_f_bruteforce(h: Graph, limit=14) -> Fraction:
-    """Maximum of the weight sum over all feasible {0, 1/2, 1} assignments,
-    by exhaustive search with feasibility and potential pruning.  The
-    independent oracle for alpha_f."""
-    if h.n > limit:
-        raise ValueError(f"brute force limited to {limit} vertices, got {h.n}")
-    n = h.n
-    adj = h.adj
-    best = 0
-    w = [0] * n
-
-    def rec(i, total):
-        nonlocal best
-        if total + 2 * (n - i) <= best:
-            return
-        if i == n:
-            best = total
-            return
-        for val in range(_cap(adj, w, i), -1, -1):
-            w[i] = val
-            rec(i + 1, total + val)
-        w[i] = 0
-
-    rec(0, 0)
-    return Fraction(best, 2)
+    """n - nu/2, with nu the matching number of the bipartite double cover."""
+    return Fraction(_twice_alpha_f(h, (1 << h.n) - 1), 2)
 
 
 def optimal_weighting(h: Graph):
-    """A half-integral optimum maximizing the number of weight-1 vertices,
-    ties broken by lexicographically smallest weight-1 set.
+    """The half-integral optimum with the most weight-1 vertices, ties
+    broken by the lexicographically smallest weight-1 set.
 
-    Returns (HalfIntegralWeighting, ABCDecomposition).  Exhaustive search
-    pruned by the matching-based optimum; intended for small patterns.
+    Returns (HalfIntegralWeighting, ABCDecomposition).  Walks the vertices
+    in index order and keeps v when the kept set S plus v still lies in
+    the weight-1 set of an optimum; ``keep`` is V - N[S] and ``doubled``
+    twice its alpha_f.
     """
-    n = h.n
-    adj = h.adj
-    target = 2 * alpha_f(h)  # in half units
-    best = None  # (a_count, neg-lex A) comparable; store (a_count, A_tuple, w)
-    w = [0] * n
-
-    def rec(i, total, a_count):
-        nonlocal best
-        if total + 2 * (n - i) < target:
-            return
-        if i == n:
-            if total != target:
-                return
-            a = tuple(v for v in range(n) if w[v] == 2)
-            if best is None or (a_count, [-x for x in a]) > (best[0], [-x for x in best[1]]):
-                # larger |A| wins; ties: lexicographically smaller A wins,
-                # which is larger on the negated tuple
-                best = (a_count, a, tuple(w))
-            return
-        for val in range(_cap(adj, w, i), -1, -1):
-            w[i] = val
-            rec(i + 1, total + val, a_count + (val == 2))
-        w[i] = 0
-
-    rec(0, 0, 0)
-    if best is None:
-        raise WeightingInvariantError("no assignment attains the matching-based optimum")
-    weighting = HalfIntegralWeighting(best[2])
-    decomposition = _decompose(h, weighting)
-    return weighting, decomposition
+    keep = (1 << h.n) - 1
+    target = doubled = _twice_alpha_f(h, keep)
+    chosen = 0
+    for v in range(h.n):
+        if keep >> v & 1:
+            rest = keep & ~(h.adj[v] | 1 << v)
+            rest_doubled = _twice_alpha_f(h, rest)
+            if rest_doubled + 2 == doubled:
+                chosen |= 1 << v
+                keep, doubled = rest, rest_doubled
+    # w_S in half units: 2 on S, 1 on V - N[S] and 0 on N(S)
+    weighting = HalfIntegralWeighting(tuple(
+        2 if chosen >> v & 1 else keep >> v & 1 for v in range(h.n)))
+    if sum(weighting.half_units) != target:
+        raise WeightingInvariantError("the built weighting misses alpha_f")
+    return weighting, _decompose(h, weighting)
 
 
 def _decompose(h: Graph, weighting: HalfIntegralWeighting) -> ABCDecomposition:

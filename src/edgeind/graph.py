@@ -45,8 +45,8 @@ class Graph:
 
     @classmethod
     def _unchecked(cls, n, adj: tuple):
-        """A graph from rows that are valid by construction, such as a valid
-        graph's rows with one checked edge or vertex added."""
+        """A graph from rows that are valid by construction, such as the
+        canonical rows a kernel returns or a pickled graph's rows."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
@@ -135,12 +135,6 @@ class Graph:
         full = (1 << k) - 1
         return cls(k, [full ^ (1 << v) for v in range(k)])
 
-    @classmethod
-    def complete_bipartite(cls, a, b):
-        left = (1 << a) - 1
-        right = ((1 << (a + b)) - 1) ^ left
-        return cls(a + b, [right] * a + [left] * b)
-
     # -- derived graphs ------------------------------------------------
 
     def relabel(self, perm):
@@ -170,35 +164,6 @@ class Graph:
                 if row >> u & 1:
                     adj[i] |= 1 << j
         return Graph(len(vertices), adj)
-
-    def without_isolated(self):
-        """Drop degree-0 vertices, keeping the relative order of the rest."""
-        keep = [v for v in range(self.n) if self.adj[v]]
-        if len(keep) == self.n:
-            return self
-        return self.induced_subgraph(keep)
-
-    def add_edge(self, u, v):
-        n = self.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has an end outside 0..{n - 1}")
-        if u == v or self.adj[u] >> v & 1:
-            raise ValueError("edge already present or loop")
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph._unchecked(n, tuple(adj))
-
-    def add_vertex(self, neighbors=0):
-        """Append vertex n, adjacent to the given bitmask of old vertices."""
-        n = self.n
-        if not 0 <= neighbors < 1 << n:
-            raise ValueError(f"neighbor mask {neighbors} mentions vertices outside 0..{n - 1}")
-        if n == MAX_VERTICES:
-            raise ValueError(f"vertex count {n + 1} outside 0..{MAX_VERTICES}")
-        adj = [row | (neighbors >> v & 1) << n for v, row in enumerate(self.adj)]
-        adj.append(neighbors)
-        return Graph._unchecked(n + 1, tuple(adj))
 
 
 # -- graph6 ------------------------------------------------------------

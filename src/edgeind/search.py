@@ -29,7 +29,7 @@ import sys
 import urllib.parse
 from dataclasses import dataclass
 
-from .graph import Graph, parse_graph6
+from .graph import Graph, parse_graph6, write_graph6
 from .canon import automorphism_order, canonical_form
 from .counting import count_induced
 from .families import family_graph, family_name
@@ -158,7 +158,8 @@ _LEVELS = {}
 def _level(m, shards=1):
     """All m-edge classes without isolated vertices, as (label, graph)
     pairs sorted by label, each graph the canonical relabeling.  A level is
-    grown once per process from level m-1.  With shards > 1 its parents are
+    grown once per process from level m-1; level 0 holds the empty graph,
+    its own canonical relabeling.  With shards > 1 its parents are
     cut into k = min(shards, CPUs, parents) interleaved slices; this process
     grows the first and a forked child each of the others, so sharding
     needs ``os.fork`` (ValueError without it).  A level within
@@ -169,10 +170,8 @@ def _level(m, shards=1):
     if shards > 1 and not hasattr(os, "fork"):
         raise ValueError("sharded growth needs os.fork, which this platform lacks")
     if m not in _LEVELS:
-        if m <= 1:
-            g = Graph.complete(2) if m else Graph.empty(0)
-            form = canonical_form(g)
-            found = {form.label: g.relabel(form.perm).adj}
+        if m == 0:
+            found = {write_graph6(Graph.empty(0)): ()}
         else:
             parents = [g for _, g in _level(m - 1)]
             k = min(shards, os.cpu_count() or 1, len(parents))

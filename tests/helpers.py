@@ -1,6 +1,7 @@
-"""Shared test oracles, deliberately independent of the package internals:
-dumb recursion instead of bitset propagation, permutation minimums instead
-of refinement, and a cycle-index count instead of generation."""
+"""Shared test oracles and graph builders, deliberately independent of the
+package internals: dumb recursion instead of bitset propagation,
+permutation minimums instead of refinement, a cycle-index count instead of
+generation, and every {0, 1/2, 1} assignment instead of a matching."""
 
 import io
 import json
@@ -72,7 +73,7 @@ def classes_on(n):
     out = {}
     for g in classes_on(n - 1):
         for nb in range(2 ** (n - 1)):
-            child = g.add_vertex(nb)
+            child = add_vertex(g, nb)
             label = canonical_label(child)
             if label not in out:
                 out[label] = child
@@ -141,6 +142,27 @@ def random_graph(rng, n, p) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def complete_bipartite(a, b) -> Graph:
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def add_edge(g: Graph, u, v) -> Graph:
+    """g with the non-edge uv added."""
+    assert not g.has_edge(u, v)
+    return Graph.from_edges(g.n, g.edges() + [(u, v)])
+
+
+def add_vertex(g: Graph, neighbors=0) -> Graph:
+    """g with vertex n appended, adjacent to the bitmask ``neighbors``."""
+    rows = [row | (neighbors >> v & 1) << g.n for v, row in enumerate(g.adj)]
+    return Graph(g.n + 1, rows + [neighbors])
+
+
+def without_isolated(g: Graph) -> Graph:
+    """g without its degree-0 vertices, the rest in their order."""
+    return g.induced_subgraph([v for v in range(g.n) if g.adj[v]])
+
+
 def disjoint_union(*graphs) -> Graph:
     edges, start = [], 0
     for g in graphs:
@@ -155,10 +177,10 @@ def one_edge_extensions(g: Graph):
     n = g.n
     for u, v in combinations(range(n), 2):
         if not g.has_edge(u, v):
-            yield g.add_edge(u, v)
+            yield add_edge(g, u, v)
     for u in range(n):
-        yield g.add_vertex(1 << u)
-    yield g.add_vertex(0).add_vertex(1 << n)
+        yield add_vertex(g, 1 << u)
+    yield add_vertex(add_vertex(g), 1 << n)
 
 
 def petersen() -> Graph:
@@ -228,6 +250,57 @@ def permutation_group_order(gens, n):
     for reps in trans:
         order *= len(reps)
     return order
+
+
+# -- the fractional-independence oracle: every {0, 1/2, 1} assignment --
+
+
+def _cap(adj, w, i):
+    """Largest weight (half units) vertex i can take next to the weights
+    ``w`` already given to its neighbors below i."""
+    cap = 2
+    r = adj[i] & ((1 << i) - 1)
+    while r:
+        j = (r & -r).bit_length() - 1
+        r &= r - 1
+        cap = min(cap, 2 - w[j])
+        if cap == 0:
+            break
+    return cap
+
+
+def half_integral_optimum(h: Graph, limit=14):
+    """``(alpha_f, half_units)`` by exhaustive search over the feasible
+    {0, 1/2, 1} assignments, pruned only by the best total so far: the
+    largest total, then the most weight-1 vertices, then the
+    lexicographically smallest weight-1 set, with weights in half units."""
+    if h.n > limit:
+        raise ValueError(f"brute force limited to {limit} vertices, got {h.n}")
+    n, adj = h.n, h.adj
+    best = (-1,)  # (total, |A|, A negated, weights)
+    w = [0] * n
+
+    def rec(i, total, ones):
+        nonlocal best
+        if total + 2 * (n - i) < best[0]:
+            return
+        if i == n:
+            if (total, ones) >= best[:2]:
+                key = (total, ones, [-v for v in range(n) if w[v] == 2])
+                if key > best[:3]:
+                    best = (*key, tuple(w))
+            return
+        for val in range(_cap(adj, w, i), -1, -1):
+            w[i] = val
+            rec(i + 1, total + val, ones + (val == 2))
+        w[i] = 0
+
+    rec(0, 0, 0)
+    return Fraction(best[0], 2), best[3]
+
+
+def alpha_f_bruteforce(h: Graph, limit=14) -> Fraction:
+    return half_integral_optimum(h, limit)[0]
 
 
 # -- entropy-lab oracles: whole-tuple predicates and Fraction arithmetic --

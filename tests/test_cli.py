@@ -16,7 +16,7 @@ from edgeind import Graph, automorphism_order, cli, kernels, search, write_graph
 from edgeind import entropy as ent
 from edgeind.cli import dispatch
 
-from helpers import json_report_oracle
+from helpers import complete_bipartite, json_report_oracle
 
 C5 = write_graph6(Graph.cycle(5))
 C6 = write_graph6(Graph.cycle(6))
@@ -39,6 +39,16 @@ def test_alphaf_report():
     assert err.rstrip().endswith(f" backend={kernels.BACKEND}")
 
 
+def test_alphaf_on_a_long_odd_cycle():
+    # an exhaustive {0, 1/2, 1} search over 41 vertices would run for hours
+    code, out, _ = run(["alphaf", write_graph6(Graph.cycle(41))])
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["alpha_f"] == "41/2"
+    assert list(outputs["weights"].values()) == [0.5] * 41
+    assert outputs["weight_half"] == list(range(41))
+
+
 def test_count_report():
     code, out, _ = run(["count", "--host", C5, "--pattern", P3])
     assert code == 0
@@ -51,10 +61,10 @@ def test_rho_star(tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["outputs"]["rho"] == 10
-    star = write_graph6(Graph.complete_bipartite(1, 5))
+    star = write_graph6(complete_bipartite(1, 5))
     from edgeind import canonical_label
 
-    assert canonical_label(Graph.complete_bipartite(1, 5)) in rep["outputs"]["extremal"]
+    assert canonical_label(complete_bipartite(1, 5)) in rep["outputs"]["extremal"]
 
 
 def test_repeated_runs_byte_identical(tmp_path):
@@ -287,7 +297,7 @@ def test_shards_without_fork_are_a_usage_error(monkeypatch):
 
 
 def test_entropy_empty_support_is_usage_error():
-    k33 = write_graph6(Graph.complete_bipartite(3, 3))
+    k33 = write_graph6(complete_bipartite(3, 3))
     code, _, err = run(["entropy", "--host", k33, "--pattern", write_graph6(Graph.path(5)), "--verify", "path"])
     assert code == 2
     assert "no induced copy" in err

@@ -17,6 +17,7 @@ from edgeind import (
 )
 
 from helpers import (
+    complete_bipartite,
     gamma_by_filtering,
     naive_count_ordered,
     naive_count_unordered,
@@ -41,7 +42,7 @@ def test_count_examples():
     c5 = Graph.cycle(5)
     s = count_induced(c5, c5)
     assert (s.ordered, s.unordered) == (10, 1)
-    assert count_induced(Graph.complete_bipartite(3, 3), Graph.cycle(4)).unordered == 9
+    assert count_induced(complete_bipartite(3, 3), Graph.cycle(4)).unordered == 9
     assert count_induced(petersen(), Graph.cycle(5)).unordered == 12
 
 
@@ -133,7 +134,7 @@ def test_beta_examples_and_partition():
 def test_gamma_examples():
     c6 = Graph.cycle(6)
     assert gamma_table(c6, [(0, 1)]) == {(3, 4): (1, 1)}
-    k23 = Graph.complete_bipartite(2, 3)
+    k23 = complete_bipartite(2, 3)
     assert gamma_table(k23, [(0, 2)]) == {}
     with pytest.raises(ValueError):
         gamma_table(c6, [])
@@ -262,7 +263,7 @@ def test_extension_sets_close_c4_from_one_entry():
     c4 = Graph.cycle(4)
     assert alpha_extension_edges(c4, [(0, 1)], "cycle-close", 4) == [(2, 3)]
     assert alpha_extension_edges(c4, [(1, 0)], "cycle-close", 4) == [(2, 3)]
-    k33 = Graph.complete_bipartite(3, 3)
+    k33 = complete_bipartite(3, 3)
     for t in ([(0, 3)], [(3, 0)]):
         got = alpha_extension_edges(k33, t, "cycle-close", 4)
         assert got == predicate_extension_edges(k33, t, "cycle-close", 4)

@@ -28,6 +28,7 @@ from edgeind import (
 from edgeind.entropy import _contribution_cap
 
 from helpers import (
+    complete_bipartite,
     edge_tuples_oracle,
     even_entries,
     fraction_contribution_cap,
@@ -39,7 +40,7 @@ from helpers import (
 
 
 def test_projection_entropy_c4_in_k22():
-    k22 = Graph.complete_bipartite(2, 2)
+    k22 = complete_bipartite(2, 2)
     dist = CopyDistribution.collect(k22, Graph.cycle(4))
     assert projection_entropy(dist, (1, 2, 3, 4)) == pytest.approx(math.log(8), abs=1e-12)
     edges = dist.edge_tuples()
@@ -131,7 +132,7 @@ def test_projection_entropy_input_validation():
 
 def test_full_tuple_identity_examples():
     for host, pattern in [
-        (Graph.complete_bipartite(2, 2), Graph.cycle(4)),
+        (complete_bipartite(2, 2), Graph.cycle(4)),
         (blow_up(BlowupSpec(Graph.cycle(5), (2,) * 5)), Graph.cycle(5)),
         (Graph.cycle(6), Graph.path(5)),
     ]:
@@ -180,7 +181,7 @@ def test_path_decomposition_examples():
     assert rep.passed
     assert rep["per_copy_budget"].lhs <= 6
     with pytest.raises(EmptySupportError):
-        verify_path_decomposition(Graph.complete_bipartite(3, 3), "P5")
+        verify_path_decomposition(complete_bipartite(3, 3), "P5")
 
 
 def test_path_decomposition_random_hosts():

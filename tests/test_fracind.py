@@ -6,12 +6,20 @@ import pytest
 
 from edgeind import (
     Graph,
+    HalfIntegralWeighting,
     alpha_f,
-    alpha_f_bruteforce,
+    kernels,
     optimal_weighting,
 )
+from edgeind.fracind import _decompose
 
-from helpers import classes_on, random_graph
+from helpers import (
+    alpha_f_bruteforce,
+    classes_on,
+    disjoint_union,
+    half_integral_optimum,
+    random_graph,
+)
 
 
 def test_named_values():
@@ -40,6 +48,51 @@ def test_matching_equals_bruteforce_random():
 def test_bruteforce_size_limit():
     with pytest.raises(ValueError):
         alpha_f_bruteforce(Graph.empty(15))
+
+
+def assert_weighting_is_the_oracle_optimum(g):
+    value, units = half_integral_optimum(g)
+    weighting = HalfIntegralWeighting(units)
+    assert alpha_f(g) == value
+    assert optimal_weighting(g) == (weighting, _decompose(g, weighting))
+
+
+def test_weighting_equals_oracle_on_small_classes(backends, monkeypatch):
+    # every class on at most 8 vertices; the classes are labelled by the
+    # compiled kernel when the session can build it, which only speeds
+    # their generation up, since both backends give the same labels
+    monkeypatch.setattr(kernels, "_impl", backends[-1])
+    for n in range(9):
+        for g in classes_on(n):
+            assert_weighting_is_the_oracle_optimum(g)
+
+
+def relabelled_graphs(rng, count):
+    """Graphs on 9-13 vertices under a random relabelling: random graphs,
+    and disjoint unions of random parts on 1-5 vertices, which bring
+    several components and isolated vertices."""
+    for i in range(count):
+        n = rng.randint(9, 13)
+        if i % 2:
+            g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+        else:
+            parts = []
+            while n:
+                size = rng.randint(1, min(5, n))
+                parts.append(random_graph(rng, size, rng.choice([0.3, 0.6, 0.9])))
+                n -= size
+            g = disjoint_union(*parts)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield g.relabel(perm)
+
+
+def test_weighting_equals_oracle_on_relabelled_graphs():
+    isolated = 0
+    for g in relabelled_graphs(random.Random(16016), 200):
+        assert_weighting_is_the_oracle_optimum(g)
+        isolated += bool(g.isolated_vertices())
+    assert isolated >= 20
 
 
 def test_weighting_examples():

@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 from edgeind import Graph, canonical_form, kernels, parse_graph6
 from edgeind import _kernels_py
 
-from helpers import disjoint_union, one_edge_extensions, petersen, random_graph
+from helpers import (
+    complete_bipartite,
+    disjoint_union,
+    one_edge_extensions,
+    petersen,
+    random_graph,
+)
 
 
 @st.composite
@@ -51,7 +57,7 @@ def test_backends_agree_on_labels(compiled, g):
 
 def test_backends_agree_on_symmetric_labels(compiled):
     cases = [Graph.cycle(19), Graph.complete(10), Graph.empty(12), petersen(),
-             Graph.complete_bipartite(5, 6),
+             complete_bipartite(5, 6),
              Graph.from_edges(24, [(2 * i, 2 * i + 1) for i in range(12)])]
     for g in cases:
         assert compiled.canonical_search(g.adj) == _kernels_py.canonical_search(g.adj)
@@ -144,7 +150,7 @@ def test_backends_agree_with_pins(compiled):
 
 def test_backends_agree_on_64_vertex_hosts(compiled):
     rng = random.Random(33)
-    hosts = [Graph.complete_bipartite(32, 32), random_graph(rng, 64, 0.1),
+    hosts = [complete_bipartite(32, 32), random_graph(rng, 64, 0.1),
              random_graph(rng, 64, 0.9)]
     patterns = [Graph.path(3), Graph.cycle(4), Graph.complete(3), Graph.from_edges(3, [(0, 1)])]
     for g in hosts:
@@ -166,8 +172,8 @@ def test_growth_of_symmetric_parents(compiled):
     # automorphisms and the pure twin labels them all; on these parents
     # most extensions are skipped
     c5 = Graph.cycle(5)
-    parents = [Graph.complete(8), Graph.complete_bipartite(4, 4),
-               Graph.complete_bipartite(1, 12), disjoint_union(*[Graph.complete(2)] * 8),
+    parents = [Graph.complete(8), complete_bipartite(4, 4),
+               complete_bipartite(1, 12), disjoint_union(*[Graph.complete(2)] * 8),
                disjoint_union(c5, c5, c5), Graph.cycle(16)]
     for parent in parents:
         fresh = _kernels_py.children(parent.adj, set())
@@ -265,7 +271,7 @@ def test_empty_and_undersized():
 
 
 def test_full_64_vertex_host():
-    g = Graph.complete_bipartite(32, 32)
+    g = complete_bipartite(32, 32)
     assert kernels.count_ordered(g, Graph.complete(2)) == 2 * 32 * 32
 
 
@@ -273,8 +279,8 @@ def test_count_many_routes_each_host_by_size(compiled, monkeypatch):
     # the compiled kernel refuses hosts above 64 vertices, so the
     # 66-vertex host must go to the pure twin
     monkeypatch.setattr(kernels, "_impl", compiled)
-    hosts = [Graph.complete_bipartite(33, 33), Graph.cycle(4), Graph.path(3),
-             Graph.complete_bipartite(3, 5)]
+    hosts = [complete_bipartite(33, 33), Graph.cycle(4), Graph.path(3),
+             complete_bipartite(3, 5)]
     c4 = Graph.cycle(4)
     assert kernels.count_ordered_many(hosts, c4) == [kernels.count_ordered(g, c4) for g in hosts]
     assert kernels.count_ordered_many(hosts, c4)[:3] == [8 * math.comb(33, 2) ** 2, 8, 0]

@@ -22,7 +22,12 @@ from edgeind import (
 from edgeind import _kernels_py, automorphism_order, kernels, search
 from edgeind.search import SearchResult, estimated_class_count
 
-from helpers import one_edge_extensions, polya_edge_class_count
+from helpers import (
+    complete_bipartite,
+    one_edge_extensions,
+    polya_edge_class_count,
+    without_isolated,
+)
 
 
 def filter_and_canonicalize(m):
@@ -31,7 +36,7 @@ def filter_and_canonicalize(m):
     slots = list(combinations(range(2 * m), 2))
     seen = set()
     for chosen in combinations(slots, m):
-        g = Graph.from_edges(2 * m, chosen).without_isolated()
+        g = without_isolated(Graph.from_edges(2 * m, chosen))
         seen.add(canonical_label(g))
     return len(seen)
 
@@ -101,7 +106,7 @@ def test_negative_budgets_raise():
 def test_rho_examples():
     r = rho_exact(Graph.path(3), 5)
     assert r.rho == 10
-    assert canonical_label(Graph.complete_bipartite(1, 5)) in r.extremal
+    assert canonical_label(complete_bipartite(1, 5)) in r.extremal
     assert rho_exact(Graph.cycle(4), 4).rho == 1
     assert rho_exact(Graph.complete(3), 3).rho == 1
 
@@ -158,10 +163,10 @@ def test_candidate_labels_and_perms_match_fixture(backends, monkeypatch):
 
 
 def test_growth_labels_every_extension_once(monkeypatch):
-    # under the pure backend: one label for level 1 (its canonical_form
-    # call) and one per one-edge extension of the classes of levels 1..7,
-    # the candidate fixture's 8,252 less level 0's single extension; a
-    # parent labelled again would add more
+    # under the pure backend: one label per one-edge extension of the
+    # classes of levels 0..7, the candidate fixture's 8,252, and no
+    # canonical_form call, since level 1 grows from level 0 like the rest;
+    # a parent labelled again would add more
     forms = labels = 0
     form = search.canonical_form
     label = _kernels_py._canonical
@@ -181,7 +186,7 @@ def test_growth_labels_every_extension_once(monkeypatch):
     monkeypatch.setattr(_kernels_py, "_canonical", counting_label)
     monkeypatch.setattr(search, "_LEVELS", {})
     assert len(search._level(8)) == 497
-    assert (forms, labels) == (1, 8252)
+    assert (forms, labels) == (0, 8252)
 
 
 def test_growth_entries_agree(backends):
@@ -418,7 +423,7 @@ def test_sandwich_examples():
 
 
 def test_star_law():
-    star_labels = {m: canonical_label(Graph.complete_bipartite(1, m)) for m in range(1, 7)}
+    star_labels = {m: canonical_label(complete_bipartite(1, m)) for m in range(1, 7)}
     for m in range(1, 7):
         r = rho_exact(Graph.path(3), m)
         assert r.rho == m * (m - 1) // 2
@@ -433,7 +438,7 @@ def test_rho_matches_exhaustive_labeled_maximum():
     best = [0] * len(patterns)
     slots = list(combinations(range(2 * m), 2))
     for chosen in combinations(slots, m):
-        g = Graph.from_edges(2 * m, chosen).without_isolated()
+        g = without_isolated(Graph.from_edges(2 * m, chosen))
         for i, h in enumerate(patterns):
             c = count_induced(g, h).unordered
             if c > best[i]:
