@@ -64,7 +64,6 @@ _ENTROPY_NAMES = frozenset({
     "drop_one_covers",
     "full_tuple_identity",
     "induced_cycles",
-    "is_capable",
     "projection_entropy",
     "verify_chain_shearer",
     "verify_path_decomposition",

@@ -60,7 +60,6 @@ def count_ordered(g_adj, h_adj, order, pin_hosts):
         return 1
     if len(g_adj) < k:
         return 0
-    n, k, comp, prev_nbr, prev_non, deg_ok = _prepare(g_adj, h_adj, order, pin_hosts)
     seed = _pin_state(g_adj, h_adj, order, pin_hosts)
     if seed is None:
         return 0
@@ -68,6 +67,7 @@ def count_ordered(g_adj, h_adj, order, pin_hosts):
     start = len(pin_hosts)
     if start == k:
         return 1
+    n, k, comp, prev_nbr, prev_non, deg_ok = _prepare(g_adj, h_adj, order, pin_hosts)
 
     def rec(i, used):
         cand = deg_ok[i] & ~used

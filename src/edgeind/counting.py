@@ -7,6 +7,11 @@ other edge joins endpoints of distinct entries; it *characterizes* an
 induced even cycle when additionally the wrap link v_t u_1 closes the
 cycle.  Tuples arising as the odd-indexed edges of ordered induced paths
 or cycles are well-ordered with the orientation inherited from the copy.
+
+Both predicates are one pinned copy count: the tuple is well-ordered
+(characterizes the cycle) exactly when pinning its endpoints, in order, to
+the vertices of the path (cycle) on 2*len(t) vertices leaves one ordered
+induced copy.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ def validate_edge_tuple(g: Graph, t):
         raise InvalidTupleError("empty edge tuple")
     seen = set()
     for u, v in t:
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise InvalidTupleError(f"({u}, {v}) has a vertex outside 0..{g.n - 1}")
         if u == v or not g.has_edge(u, v):
             raise InvalidTupleError(f"({u}, {v}) is not an edge of the host")
         if u in seen or v in seen:
@@ -63,29 +70,22 @@ def validate_edge_tuple(g: Graph, t):
         seen.add(v)
 
 
-def _links_ok(g, t, wrap):
-    """Shared predicate body: required links present, all other
-    cross-entry endpoint pairs absent."""
-    tt = len(t)
-    for i in range(tt):
-        ui, vi = t[i]
-        for j in range(i + 1, tt):
-            uj, vj = t[j]
-            required = set()
-            if j == i + 1:
-                required.add((vi, uj))
-            if wrap and i == 0 and j == tt - 1:
-                required.add((vj, ui))
-            for a, b in ((ui, uj), (ui, vj), (vi, uj), (vi, vj)):
-                want = (a, b) in required or (b, a) in required
-                if g.has_edge(a, b) != want:
-                    return False
-    return True
+@lru_cache(maxsize=None)
+def _shape(kind, k):
+    """The path ("P") or cycle ("C") on k vertices, built once per (kind, k)
+    (graphs are immutable)."""
+    return Graph.path(k) if kind == "P" else Graph.cycle(k)
+
+
+def _induces(g, t, kind):
+    """Whether t's endpoints, in order, induce the path or cycle on
+    2*len(t) vertices."""
+    return kernels.count_ordered(g, _shape(kind, 2 * len(t)), _odd_edge_pins(t)) == 1
 
 
 def is_well_ordered(g: Graph, t) -> bool:
     validate_edge_tuple(g, t)
-    return _links_ok(g, t, wrap=False)
+    return _induces(g, t, "P")
 
 
 def characterizes_cycle(g: Graph, t) -> bool:
@@ -94,7 +94,7 @@ def characterizes_cycle(g: Graph, t) -> bool:
     validate_edge_tuple(g, t)
     if len(t) < 2:
         return False
-    return _links_ok(g, t, wrap=True)
+    return _induces(g, t, "C")
 
 
 def alpha_extension_edges(g: Graph, t, mode="path-extend", k=None):
@@ -164,11 +164,7 @@ def beta_embeddings(g: Graph, t, family) -> int:
     characterizing predicate instead of the well-ordered one."""
     t = tuple(tuple(e) for e in t)
     kind, k = parse_family(family)
-    if kind == "P":
-        pattern = Graph.path(k)
-    elif kind == "C":
-        pattern = Graph.cycle(k)
-    else:
+    if kind == "H":
         raise ValueError("beta embeddings are defined for path/cycle families")
     if len(t) > k // 2:
         raise ValueError(f"tuple of {len(t)} edges too long for {kind}{k}")
@@ -178,13 +174,7 @@ def beta_embeddings(g: Graph, t, family) -> int:
         ok = is_well_ordered(g, t)
     if not ok:
         raise ValueError("tuple is neither well-ordered nor cycle-characterizing")
-    return kernels.count_ordered(g, pattern, _odd_edge_pins(t))
-
-
-@lru_cache(maxsize=None)
-def _path(k):
-    """The path on k vertices, built once per k (graphs are immutable)."""
-    return Graph.path(k)
+    return kernels.count_ordered(g, _shape(kind, k), _odd_edge_pins(t))
 
 
 def gamma_table(g: Graph, t) -> dict:
@@ -199,7 +189,7 @@ def gamma_table(g: Graph, t) -> dict:
     l = len(t) + 1
     if l < 2:
         raise ValueError("need at least one tuple entry")
-    copies = kernels.enumerate_ordered(g, _path(2 * l + 1), _odd_edge_pins(t))
+    copies = kernels.enumerate_ordered(g, _shape("P", 2 * l + 1), _odd_edge_pins(t))
     # Pattern vertices are 0-based: the free ones are 2l-2, 2l-1, 2l.
     seconds = {}
     links = {}

@@ -7,7 +7,9 @@ and slack tolerances are honest.  Natural logarithm throughout.
 
 The per-copy ledgers re-derive every extension count from the counting
 module; ledger rows are a cross-check against those counts, never the
-source of truth.
+source of truth.  A ledger's cycle is checked to be induced by one pinned
+copy count, and an odd path's gamma statistics are read off the copies
+the path check already holds.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import itemgetter
 
 from .graph import Graph
 from .families import parse_family
-from .counting import (_extension_edges, _norm, alpha_extension_edges, characterizes_cycle,
-                       gamma_table, is_well_ordered)
+from .counting import _extension_edges, _norm, _shape, alpha_extension_edges
 from .canon import automorphism_order
 from . import kernels
 
@@ -337,18 +338,17 @@ def _even_path_terms(host, edge_tuples, k, m, alpha, report):
 def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
     l = (k - 1) // 2
     n = len(edge_tuples)
-    tables = {}
-
-    def gamma(prefix):
-        if prefix not in tables:
-            tables[prefix] = gamma_table(host, prefix)
-        return tables[prefix]
-
     chain = _odd_edge_chain(edge_tuples, l - 1, alpha, report)
+    # The copies sharing an odd-edge prefix are its completions, so the
+    # gamma statistics of a prefix and final edge count distinct edges
+    # among those copies: gamma0 the final edges per prefix, gamma1 and
+    # gamma2 the edges at positions 2l-2 and 2l-1 per (prefix, final edge).
     prefixes = [t[:2 * l - 2:2] for t in edge_tuples]
     last_u = [_norm(*t[2 * l - 1]) for t in edge_tuples]
-    h_last = _h_cond(list(zip(last_u, prefixes)))
-    avg0 = sum(math.log(len(gamma(p))) for p in prefixes) / n
+    last_pairs = list(zip(last_u, prefixes))
+    h_last = _h_cond(last_pairs)
+    gamma0 = _distinct_per_key(last_pairs)
+    avg0 = sum(math.log(gamma0[p]) for p in prefixes) / n
     report.add("conditional_final_vs_gamma0", "inequality", h_last, avg0)
     chain += h_last
     if l >= 3:
@@ -357,19 +357,21 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
     given = list(zip(prefixes, last_u))
     g1_u = [_norm(*t[2 * l - 3]) for t in edge_tuples]
     g2_u = [_norm(*t[2 * l - 2]) for t in edge_tuples]
+    g1_pairs = list(zip(g1_u, given))
+    g2_pairs = list(zip(g2_u, given))
     h_pair = _h_cond([((a, b), g) for a, b, g in zip(g1_u, g2_u, given)])
-    h_g1 = _h_cond(list(zip(g1_u, given)))
-    h_g2 = _h_cond(list(zip(g2_u, given)))
+    h_g1 = _h_cond(g1_pairs)
+    h_g2 = _h_cond(g2_pairs)
+    gamma1 = _distinct_per_key(g1_pairs)
+    gamma2 = _distinct_per_key(g2_pairs)
     report.add("pair_equals_first", "identity", h_pair, h_g1)
     report.add("pair_equals_second", "identity", h_pair, h_g2)
     avg1 = 0.0
     avg2 = 0.0
     budgets = []
     worst_amgm = None
-    for t, prefix, e_last in zip(edge_tuples, prefixes, last_u):
-        table = gamma(prefix)
-        g1, g2 = table[e_last]
-        g0 = len(table)
+    for t, prefix, key in zip(edge_tuples, prefixes, given):
+        g0, g1, g2 = gamma0[prefix], gamma1[key], gamma2[key]
         avg1 += math.log(g1)
         avg2 += math.log(g2)
         a = [alpha(t[:2 * i:2]) for i in range(1, l - 1)]
@@ -389,6 +391,11 @@ def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
                worst_amgm, math.log(0.25 * (m / l) ** (2 * l)))
     report.add("closed_form", "inequality",
                math.log(n), math.log(m ** (l + 1) / (2 * l ** l)))
+
+
+def _distinct_per_key(pairs):
+    """For (value, key) pairs: the number of distinct values per key."""
+    return Counter(map(itemgetter(1), set(pairs)))
 
 
 # -- per-cycle extension ledgers -------------------------------------------
@@ -507,13 +514,10 @@ def _validate_induced_cycle(host, seq):
     k = len(seq)
     if k < 6 or k % 2:
         raise ValueError("ledger applies to even cycles on at least 6 vertices")
-    if len(set(seq)) != k:
-        raise ValueError("repeated vertex in cycle sequence")
-    for i in range(k):
-        for j in range(i + 1, k):
-            want = (j - i) % k == 1 or (i - j) % k == 1
-            if host.has_edge(seq[i], seq[j]) != want:
-                raise ValueError("sequence is not an induced cycle")
+    if not all(0 <= v < host.n for v in seq):
+        raise ValueError(f"cycle vertex outside 0..{host.n - 1}")
+    if kernels.count_ordered(host, _shape("C", k), list(enumerate(seq))) != 1:
+        raise ValueError("sequence is not an induced cycle")
 
 
 def _contribution_cap(adjacent, j, k):
@@ -628,14 +632,14 @@ def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
 def _extension_weights(host, seq, j, l):
     """Half-unit weight of each host edge at cycle position j: 1 for an
     extension of the one-entry tuple, plus 2 for each longer tuple (up to
-    the cycle-closing one) it extends."""
+    the cycle-closing one) it extends.  ``seq`` is a validated induced
+    2l-cycle, so each forward tuple is well-ordered: its entries are
+    alternate cycle edges, its links are cycle edges, and the cycle has
+    no chords."""
     weights = {}
     for i in range(1, l):
-        t = _forward_tuple(seq, j, i)
-        if not is_well_ordered(host, t):
-            raise ValueError("tuple is not well-ordered")
         w = 1 if i == 1 else 2
-        for e in _extension_edges(host.adj, t, i == l - 1):
+        for e in _extension_edges(host.adj, _forward_tuple(seq, j, i), i == l - 1):
             weights[e] = weights.get(e, 0) + w
     return weights
 
@@ -653,23 +657,6 @@ def induced_cycles(host: Graph, k: int):
 
 
 # -- the 6-cycle hypergraph chain ------------------------------------------
-
-
-def is_capable(host: Graph, triple) -> bool:
-    """Whether some ordering and orientation of the three edges
-    characterizes an induced 6-cycle."""
-    edges = list(triple)
-    if len({_norm(*e) for e in edges}) != 3:
-        return False
-    for perm in permutations(edges):
-        for bits in range(8):
-            t = tuple(e if not bits >> i & 1 else (e[1], e[0]) for i, e in enumerate(perm))
-            vertices = [v for e in t for v in e]
-            if len(set(vertices)) != 6:
-                continue
-            if characterizes_cycle(host, t):
-                return True
-    return False
 
 
 @dataclass(frozen=True)

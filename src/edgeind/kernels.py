@@ -88,18 +88,25 @@ def _visit_order(h: Graph, pinned: tuple) -> tuple:
     return tuple(order)
 
 
-def _split_pins(pins):
-    pats = [p for p, _ in pins]
+def _split_pins(g: Graph, h: Graph, pins):
+    """Pattern and host vertices of the (pattern, host) pins, read once so
+    that an iterator works; ``(None, None)`` if a host vertex repeats.  A
+    pattern or host vertex out of range raises IndexError on either
+    backend."""
+    pins = tuple(pins)
+    for p, v in pins:
+        if not (0 <= p < h.n and 0 <= v < g.n):
+            raise IndexError(f"pin ({p}, {v}) is outside 0..{h.n - 1} x 0..{g.n - 1}")
     hosts = [v for _, v in pins]
     if len(set(hosts)) != len(hosts):
         return None, None
-    return pats, hosts
+    return [p for p, _ in pins], hosts
 
 
 def count_ordered(g: Graph, h: Graph, pins=()) -> int:
     """Number of injective maps V(H) -> V(G) preserving both adjacency and
     non-adjacency, with the optional (pattern, host) pins respected."""
-    pats, hosts = _split_pins(pins)
+    pats, hosts = _split_pins(g, h, pins)
     if pats is None:
         return 0
     order = visit_order(h, pats)
@@ -120,7 +127,7 @@ def count_ordered_many(hosts, h: Graph) -> list:
 def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:
     """All ordered induced copies as host-vertex tuples indexed by pattern
     vertex, sorted lexicographically."""
-    pats, hosts = _split_pins(pins)
+    pats, hosts = _split_pins(g, h, pins)
     if pats is None:
         return []
     order = visit_order(h, pats)

@@ -1,6 +1,7 @@
 """Shared test oracles and graph builders, deliberately independent of the
 package internals: dumb recursion instead of bitset propagation,
-permutation minimums instead of refinement, a cycle-index count instead of
+permutation minimums instead of refinement, pairwise link checks instead of
+pinned copy counts, a cycle-index count instead of
 generation, and every {0, 1/2, 1} assignment instead of a matching."""
 
 import io
@@ -303,25 +304,58 @@ def alpha_f_bruteforce(h: Graph, limit=14) -> Fraction:
     return half_integral_optimum(h, limit)[0]
 
 
-# -- entropy-lab oracles: whole-tuple predicates and Fraction arithmetic --
+# -- entropy-lab oracles: pairwise tuple predicates and Fraction arithmetic --
+
+
+def links_ok(g: Graph, t, wrap):
+    """The definition of a well-ordered (``wrap=False``) or
+    cycle-characterizing (``wrap=True``) tuple of disjoint host edges, pair
+    of entries by pair of entries: the links v_i u_{i+1} (and, with wrap,
+    v_t u_1) are edges and no other pair of endpoints of distinct entries
+    is."""
+    tt = len(t)
+    for i in range(tt):
+        ui, vi = t[i]
+        for j in range(i + 1, tt):
+            uj, vj = t[j]
+            required = set()
+            if j == i + 1:
+                required.add((vi, uj))
+            if wrap and i == 0 and j == tt - 1:
+                required.add((vj, ui))
+            for a, b in ((ui, uj), (ui, vj), (vi, uj), (vi, vj)):
+                want = (a, b) in required or (b, a) in required
+                if g.has_edge(a, b) != want:
+                    return False
+    return True
 
 
 def predicate_extension_edges(g: Graph, t, mode="path-extend", k=None):
-    """Extension edges by testing ``t + e`` with the tuple predicates in
-    both orientations, edge by edge in ``g.edges()`` order."""
-    from edgeind import characterizes_cycle, is_well_ordered
-
+    """Extension edges by testing ``t + e`` with ``links_ok`` in both
+    orientations, edge by edge in ``g.edges()`` order."""
     t = tuple(tuple(e) for e in t)
-    assert is_well_ordered(g, t)
+    assert links_ok(g, t, wrap=False)
     if mode == "cycle-close":
         assert k == 2 * (len(t) + 1)
-        test = characterizes_cycle
-    else:
-        test = is_well_ordered
+    wrap = mode == "cycle-close"
     used = {v for e in t for v in e}
     return [(x, y) for x, y in g.edges()
             if x not in used and y not in used
-            and (test(g, t + ((x, y),)) or test(g, t + ((y, x),)))]
+            and (links_ok(g, t + ((x, y),), wrap) or links_ok(g, t + ((y, x),), wrap))]
+
+
+def is_capable(g: Graph, triple) -> bool:
+    """Whether some ordering and orientation of three host edges
+    characterizes an induced 6-cycle."""
+    edges = list(triple)
+    if len({tuple(sorted(e)) for e in edges}) != 3:
+        return False
+    for perm in permutations(edges):
+        for bits in range(8):
+            t = tuple(e if not bits >> i & 1 else (e[1], e[0]) for i, e in enumerate(perm))
+            if len({v for e in t for v in e}) == 6 and links_ok(g, t, wrap=True):
+                return True
+    return False
 
 
 def fraction_contribution_cap(adjacent, j, k):

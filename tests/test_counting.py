@@ -86,6 +86,11 @@ def test_tuple_validation_errors():
         is_well_ordered(c6, [(0, 1), (1, 2)])  # shared vertex
     with pytest.raises(InvalidTupleError):
         is_well_ordered(c6, [])
+    # -1 would alias vertex 5 through negative indexing; 6 is past the host
+    for t in ([(-1, 0)], [(-1, 0), (1, 2)], [(0, 1), (6, 5)]):
+        for check in (is_well_ordered, characterizes_cycle, alpha_extension_edges):
+            with pytest.raises(InvalidTupleError, match="outside"):
+                check(c6, t)
 
 
 def test_alpha_examples():
@@ -293,3 +298,34 @@ def test_gamma_table_matches_filtered_completions():
     assert checked > 50
     with pytest.raises(ValueError):
         gamma_table(Graph.cycle(6), [(0, 1), (3, 4)])
+
+
+def test_gamma_sets_grouped_from_the_copies_equal_gamma_table():
+    """The odd-path check reads gamma off the ordered copies of P_k: those
+    sharing an odd-edge prefix are exactly the completions gamma_table
+    enumerates for it."""
+    from edgeind.entropy import _distinct_per_key
+
+    rng = random.Random(5791)
+    checked = 0
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(7, 11), rng.choice([0.25, 0.35, 0.45]))
+        for k in (5, 7, 9):
+            l = (k - 1) // 2
+            copies = enumerate_ordered(g, Graph.path(k))
+            finals = {}
+            for c in copies:
+                prefix = tuple((c[2 * i], c[2 * i + 1]) for i in range(l - 1))
+                last = tuple(sorted((c[2 * l - 1], c[2 * l])))
+                g1, g2 = finals.setdefault(prefix, {}).setdefault(last, (set(), set()))
+                g1.add(tuple(sorted((c[2 * l - 3], c[2 * l - 2]))))
+                g2.add(tuple(sorted((c[2 * l - 2], c[2 * l - 1]))))
+            for prefix, by_last in finals.items():
+                grouped = {e: (len(a), len(b)) for e, (a, b) in sorted(by_last.items())}
+                table = gamma_table(g, prefix)
+                assert grouped == table and list(grouped) == list(table)
+                checked += 1
+            # the counting the check itself does, on (value, key) pairs
+            pairs = [(e, p) for p, by_last in finals.items() for e in by_last] * 2
+            assert _distinct_per_key(pairs) == {p: len(b) for p, b in finals.items()}
+    assert checked > 100

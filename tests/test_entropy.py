@@ -13,19 +13,22 @@ from edgeind import (
     Graph,
     blow_up,
     c6_hypergraph_check,
+    characterizes_cycle,
     count_induced,
     cycle_extension_ledger,
     cycle_path_shearer,
     drop_one_covers,
     full_tuple_identity,
     induced_cycles,
-    is_capable,
+    is_well_ordered,
     projection_entropy,
     verify_chain_shearer,
     kernels,
+    parse_graph6,
+    rho_exact,
     verify_path_decomposition,
 )
-from edgeind.entropy import _contribution_cap
+from edgeind.entropy import _contribution_cap, _validate_induced_cycle
 
 from helpers import (
     complete_bipartite,
@@ -33,6 +36,8 @@ from helpers import (
     even_entries,
     fraction_contribution_cap,
     fraction_ledger,
+    is_capable,
+    links_ok,
     odd_prefix,
     projection_entropy_oracle,
     random_graph,
@@ -249,6 +254,12 @@ def test_ledger_input_validation():
         cycle_extension_ledger(Graph.cycle(6), (0, 1, 2, 3, 4, 4))
     with pytest.raises(ValueError):
         cycle_extension_ledger(Graph.complete(6), (0, 1, 2, 3, 4, 5))
+    with pytest.raises(ValueError):
+        cycle_extension_ledger(Graph.cycle(7), tuple(range(7)))  # odd length
+    # -1 would alias vertex 7 and 8 is past the host: both are out of range
+    for seq in ((-1, 0, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 7, 8)):
+        with pytest.raises(ValueError, match="outside"):
+            cycle_extension_ledger(Graph.cycle(8), seq)
 
 
 def test_c6_hypergraph_on_c6():
@@ -359,10 +370,10 @@ def test_half_unit_caps_match_fraction_caps():
                     fraction_contribution_cap(adjacent, j, k)
 
 
-def test_odd_path_check_enumerates_once_per_prefix(monkeypatch):
+def test_odd_path_check_enumerates_once(monkeypatch):
+    # the gamma statistics are read off the copies the check collects, so
+    # the 256 prefixes of this host cost no enumeration of their own
     host = blow_up(BlowupSpec(Graph.cycle(8), (2,) * 8))
-    copies = kernels.enumerate_ordered(host, Graph.path(7))
-    prefixes = {((c[0], c[1]), (c[2], c[3])) for c in copies}
     calls = []
     enumerate_ordered = kernels.enumerate_ordered
 
@@ -373,4 +384,82 @@ def test_odd_path_check_enumerates_once_per_prefix(monkeypatch):
     monkeypatch.setattr(kernels, "enumerate_ordered", counted)
     rep = verify_path_decomposition(host, "P7")
     assert rep.passed
-    assert len(calls) == 1 + len(prefixes) == 257
+    assert calls == [()]
+
+
+def _maximizers(pattern, m):
+    result = rho_exact(pattern, m)
+    assert result.rho > 0 and not result.truncated
+    return [parse_graph6(label) for label in result.extremal]
+
+
+def test_proof_steps_hold_on_every_extremal_host(backends, monkeypatch):
+    """The proof steps on the hosts where the bounds are tightest: every
+    rho maximizer for m <= 9 of P4..P7 passes the path decomposition, of
+    C6 and C8 keeps every claim1 ledger within the m*l budget, and of C6
+    passes the hypergraph chain."""
+    monkeypatch.setattr(kernels, "_impl", backends[-1])  # the compiled kernel when built
+    checked = 0
+    for k in range(4, 8):
+        for m in range(k - 1, 10):
+            for host in _maximizers(Graph.path(k), m):
+                rep = verify_path_decomposition(host, f"P{k}")
+                assert rep.passed, (k, m, [t.name for t in rep.terms if not t.ok])
+                checked += 1
+    for k in (6, 8):
+        for m in range(k, 10):
+            for host in _maximizers(Graph.cycle(k), m):
+                for cyc in induced_cycles(host, k):
+                    assert cycle_extension_ledger(host, cyc).within_budget, (k, m)
+                if k == 6:
+                    assert c6_hypergraph_check(host).passed, m
+                checked += 1
+    assert checked > 30
+
+
+@st.composite
+def hosts_with_any_tuples(draw):
+    """A host on at most 10 vertices with a path or cycle on 2*entries
+    vertices (1-4 entries) planted on a random relabelling, random edges
+    added among all vertices, and the planted odd-edge tuple with one entry
+    reversed a third of the time: well-ordered, cycle-characterizing or
+    neither."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = rng.randint(1, 4)
+    k = 2 * entries
+    n = rng.randint(k, 10)
+    edges = {(i, i + 1) for i in range(k - 1)}
+    if entries >= 2 and rng.random() < 0.5:
+        edges.add((0, k - 1))
+    p = rng.choice([0.05, 0.15, 0.3])
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    name = list(range(n))
+    rng.shuffle(name)
+    g = Graph.from_edges(n, [(name[u], name[v]) for u, v in edges])
+    t = [(name[2 * i], name[2 * i + 1]) for i in range(entries)]
+    if rng.random() < 1 / 3:
+        i = rng.randrange(entries)
+        t[i] = t[i][::-1]
+    return g, tuple(t)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hosts_with_any_tuples())
+def test_tuple_predicates_equal_the_pairwise_definition(backends, case):
+    g, t = case
+    saved = kernels._impl
+    try:
+        for backend in backends:
+            kernels._impl = backend
+            assert is_well_ordered(g, t) == links_ok(g, t, wrap=False)
+            assert characterizes_cycle(g, t) == (len(t) >= 2 and links_ok(g, t, wrap=True))
+            seq = tuple(v for e in t for v in e)
+            if len(seq) >= 6:
+                try:
+                    _validate_induced_cycle(g, seq)
+                    valid = True
+                except ValueError:
+                    valid = False
+                assert valid == links_ok(g, t, wrap=True)
+    finally:
+        kernels._impl = saved

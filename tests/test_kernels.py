@@ -148,6 +148,25 @@ def test_backends_agree_with_pins(compiled):
             compiled.count_ordered(g.adj, h.adj, order, hosts)
 
 
+def test_pins_are_read_once_and_range_checked(backends, monkeypatch):
+    # a generator of pins is as good as a list, and a pin outside the
+    # pattern's or the host's vertices raises IndexError on either backend
+    c6, p3 = Graph.cycle(6), Graph.path(3)
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        assert kernels.count_ordered(c6, p3, iter([(0, 0), (1, 1)])) == 1
+        assert kernels.enumerate_ordered(c6, p3, ((p, v) for p, v in [(0, 0), (1, 1)])) == \
+            [(0, 1, 2)]
+        for bad in (-1, c6.n):
+            with pytest.raises(IndexError):
+                kernels.count_ordered(c6, p3, [(0, bad)])
+            with pytest.raises(IndexError):
+                kernels.enumerate_ordered(c6, p3, [(0, 0), (1, bad)])
+        for bad in (-1, p3.n):
+            with pytest.raises(IndexError):
+                kernels.count_ordered(c6, p3, [(bad, 0)])
+
+
 def test_backends_agree_on_64_vertex_hosts(compiled):
     rng = random.Random(33)
     hosts = [complete_bipartite(32, 32), random_graph(rng, 64, 0.1),
