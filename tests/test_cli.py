@@ -327,7 +327,10 @@ def test_count_copies_export():
 # were memoised and the duplicate entropy, matching and edge helpers were
 # merged.  Hosts: C8[2^8] ("O]Ko...") and C6[2^6] ("K]Ko..."), the balanced
 # blow-ups with parts of size 2.  Every alphaf graph but C5 ("Dhc") has a
-# non-empty weight-0 side, so its matching is printed.
+# non-empty weight-0 side, so its matching is printed.  The P8 check on
+# C9[2^9] ("Q]Ko...") and the P9 check on C10[2^10] ("S]Ko...") were pinned
+# before the path check moved to integer edge columns; with P7 they reach
+# a multi-step odd-edge chain and ``middle_evens_determined``.
 STDOUT_SHA256 = {
     "alphaf Cs":
         "10c1ec187b1e1b030ce814a278da32d6f51546941150e03928f958e7536cb420",
@@ -353,6 +356,10 @@ STDOUT_SHA256 = {
         "7c719dab4b5ec901f0f83eedf8f916bda91068d3c1f589b6a2f2fb9ab6e29f6a",
     "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern FhCGG --verify path":
         "80f5e9eb2c2e9619a1ea1b61d3e762fd2ade3fec91c73cae07479a2e5ffdc564",
+    "entropy --host Q]KoWWB?o@_E?B?B??W?Eo?N??o --pattern GhCGGC --verify path":
+        "d8bd6020c0ca47b4d9733ca4f85013fe2f31779483cf2b9a05094931b131d05d",
+    "entropy --host S]KoWWB?o@_E?B?B??W?E??K??u??]??W --pattern HhCGGC@ --verify path":
+        "3b5b1f1437b830a73454ca1af771980219b84bc1826d76d23ee26243b5537029",
     "entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern GhCGKC --verify claim1":
         "83142eca3b0265b97b032a52917bdc0b3fc0cfbc599a566b76989e55c0c41972",
     "entropy --host K]KoWWB?u@wE --pattern EhEG":
@@ -395,7 +402,8 @@ STDOUT_SHA256 = {
 
 
 # sha256 of the ``--table`` stdout of each command, taken while --table
-# still printed a normalized copy of the report.
+# still printed a normalized copy of the report (the three path checks:
+# before the path check moved to integer edge columns).
 TABLE_SHA256 = {
     "--table alphaf Dhc":
         "15a49f00668d8803287c87aa4cd08fdc8ccfa3e390c4a3c2e5050e3150803a25",
@@ -407,6 +415,12 @@ TABLE_SHA256 = {
         "a3453709b18c412cb97b29db5f445bb6c14388cecae0eaeabb18ad10371bfdfe",
     "--table entropy --host K]KoWWB?u@wE --pattern EhEG --verify c6":
         "487c47693e182fb98e27cba4667147ec482109829516e6865333c276352ebee5",
+    "--table entropy --host O]KoWWB?o@_E?B?BW?]?E --pattern FhCGG --verify path":
+        "4f5d996cb3c8eb0d4c56db4bf8df866e0c0823890c3602521a3a5a7fcbf10eda",
+    "--table entropy --host Q]KoWWB?o@_E?B?B??W?Eo?N??o --pattern GhCGGC --verify path":
+        "5d2560d784a0cf1b4e9c4e58cd5b7f944a83e76bdf62ad13eef9d96480e99fde",
+    "--table entropy --host S]KoWWB?o@_E?B?B??W?E??K??u??]??W --pattern HhCGGC@ --verify path":
+        "22ab1fc29d75711abcb604c9a3e7fcba4e65aa74891ea1a2a1788d9856b0055b",
 }
 
 
