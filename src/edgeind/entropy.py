@@ -10,6 +10,10 @@ module; ledger rows are a cross-check against those counts, never the
 source of truth.  A ledger's cycle is checked to be induced by one pinned
 copy count, and an odd path's gamma statistics are read off the copies
 the path check already holds.
+
+The path check works on integer edge columns, one entry per ordered copy:
+edges, odd-edge prefixes and conditioning keys are coded as ints, so every
+count is keyed by ints, and each log is taken once per distinct value.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .graph import Graph
 from .families import parse_family
@@ -96,20 +100,29 @@ def _support(dist):
     return tuples
 
 
+class _Logs(dict):
+    """math.log of each value, taken once."""
+
+    def __missing__(self, x):
+        self[x] = y = math.log(x)
+        return y
+
+
 def _h(values) -> float:
     """Entropy of the uniform distribution over the values of an iterable."""
     counts = Counter(values)
     n = counts.total()
-    return math.log(n) - sum(c * math.log(c) for c in counts.values()) / n
+    log = _Logs()
+    return math.log(n) - sum(c * log[c] for c in counts.values()) / n
 
 
-def _h_cond(pairs) -> float:
-    """Conditional entropy from a list of (target, given) value pairs,
-    uniform."""
-    n = len(pairs)
-    joint = Counter(pairs)
-    marginal = Counter(map(itemgetter(1), pairs))
-    return sum(c * (math.log(marginal[g]) - math.log(c)) for (_, g), c in joint.items()) / n
+def _h_cond(targets, givens) -> float:
+    """Conditional entropy of the target value given the given value, under
+    the uniform distribution over the rows of two equal-length lists."""
+    joint = Counter(zip(targets, givens))
+    marginal = Counter(givens)
+    log = _Logs()
+    return sum(c * (log[marginal[g]] - log[c]) for (_, g), c in joint.items()) / len(givens)
 
 
 def _projector(coords):
@@ -128,7 +141,7 @@ def projection_entropy(dist, target, given=()) -> float:
     target, given = _check_coords(len(tuples[0]), target, given)
     if not given:
         return _h(map(_projector(target), tuples))
-    return _h_cond(list(zip(map(_projector(target), tuples), map(_projector(given), tuples))))
+    return _h_cond(list(map(_projector(target), tuples)), list(map(_projector(given), tuples)))
 
 
 # -- reports --------------------------------------------------------------
@@ -268,9 +281,74 @@ def cycle_path_shearer(host: Graph, k: int) -> EntropyReport:
 # carries an explicit orientation-reveal term (at most log 2), making
 # every reported identity and inequality valid on an arbitrary host.
 #
-# An edge tuple t is sliced: t[:2 * i:2] is its odd-edge prefix of i
-# entries (the 1st, 3rd, ... edges) and t[1:2 * j:2] its first j even
-# edges.
+# The check works on integer columns, one entry per ordered copy.  Edge j
+# of a copy w is (w_j, w_{j+1}); with N host vertices it is coded u*N + v
+# with orientation and min*N + max without.  A key made of several edges
+# (an odd-edge prefix: edges 0, 2, ..., 2i-2; or the key a term
+# conditions on) packs into one int in base N*N + 1 with every digit
+# offset by 1, so keys with different numbers of entries never collide.
+# Each coding is a bijection, so every Counter meets its keys in the order
+# tuples of (u, v) pairs would give, and every sum adds the same floats in
+# the same order.  Each log is taken once per distinct value.
+
+
+def _pack(base, columns):
+    """One int per row of equal-length columns of codes below base - 1."""
+    columns = iter(columns)
+    packed = [c + 1 for c in next(columns)]
+    for col in columns:
+        packed = [p * base + c + 1 for p, c in zip(packed, col)]
+    return packed
+
+
+class _PathColumns:
+    """The ordered copies of a path as integer columns: edge codes, packed
+    odd-edge prefixes, and the alpha count of each copy's prefix."""
+
+    def __init__(self, host, copies):
+        self.host = host
+        self.copies = copies
+        self.n = len(copies)
+        self.base = host.n * host.n + 1
+        self.logs = _Logs()
+        self._vertices = list(zip(*copies))
+        self._prefixes = {}
+        self._alpha = {}
+
+    def _edge(self, j):
+        return zip(self._vertices[j], self._vertices[j + 1])
+
+    def oriented(self, j):
+        size = self.host.n
+        return [u * size + v for u, v in self._edge(j)]
+
+    def unordered(self, j):
+        size = self.host.n
+        return [u * size + v if u < v else v * size + u for u, v in self._edge(j)]
+
+    def prefix(self, i):
+        """The code of each copy's i-entry odd-edge prefix."""
+        if i not in self._prefixes:
+            last = self.oriented(2 * i - 2)
+            self._prefixes[i] = ([c + 1 for c in last] if i == 1 else
+                                 [p * self.base + c + 1 for p, c in zip(self.prefix(i - 1), last)])
+        return self._prefixes[i]
+
+    def alpha(self, i):
+        """The alpha count of each copy's i-entry prefix, from one
+        ``alpha_extension_edges`` call per distinct prefix."""
+        if i not in self._alpha:
+            codes = self.prefix(i)
+            # each prefix is read off the last copy that carries it
+            counts = {code: len(alpha_extension_edges(self.host, tuple(zip(c[:2 * i:2],
+                                                                            c[1:2 * i:2]))))
+                      for code, c in dict(zip(codes, self.copies)).items()}
+            self._alpha[i] = list(map(counts.__getitem__, codes))
+        return self._alpha[i]
+
+    def mean_log(self, values):
+        """Builtin ``sum`` of the values' logs in copy order, over n."""
+        return sum(map(self.logs.__getitem__, values)) / self.n
 
 
 def verify_path_decomposition(host: Graph, family) -> EntropyReport:
@@ -281,114 +359,102 @@ def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     kind, k = parse_family(family)
     if kind != "P" or k < 4:
         raise ValueError("decomposition applies to paths on at least 4 vertices")
-    edge_tuples = CopyDistribution.collect(host, Graph.path(k)).edge_tuples()
+    copies = CopyDistribution.collect(host, Graph.path(k)).copies
+    cols = _PathColumns(host, copies)
     m = host.m
-    n = len(edge_tuples)
+    n = len(copies)
+    h_full = _h(copies)  # the copies and their edge tuples correspond one to one
     report = EntropyReport()
     report.value("ordered_copies", n)
-    report.add("uniform_support", "identity", _h(edge_tuples), math.log(n))
-    first_u = [_norm(*t[0]) for t in edge_tuples]
+    report.add("uniform_support", "identity", h_full, math.log(n))
+    first_u = cols.unordered(0)
     report.add("first_edge_support", "inequality", _h(first_u), math.log(m))
     report.add("orientation_reveal", "inequality",
-               _h_cond([(t[0], _norm(*t[0])) for t in edge_tuples]), math.log(2))
-    alpha_memo = {}
-
-    def alpha(prefix):
-        if prefix not in alpha_memo:
-            alpha_memo[prefix] = len(alpha_extension_edges(host, prefix))
-        return alpha_memo[prefix]
-
+               _h_cond(cols.oriented(0), first_u), math.log(2))
     if k % 2 == 0:
-        _even_path_terms(host, edge_tuples, k, m, alpha, report)
+        _even_path_terms(cols, k // 2, m, h_full, report)
     else:
-        _odd_path_terms(host, edge_tuples, k, m, alpha, report)
+        _odd_path_terms(cols, (k - 1) // 2, m, h_full, report)
     return report
 
 
-def _odd_edge_chain(edge_tuples, count, alpha, report):
+def _odd_edge_chain(cols, count, report):
     """H(edge 0) plus, for 0 < i < count, the conditional entropy of edge
     2i given edges 0, 2, ..., 2i-2; each conditional is reported against its
     log-average extension bound."""
-    n = len(edge_tuples)
-    chain = _h([t[0] for t in edge_tuples])
+    chain = _h(cols.oriented(0))
     for i in range(1, count):
-        prefixes = [t[:2 * i:2] for t in edge_tuples]
-        cond = _h_cond(list(zip(map(itemgetter(2 * i), edge_tuples), prefixes)))
+        cond = _h_cond(cols.oriented(2 * i), cols.prefix(i))
         chain += cond
-        avg = sum(math.log(alpha(p)) for p in prefixes) / n
-        report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality", cond, avg)
+        report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality",
+                   cond, cols.mean_log(cols.alpha(i)))
     return chain
 
 
-def _even_path_terms(host, edge_tuples, k, m, alpha, report):
-    l = k // 2
-    n = len(edge_tuples)
-    chain = _odd_edge_chain(edge_tuples, l, alpha, report)
-    h_evens = _h_cond([(t[1:2 * l - 2:2], t[:2 * l:2]) for t in edge_tuples])
+def _even_path_terms(cols, l, m, h_full, report):
+    n = cols.n
+    chain = _odd_edge_chain(cols, l, report)
+    evens = _pack(cols.base, map(cols.oriented, range(1, 2 * l - 2, 2)))
+    h_evens = _h_cond(evens, cols.prefix(l))
     report.add("evens_determined", "identity", h_evens, 0.0)
     chain += h_evens
-    report.add("chain_rule", "identity", _h(edge_tuples), chain)
-    budgets = [sum(alpha(t[:2 * i:2]) for i in range(1, l)) for t in edge_tuples]
+    report.add("chain_rule", "identity", h_full, chain)
+    budgets = list(map(sum, zip(*map(cols.alpha, range(1, l)))))
     report.add("per_copy_budget", "inequality", max(budgets), m)
-    report.value("budget_equality_copies", sum(b == m for b in budgets))
+    report.value("budget_equality_copies", budgets.count(m))
     report.add("closed_form", "inequality",
                math.log(n), math.log(m ** l / (l - 1) ** (l - 1)))
 
 
-def _odd_path_terms(host, edge_tuples, k, m, alpha, report):
-    l = (k - 1) // 2
-    n = len(edge_tuples)
-    chain = _odd_edge_chain(edge_tuples, l - 1, alpha, report)
+def _odd_path_terms(cols, l, m, h_full, report):
+    n = cols.n
+    logs = cols.logs
+    chain = _odd_edge_chain(cols, l - 1, report)
     # The copies sharing an odd-edge prefix are its completions, so the
     # gamma statistics of a prefix and final edge count distinct edges
     # among those copies: gamma0 the final edges per prefix, gamma1 and
     # gamma2 the edges at positions 2l-2 and 2l-1 per (prefix, final edge).
-    prefixes = [t[:2 * l - 2:2] for t in edge_tuples]
-    last_u = [_norm(*t[2 * l - 1]) for t in edge_tuples]
-    last_pairs = list(zip(last_u, prefixes))
-    h_last = _h_cond(last_pairs)
-    gamma0 = _distinct_per_key(last_pairs)
-    avg0 = sum(math.log(gamma0[p]) for p in prefixes) / n
-    report.add("conditional_final_vs_gamma0", "inequality", h_last, avg0)
+    prefixes = cols.prefix(l - 1)
+    last_u = cols.unordered(2 * l - 1)
+    h_last = _h_cond(last_u, prefixes)
+    gamma0 = _distinct_per_key(zip(last_u, prefixes))
+    g0 = list(map(gamma0.__getitem__, prefixes))
+    report.add("conditional_final_vs_gamma0", "inequality", h_last, cols.mean_log(g0))
     chain += h_last
     if l >= 3:
-        middle = [(t[1:2 * l - 4:2], p) for t, p in zip(edge_tuples, prefixes)]
-        report.add("middle_evens_determined", "identity", _h_cond(middle), 0.0)
-    given = list(zip(prefixes, last_u))
-    g1_u = [_norm(*t[2 * l - 3]) for t in edge_tuples]
-    g2_u = [_norm(*t[2 * l - 2]) for t in edge_tuples]
-    g1_pairs = list(zip(g1_u, given))
-    g2_pairs = list(zip(g2_u, given))
-    h_pair = _h_cond([((a, b), g) for a, b, g in zip(g1_u, g2_u, given)])
-    h_g1 = _h_cond(g1_pairs)
-    h_g2 = _h_cond(g2_pairs)
-    gamma1 = _distinct_per_key(g1_pairs)
-    gamma2 = _distinct_per_key(g2_pairs)
+        middle = _pack(cols.base, map(cols.oriented, range(1, 2 * l - 4, 2)))
+        report.add("middle_evens_determined", "identity", _h_cond(middle, prefixes), 0.0)
+    given = [p * cols.base + u + 1 for p, u in zip(prefixes, last_u)]  # (prefix, final edge)
+    g1_u = cols.unordered(2 * l - 3)
+    g2_u = cols.unordered(2 * l - 2)
+    h_pair = _h_cond(_pack(cols.base, (g1_u, g2_u)), given)
+    h_g1 = _h_cond(g1_u, given)
+    h_g2 = _h_cond(g2_u, given)
+    gamma1 = _distinct_per_key(zip(g1_u, given))
+    gamma2 = _distinct_per_key(zip(g2_u, given))
     report.add("pair_equals_first", "identity", h_pair, h_g1)
     report.add("pair_equals_second", "identity", h_pair, h_g2)
-    avg1 = 0.0
-    avg2 = 0.0
-    budgets = []
-    worst_amgm = None
-    for t, prefix, key in zip(edge_tuples, prefixes, given):
-        g0, g1, g2 = gamma0[prefix], gamma1[key], gamma2[key]
-        avg1 += math.log(g1)
-        avg2 += math.log(g2)
-        a = [alpha(t[:2 * i:2]) for i in range(1, l - 1)]
-        budgets.append(sum(a) + g0 + g1 + g2)
-        lhs = 2 * sum(math.log(x) for x in a) + 2 * math.log(g0) + math.log(g1) + math.log(g2)
-        if worst_amgm is None or lhs > worst_amgm:
-            worst_amgm = lhs
-    avg1 /= n
-    avg2 /= n
+    g1 = list(map(gamma1.__getitem__, given))
+    g2 = list(map(gamma2.__getitem__, given))
+    # Sequential sums from 0.0, not builtin sum: from Python 3.12 builtin
+    # sum compensates float rounding, and these two averages were always
+    # accumulated one copy at a time.
+    avg1 = reduce(add, map(logs.__getitem__, g1), 0.0) / n
+    avg2 = reduce(add, map(logs.__getitem__, g2), 0.0) / n
     report.add("conditional_secondlast_vs_gamma1", "inequality", h_g1, avg1)
     report.add("conditional_nexttolast_vs_gamma2", "inequality", h_g2, avg2)
-    report.add("split_chain", "identity", _h(edge_tuples),
-               chain + (h_g1 + h_g2) / 2)
-    report.add("per_copy_budget", "inequality", max(budgets), m)
-    report.value("budget_equality_copies", sum(b == m for b in budgets))
+    report.add("split_chain", "identity", h_full, chain + (h_g1 + h_g2) / 2)
+    # one row (alpha_1, ..., alpha_{l-2}, gamma0, gamma1, gamma2) per copy
+    rows = Counter(zip(*map(cols.alpha, range(1, l - 1)), g0, g1, g2))
+    report.add("per_copy_budget", "inequality", max(map(sum, rows)), m)
+    report.value("budget_equality_copies", sum(c for row, c in rows.items() if sum(row) == m))
+
+    def amgm(row):
+        *a, x0, x1, x2 = row
+        return 2 * sum(logs[x] for x in a) + 2 * logs[x0] + logs[x1] + logs[x2]
+
     report.add("per_copy_product_bound", "inequality",
-               worst_amgm, math.log(0.25 * (m / l) ** (2 * l)))
+               max(map(amgm, rows)), math.log(0.25 * (m / l) ** (2 * l)))
     report.add("closed_form", "inequality",
                math.log(n), math.log(m ** (l + 1) / (2 * l ** l)))
 

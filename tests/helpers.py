@@ -503,6 +503,125 @@ def edge_tuples_oracle(copies, k, cycle):
     return [tuple((c[i], c[i + 1]) for i in range(k - 1)) for c in copies]
 
 
+# -- the path decomposition as it was written on edge tuples --
+
+
+def _norm(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _distinct_per_key(pairs):
+    return Counter(g for _, g in set(pairs))
+
+
+def path_decomposition_oracle(host: Graph, family):
+    """``entropy.verify_path_decomposition`` on tuples of oriented edges:
+    every projection a tuple of ``(u, v)`` pairs, every Counter keyed by
+    those tuples, one ``math.log`` per copy and term, and the alpha count
+    of each prefix memoised by the prefix tuple.  It adds its floats in
+    the same order with the same primitives, so its report is the same to
+    the byte."""
+    from edgeind.counting import alpha_extension_edges
+    from edgeind.entropy import CopyDistribution, EntropyReport
+    from edgeind.families import parse_family
+
+    kind, k = parse_family(family)
+    if kind != "P" or k < 4:
+        raise ValueError("decomposition applies to paths on at least 4 vertices")
+    edge_tuples = CopyDistribution.collect(host, Graph.path(k)).edge_tuples()
+    m = host.m
+    n = len(edge_tuples)
+    report = EntropyReport()
+    report.value("ordered_copies", n)
+    report.add("uniform_support", "identity", _list_entropy(edge_tuples), math.log(n))
+    first_u = [_norm(*t[0]) for t in edge_tuples]
+    report.add("first_edge_support", "inequality", _list_entropy(first_u), math.log(m))
+    report.add("orientation_reveal", "inequality",
+               _list_cond_entropy([(t[0], _norm(*t[0])) for t in edge_tuples]), math.log(2))
+    alpha_memo = {}
+
+    def alpha(prefix):
+        if prefix not in alpha_memo:
+            alpha_memo[prefix] = len(alpha_extension_edges(host, prefix))
+        return alpha_memo[prefix]
+
+    def odd_edge_chain(count):
+        chain = _list_entropy([t[0] for t in edge_tuples])
+        for i in range(1, count):
+            prefixes = [t[:2 * i:2] for t in edge_tuples]
+            cond = _list_cond_entropy([(t[2 * i], p) for t, p in zip(edge_tuples, prefixes)])
+            chain += cond
+            avg = sum(math.log(alpha(p)) for p in prefixes) / n
+            report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality", cond, avg)
+        return chain
+
+    if k % 2 == 0:
+        l = k // 2
+        chain = odd_edge_chain(l)
+        h_evens = _list_cond_entropy([(t[1:2 * l - 2:2], t[:2 * l:2]) for t in edge_tuples])
+        report.add("evens_determined", "identity", h_evens, 0.0)
+        chain += h_evens
+        report.add("chain_rule", "identity", _list_entropy(edge_tuples), chain)
+        budgets = [sum(alpha(t[:2 * i:2]) for i in range(1, l)) for t in edge_tuples]
+        report.add("per_copy_budget", "inequality", max(budgets), m)
+        report.value("budget_equality_copies", sum(b == m for b in budgets))
+        report.add("closed_form", "inequality",
+                   math.log(n), math.log(m ** l / (l - 1) ** (l - 1)))
+        return report
+
+    l = (k - 1) // 2
+    chain = odd_edge_chain(l - 1)
+    prefixes = [t[:2 * l - 2:2] for t in edge_tuples]
+    last_u = [_norm(*t[2 * l - 1]) for t in edge_tuples]
+    last_pairs = list(zip(last_u, prefixes))
+    h_last = _list_cond_entropy(last_pairs)
+    gamma0 = _distinct_per_key(last_pairs)
+    avg0 = sum(math.log(gamma0[p]) for p in prefixes) / n
+    report.add("conditional_final_vs_gamma0", "inequality", h_last, avg0)
+    chain += h_last
+    if l >= 3:
+        middle = [(t[1:2 * l - 4:2], p) for t, p in zip(edge_tuples, prefixes)]
+        report.add("middle_evens_determined", "identity", _list_cond_entropy(middle), 0.0)
+    given = list(zip(prefixes, last_u))
+    g1_u = [_norm(*t[2 * l - 3]) for t in edge_tuples]
+    g2_u = [_norm(*t[2 * l - 2]) for t in edge_tuples]
+    g1_pairs = list(zip(g1_u, given))
+    g2_pairs = list(zip(g2_u, given))
+    h_pair = _list_cond_entropy([((a, b), g) for a, b, g in zip(g1_u, g2_u, given)])
+    h_g1 = _list_cond_entropy(g1_pairs)
+    h_g2 = _list_cond_entropy(g2_pairs)
+    gamma1 = _distinct_per_key(g1_pairs)
+    gamma2 = _distinct_per_key(g2_pairs)
+    report.add("pair_equals_first", "identity", h_pair, h_g1)
+    report.add("pair_equals_second", "identity", h_pair, h_g2)
+    avg1 = 0.0
+    avg2 = 0.0
+    budgets = []
+    worst_amgm = None
+    for t, prefix, key in zip(edge_tuples, prefixes, given):
+        g0, g1, g2 = gamma0[prefix], gamma1[key], gamma2[key]
+        avg1 += math.log(g1)
+        avg2 += math.log(g2)
+        a = [alpha(t[:2 * i:2]) for i in range(1, l - 1)]
+        budgets.append(sum(a) + g0 + g1 + g2)
+        lhs = 2 * sum(math.log(x) for x in a) + 2 * math.log(g0) + math.log(g1) + math.log(g2)
+        if worst_amgm is None or lhs > worst_amgm:
+            worst_amgm = lhs
+    avg1 /= n
+    avg2 /= n
+    report.add("conditional_secondlast_vs_gamma1", "inequality", h_g1, avg1)
+    report.add("conditional_nexttolast_vs_gamma2", "inequality", h_g2, avg2)
+    report.add("split_chain", "identity", _list_entropy(edge_tuples),
+               chain + (h_g1 + h_g2) / 2)
+    report.add("per_copy_budget", "inequality", max(budgets), m)
+    report.value("budget_equality_copies", sum(b == m for b in budgets))
+    report.add("per_copy_product_bound", "inequality",
+               worst_amgm, math.log(0.25 * (m / l) ** (2 * l)))
+    report.add("closed_form", "inequality",
+               math.log(n), math.log(m ** (l + 1) / (2 * l ** l)))
+    return report
+
+
 # -- the JSON report oracle --
 
 

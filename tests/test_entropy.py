@@ -1,13 +1,17 @@
 import io
+import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeind import (
     BlowupSpec,
+    alpha_extension_edges,
     CopyDistribution,
     EmptySupportError,
     Graph,
@@ -28,6 +32,7 @@ from edgeind import (
     rho_exact,
     verify_path_decomposition,
 )
+from edgeind import entropy as ent
 from edgeind.entropy import _contribution_cap, _validate_induced_cycle
 
 from helpers import (
@@ -39,6 +44,7 @@ from helpers import (
     is_capable,
     links_ok,
     odd_prefix,
+    path_decomposition_oracle,
     projection_entropy_oracle,
     random_graph,
 )
@@ -463,3 +469,113 @@ def test_tuple_predicates_equal_the_pairwise_definition(backends, case):
                 assert valid == links_ok(g, t, wrap=True)
     finally:
         kernels._impl = saved
+
+
+# -- the path check on integer columns against the tuple oracle --
+
+
+def _path_reports(host, k):
+    """(new, oracle) report texts, or "empty" where both raise
+    EmptySupportError."""
+    out = []
+    for check in (verify_path_decomposition, path_decomposition_oracle):
+        try:
+            out.append(json.dumps(check(host, f"P{k}").to_json()))
+        except EmptySupportError:
+            out.append("empty")
+    return out
+
+
+@st.composite
+def path_hosts(draw):
+    """A path length 4..9 and a host: a random graph on 4-16 vertices at
+    one of several densities, or a blow-up of a cycle long enough to hold
+    the path (C_{k+1}..C_10) with parts of 1-2 vertices, relabelled at
+    random.  The choices come from a seeded stream: drawn ones shrink to
+    hosts too small to hold a long path."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    k = rng.randint(4, 9)
+    if rng.random() < 0.5:
+        n = rng.randint(max(4, k), 16)
+        return random_graph(rng, n, rng.choice([0.15, 0.3, 0.45, 0.6, 0.85])), k
+    c = rng.randint(k + 1, 10)
+    host = blow_up(BlowupSpec(Graph.cycle(c), tuple(rng.randint(1, 2) for _ in range(c))))
+    perm = list(range(host.n))
+    rng.shuffle(perm)
+    return host.relabel(perm), k
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(path_hosts())
+def test_path_check_equals_the_tuple_oracle(backends, case):
+    host, k = case
+    saved = kernels._impl
+    try:
+        for backend in backends:
+            kernels._impl = backend
+            new, oracle = _path_reports(host, k)
+            assert new == oracle, (backend.BACKEND, k)
+    finally:
+        kernels._impl = saved
+
+
+def test_path_check_keeps_its_summation_order(backends, monkeypatch):
+    """On this host the per-copy log terms of P4's alpha average and of
+    P5's gamma averages have a correctly rounded sum (math.fsum) that
+    differs from their left-to-right sum even after dividing by the copy
+    count.  So the report pins the summation primitive: builtin ``sum``
+    for the alpha and gamma0 averages, a running float total for gamma1
+    and gamma2 (they differ from Python 3.12 on, where ``sum`` compensates
+    float rounding)."""
+    host = random_graph(random.Random(1), 11, 0.35)
+
+    def norm(e):
+        return tuple(sorted(e))
+
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        edges = CopyDistribution.collect(host, Graph.path(4)).edge_tuples()
+        terms = [math.log(len(alpha_extension_edges(host, (t[0],)))) for t in edges]
+        rep = verify_path_decomposition(host, "P4")
+        n = len(terms)
+        assert math.fsum(terms) / n != sum(terms) / n
+        assert rep["conditional_3_vs_extensions"].rhs == sum(terms) / n
+
+        edges = CopyDistribution.collect(host, Graph.path(5)).edge_tuples()
+        n = len(edges)
+        finals = {}
+        for t in edges:
+            finals.setdefault(t[0], set()).add(norm(t[3]))
+        g0 = [math.log(len(finals[t[0]])) for t in edges]
+        seconds = {}
+        for t in edges:
+            seconds.setdefault((t[0], norm(t[3])), set()).add(norm(t[1]))
+        g1 = [math.log(len(seconds[t[0], norm(t[3])])) for t in edges]
+        rep = verify_path_decomposition(host, "P5")
+        assert math.fsum(g0) / n != sum(g0) / n
+        assert rep["conditional_final_vs_gamma0"].rhs == sum(g0) / n
+        running = reduce(add, g1, 0.0)
+        assert math.fsum(g1) / n != running / n
+        assert rep["conditional_secondlast_vs_gamma1"].rhs == running / n
+        for k in (4, 5):
+            new, oracle = _path_reports(host, k)
+            assert new == oracle
+
+
+def test_path_check_asks_alpha_once_per_distinct_prefix(monkeypatch):
+    host = blow_up(BlowupSpec(Graph.cycle(8), (2,) * 8))
+    calls = []
+    alpha = ent.alpha_extension_edges
+
+    def counted(g, t, *args):
+        calls.append(tuple(t))
+        return alpha(g, t, *args)
+
+    monkeypatch.setattr(ent, "alpha_extension_edges", counted)
+    rep = verify_path_decomposition(host, "P7")
+    assert rep.passed
+    # P7 has l = 3: its chain conditions edge 3 on the one-entry prefix
+    edges = CopyDistribution.collect(host, Graph.path(7)).edge_tuples()
+    prefixes = {t[:2 * i:2] for t in edges for i in range(1, 2)}
+    assert len(calls) == len(set(calls)) == len(prefixes) == 64
+    assert set(calls) == prefixes
