@@ -292,12 +292,12 @@ def cycle_path_shearer(host: Graph, k: int) -> EntropyReport:
 # the same order.  Each log is taken once per distinct value.
 
 
-def _pack(base, columns):
-    """One int per row of equal-length columns of codes below base - 1."""
-    columns = iter(columns)
-    packed = [c + 1 for c in next(columns)]
+def _pack(base, columns, packed=None):
+    """One int per row: the row's ``packed`` key, if given, extended by the
+    row's codes in each column (codes below base - 1)."""
     for col in columns:
-        packed = [p * base + c + 1 for p, c in zip(packed, col)]
+        packed = ([c + 1 for c in col] if packed is None else
+                  [p * base + c + 1 for p, c in zip(packed, col)])
     return packed
 
 
@@ -329,9 +329,8 @@ class _PathColumns:
     def prefix(self, i):
         """The code of each copy's i-entry odd-edge prefix."""
         if i not in self._prefixes:
-            last = self.oriented(2 * i - 2)
-            self._prefixes[i] = ([c + 1 for c in last] if i == 1 else
-                                 [p * self.base + c + 1 for p, c in zip(self.prefix(i - 1), last)])
+            self._prefixes[i] = _pack(self.base, [self.oriented(2 * i - 2)],
+                                      self.prefix(i - 1) if i > 1 else None)
         return self._prefixes[i]
 
     def alpha(self, i):
@@ -339,10 +338,10 @@ class _PathColumns:
         ``alpha_extension_edges`` call per distinct prefix."""
         if i not in self._alpha:
             codes = self.prefix(i)
-            # each prefix is read off the last copy that carries it
-            counts = {code: len(alpha_extension_edges(self.host, tuple(zip(c[:2 * i:2],
-                                                                            c[1:2 * i:2]))))
-                      for code, c in dict(zip(codes, self.copies)).items()}
+            counts = {}
+            for code, c in dict(zip(codes, self.copies)).items():  # one copy per prefix
+                prefix = tuple(zip(c[:2 * i:2], c[1:2 * i:2]))
+                counts[code] = len(alpha_extension_edges(self.host, prefix))
             self._alpha[i] = list(map(counts.__getitem__, codes))
         return self._alpha[i]
 
@@ -424,7 +423,7 @@ def _odd_path_terms(cols, l, m, h_full, report):
     if l >= 3:
         middle = _pack(cols.base, map(cols.oriented, range(1, 2 * l - 4, 2)))
         report.add("middle_evens_determined", "identity", _h_cond(middle, prefixes), 0.0)
-    given = [p * cols.base + u + 1 for p, u in zip(prefixes, last_u)]  # (prefix, final edge)
+    given = _pack(cols.base, [last_u], prefixes)  # (prefix, final edge)
     g1_u = cols.unordered(2 * l - 3)
     g2_u = cols.unordered(2 * l - 2)
     h_pair = _h_cond(_pack(cols.base, (g1_u, g2_u)), given)

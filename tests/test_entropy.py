@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from edgeind import (
     BlowupSpec,
-    alpha_extension_edges,
     CopyDistribution,
     EmptySupportError,
     Graph,
+    alpha_extension_edges,
     blow_up,
     c6_hypergraph_check,
     characterizes_cycle,
@@ -574,8 +574,9 @@ def test_path_check_asks_alpha_once_per_distinct_prefix(monkeypatch):
     monkeypatch.setattr(ent, "alpha_extension_edges", counted)
     rep = verify_path_decomposition(host, "P7")
     assert rep.passed
-    # P7 has l = 3: its chain conditions edge 3 on the one-entry prefix
+    # P7 has l = 3, so alpha is asked only of one-entry prefixes: the
+    # first edges, with orientation
     edges = CopyDistribution.collect(host, Graph.path(7)).edge_tuples()
-    prefixes = {t[:2 * i:2] for t in edges for i in range(1, 2)}
+    prefixes = {t[:1] for t in edges}
     assert len(calls) == len(set(calls)) == len(prefixes) == 64
     assert set(calls) == prefixes
