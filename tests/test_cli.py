@@ -330,7 +330,9 @@ def test_count_copies_export():
 # non-empty weight-0 side, so its matching is printed.  The P8 check on
 # C9[2^9] ("Q]Ko...") and the P9 check on C10[2^10] ("S]Ko...") were pinned
 # before the path check moved to integer edge columns; with P7 they reach
-# a multi-step odd-edge chain and ``middle_evens_determined``.
+# a multi-step odd-edge chain and ``middle_evens_determined``.  The claim1
+# ledgers of the uneven blow-up C6[3,3,2,2,2,2] ("MHGAsy...", 144 cycles)
+# were pinned before the ledgers shared their work across a host's cycles.
 STDOUT_SHA256 = {
     "alphaf Cs":
         "10c1ec187b1e1b030ce814a278da32d6f51546941150e03928f958e7536cb420",
@@ -374,6 +376,8 @@ STDOUT_SHA256 = {
         "e6e4be264ed65ade5309198b169f5ebd2cd0ee96109bc15e9bab19df5c650a52",
     "entropy --host K]KoWWB?u@wE --pattern EhEG --verify c6":
         "5f548e8a316c691d9b536cfe7216ed06559abc384116ad8cd1a2822c02746aca",
+    "entropy --host MHGAsy[U@Cw`pAGd_ --pattern EhEG --verify claim1":
+        "d527a9e257d5d7d9acfaf9505aff863be96f76e85c8c13950f7a5521e651abeb",
     "construct --family C6 -m 60":
         "173a1881211daf06d246494fa9f799f0dd1ad4d64c48131c17186d11bfa9c27d",
     "construct --family P5 -m 40":
@@ -403,7 +407,8 @@ STDOUT_SHA256 = {
 
 # sha256 of the ``--table`` stdout of each command, taken while --table
 # still printed a normalized copy of the report (the three path checks:
-# before the path check moved to integer edge columns).
+# before the path check moved to integer edge columns; the claim1 check:
+# before the ledgers shared their work across a host's cycles).
 TABLE_SHA256 = {
     "--table alphaf Dhc":
         "15a49f00668d8803287c87aa4cd08fdc8ccfa3e390c4a3c2e5050e3150803a25",
@@ -421,6 +426,15 @@ TABLE_SHA256 = {
         "5d2560d784a0cf1b4e9c4e58cd5b7f944a83e76bdf62ad13eef9d96480e99fde",
     "--table entropy --host S]KoWWB?o@_E?B?B??W?E??K??u??]??W --pattern HhCGGC@ --verify path":
         "22ab1fc29d75711abcb604c9a3e7fcba4e65aa74891ea1a2a1788d9856b0055b",
+    "--table entropy --host MHGAsy[U@Cw`pAGd_ --pattern EhEG --verify claim1":
+        "4c46b64869f75adfb72e2f0bfc8e84df8872b5682488c33d0089d978aca63ade",
+}
+
+# sha256 of the file ``--csv`` writes (the first cycle's ledger), pinned
+# with the stdout of the same command above.
+CSV_SHA256 = {
+    "entropy --host MHGAsy[U@Cw`pAGd_ --pattern EhEG --verify claim1":
+        "6f5814e000b1e44b084559687f120adf71f0abc32835754b42562c778c671699",
 }
 
 
@@ -435,6 +449,18 @@ def test_stdout_digests_are_pinned(backends, monkeypatch):
             code, out, _ = run(command.split())
             assert code == 0, (backend.BACKEND, command)
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (backend.BACKEND, command)
+
+
+def test_csv_digests_are_pinned(backends, monkeypatch, tmp_path):
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        for command, digest in CSV_SHA256.items():
+            path = tmp_path / f"{backend.BACKEND}.csv"
+            code, out, _ = run(command.split() + ["--csv", str(path)])
+            assert code == 0, (backend.BACKEND, command)
+            assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, \
+                (backend.BACKEND, command)
 
 
 # -- the report writer against the standard library encoder --
