@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import add, itemgetter
 
@@ -464,6 +464,14 @@ def _distinct_per_key(pairs):
 
 
 # -- per-cycle extension ledgers -------------------------------------------
+#
+# The ledgers of one host share their work.  The weights at a cycle
+# position depend only on the host and the 2l-2 cycle vertices read from
+# that position (its window), and the fields of a row only on k, the row's
+# adjacency mask and its plus and minus vectors; each is derived once per
+# distinct window or pattern, in a memo that holds the current host only.
+# Rows with one pattern share its tuples, and a ledger's JSON gives each
+# shared tuple one list.
 
 
 @dataclass(frozen=True)
@@ -498,11 +506,11 @@ class ClaimLedger:
     def l(self):
         return len(self.cycle) // 2
 
-    @property
+    @cached_property
     def total_plus(self):
         return sum(self.s_plus, Fraction(0))
 
-    @property
+    @cached_property
     def total_minus(self):
         return sum(self.s_minus, Fraction(0))
 
@@ -524,11 +532,15 @@ class ClaimLedger:
                 and self.total_minus <= self.fallback_budget)
 
     def to_json(self):
+        """The ledger as a report.  Rows that share a tuple share its list,
+        so the result is read, not edited in place."""
+        texts = _shared_lists(str)
+        plain = _shared_lists(int)
         return {
             "cycle": list(self.cycle),
             "m": self.m,
-            "s_plus": [str(x) for x in self.s_plus],
-            "s_minus": [str(x) for x in self.s_minus],
+            "s_plus": texts(self.s_plus),
+            "s_minus": texts(self.s_minus),
             "total_plus": str(self.total_plus),
             "total_minus": str(self.total_minus),
             "budget": self.budget,
@@ -539,10 +551,10 @@ class ClaimLedger:
             "rows": [
                 {
                     "edge": list(r.edge),
-                    "adjacent_positions": list(r.adjacent_positions),
-                    "plus": [str(x) for x in r.plus],
-                    "minus": [str(x) for x in r.minus],
-                    "flags": list(r.flags),
+                    "adjacent_positions": plain(r.adjacent_positions),
+                    "plus": texts(r.plus),
+                    "minus": texts(r.minus),
+                    "flags": texts(r.flags),
                 }
                 for r in self.rows
             ],
@@ -570,9 +582,17 @@ class ClaimLedger:
                         + [str(self.total_plus), str(self.total_minus), ""])
 
 
-def _forward_tuple(seq, j, count):
-    k = len(seq)
-    return tuple((seq[(j + 2 * t) % k], seq[(j + 2 * t + 1) % k]) for t in range(count))
+def _shared_lists(convert):
+    """Tuple -> list of its converted entries, made once per tuple object."""
+    made = {}
+
+    def lists(values):
+        key = id(values)
+        if key not in made:
+            made[key] = list(map(convert, values))
+        return made[key]
+
+    return lists
 
 
 def _validate_induced_cycle(host, seq):
@@ -631,6 +651,67 @@ def _reverse_bits(mask, k):
     return int(format(mask, f"0{k}b")[::-1], 2)
 
 
+def _row_fields(k, adjacent, plus, minus):
+    """The fields of a ledger row after its edge, from the adjacency mask
+    and the half-unit plus and minus vectors: the adjacent positions, the
+    contributions and caps as Fractions, and the flags of every
+    contribution over its case cap and of a total over the per-edge cap."""
+    l = k // 2
+    # the minus caps come from the reversed sequence, read at position
+    # k-2-j, as the minus weights are
+    adjacent_rev = _reverse_bits(adjacent, k)
+    pcaps = [_contribution_cap(adjacent, j, k) for j in range(k)]
+    mcaps = [_contribution_cap(adjacent_rev, (k - 2 - j) % k, k) for j in range(k)]
+    flags = []
+    for j in range(k):
+        if plus[j] > pcaps[j]:
+            flags.append(f"plus_{j}_exceeds_case_cap")
+        if minus[j] > mcaps[j]:
+            flags.append(f"minus_{j}_exceeds_case_cap")
+    per_edge_cap = 2 * (l if l >= 4 else l + 1)
+    if sum(plus) > per_edge_cap:
+        flags.append("plus_total_exceeds_edge_cap")
+    if sum(minus) > per_edge_cap:
+        flags.append("minus_total_exceeds_edge_cap")
+    positions = tuple(j for j in range(k) if adjacent >> j & 1)
+    return (positions, _half_fractions(plus), _half_fractions(minus),
+            _half_fractions(pcaps), _half_fractions(mcaps), tuple(flags))
+
+
+class _HostMemo:
+    """The ledger work shared across one host's cycles: its edges, the
+    weights and their sum per window, and the row fields per pattern."""
+
+    def __init__(self, host):
+        self.adj = host.adj
+        self.edges = host.edges()
+        self.windows = {}
+        self.rows = {}
+
+    def weights(self, window):
+        """(weights, their sum) of a window, as ``_extension_weights``."""
+        if window not in self.windows:
+            weights = _extension_weights(self.adj, window)
+            self.windows[window] = weights, sum(weights.values())
+        return self.windows[window]
+
+    def row_fields(self, key):
+        if key not in self.rows:
+            self.rows[key] = _row_fields(*key)
+        return self.rows[key]
+
+
+_memo = None
+
+
+def _host_memo(host):
+    """The memo of ``host``; a ledger of another host replaces it."""
+    global _memo
+    if _memo is None or _memo.adj != host.adj:
+        _memo = _HostMemo(host)
+    return _memo
+
+
 def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
     """Per-position extension-count sums S_j+/S_j- for one induced even
     cycle, with the per-host-edge contribution rows, the adjacency
@@ -641,70 +722,50 @@ def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
     seq = tuple(cycle)
     _validate_induced_cycle(host, seq)
     k = len(seq)
-    l = k // 2
-    m = host.m
-    plus_weights = [_extension_weights(host, seq, j, l) for j in range(k)]
-    # minus tuples at position j equal the plus tuples of the reversed
+    memo = _host_memo(host)
+    edges = memo.edges
+    # the window at position j is the k-2 vertices read forwards from j;
+    # the minus tuples at position j are the plus tuples of the reversed
     # sequence at position k-2-j
-    rev = seq[::-1]
-    reversed_plus = [_extension_weights(host, rev, j, l) for j in range(k)]
-    minus_weights = [reversed_plus[(k - 2 - j) % k] for j in range(k)]
-    s_plus = [sum(w.values()) for w in plus_weights]
-    s_minus = [sum(w.values()) for w in minus_weights]
+    ring = seq + seq
+    rev = ring[::-1]
+    plus = [memo.weights(ring[j:j + k - 2]) for j in range(k)]
+    minus = [memo.weights(rev[i:i + k - 2]) for i in [(k - 2 - j) % k for j in range(k)]]
+    zeros = [0] * len(edges)
+    plus_cols = [list(map(w.get, edges, zeros)) for w, _ in plus]
+    minus_cols = [list(map(w.get, edges, zeros)) for w, _ in minus]
+    s_plus = [total for _, total in plus]
+    s_minus = [total for _, total in minus]
+    if list(map(sum, plus_cols)) != s_plus or list(map(sum, minus_cols)) != s_minus:
+        raise AssertionError("ledger rows do not reconstruct the extension sums")
 
     position_masks = _position_masks(host, seq)
-    caps = {}  # adjacency mask -> per-position plus and minus caps
     rows = []
     flagged = []
-    check_plus = [0] * k
-    check_minus = [0] * k
-    per_edge_cap = 2 * (l if l >= 4 else l + 1)
-    for edge in host.edges():
+    for edge, p, q in zip(edges, zip(*plus_cols), zip(*minus_cols)):
         x, y = edge
-        adjacent = position_masks[x] | position_masks[y]
-        if adjacent not in caps:
-            # the minus caps come from the reversed sequence, as above
-            adjacent_rev = _reverse_bits(adjacent, k)
-            caps[adjacent] = (
-                [_contribution_cap(adjacent, j, k) for j in range(k)],
-                [_contribution_cap(adjacent_rev, (k - 2 - j) % k, k) for j in range(k)])
-        pcaps, mcaps = caps[adjacent]
-        plus = [w.get(edge, 0) for w in plus_weights]
-        minus = [w.get(edge, 0) for w in minus_weights]
-        flags = []
-        for j in range(k):
-            check_plus[j] += plus[j]
-            check_minus[j] += minus[j]
-            if plus[j] > pcaps[j]:
-                flags.append(f"plus_{j}_exceeds_case_cap")
-            if minus[j] > mcaps[j]:
-                flags.append(f"minus_{j}_exceeds_case_cap")
-        if sum(plus) > per_edge_cap:
-            flags.append("plus_total_exceeds_edge_cap")
-        if sum(minus) > per_edge_cap:
-            flags.append("minus_total_exceeds_edge_cap")
-        positions = tuple(j for j in range(k) if adjacent >> j & 1)
-        rows.append(LedgerRow(edge, positions, _half_fractions(plus), _half_fractions(minus),
-                              _half_fractions(pcaps), _half_fractions(mcaps), tuple(flags)))
+        *fields, flags = memo.row_fields((k, position_masks[x] | position_masks[y], p, q))
+        rows.append(LedgerRow(edge, *fields, flags))
         if flags:
-            flagged.append((edge, tuple(flags)))
-    if check_plus != s_plus or check_minus != s_minus:
-        raise AssertionError("ledger rows do not reconstruct the extension sums")
-    return ClaimLedger(seq, m, _half_fractions(s_plus), _half_fractions(s_minus),
+            flagged.append((edge, flags))
+    return ClaimLedger(seq, host.m, _half_fractions(s_plus), _half_fractions(s_minus),
                        tuple(rows), tuple(flagged))
 
 
-def _extension_weights(host, seq, j, l):
-    """Half-unit weight of each host edge at cycle position j: 1 for an
+def _extension_weights(adj, window):
+    """Half-unit weight of each host edge at the cycle position whose
+    window (the 2l-2 cycle vertices read from it) is given: 1 for an
     extension of the one-entry tuple, plus 2 for each longer tuple (up to
-    the cycle-closing one) it extends.  ``seq`` is a validated induced
-    2l-cycle, so each forward tuple is well-ordered: its entries are
-    alternate cycle edges, its links are cycle edges, and the cycle has
-    no chords."""
+    the cycle-closing one) it extends.  The window comes from a validated
+    induced 2l-cycle, so each tuple of its alternate edges is
+    well-ordered: its entries are alternate cycle edges, its links are
+    cycle edges, and the cycle has no chords."""
+    entries = len(window) // 2
     weights = {}
-    for i in range(1, l):
+    for i in range(1, entries + 1):
         w = 1 if i == 1 else 2
-        for e in _extension_edges(host.adj, _forward_tuple(seq, j, i), i == l - 1):
+        t = tuple(zip(window[0:2 * i:2], window[1:2 * i:2]))
+        for e in _extension_edges(adj, t, i == entries):
             weights[e] = weights.get(e, 0) + w
     return weights
 

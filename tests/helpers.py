@@ -406,7 +406,6 @@ def fraction_ledger(host: Graph, seq):
     s_plus = tuple(Fraction(len(ps[0]), 2) + sum(len(s) for s in ps[1:]) for ps in plus_sets)
     s_minus = tuple(Fraction(len(ms[0]), 2) + sum(len(s) for s in ms[1:]) for ms in minus_sets)
     rev = tuple(reversed(seq))
-    per_edge_cap = l if l >= 4 else l + 1
     rows, flagged = [], []
     for edge in host.edges():
         x, y = edge
@@ -414,29 +413,39 @@ def fraction_ledger(host: Graph, seq):
                          if host.has_edge(x, seq[j]) or host.has_edge(y, seq[j]))
         adjacent_rev = {j for j in range(k)
                         if host.has_edge(x, rev[j]) or host.has_edge(y, rev[j])}
-        plus, minus, pcaps, mcaps, flags = [], [], [], [], []
-        for j in range(k):
-            p = Fraction(edge in plus_sets[j][0], 2) + sum(edge in s for s in plus_sets[j][1:])
-            q = Fraction(edge in minus_sets[j][0], 2) + sum(edge in s for s in minus_sets[j][1:])
-            pcap = fraction_contribution_cap(set(adjacent), j, k)
-            mcap = fraction_contribution_cap(adjacent_rev, (k - 2 - j) % k, k)
-            plus.append(p)
-            minus.append(q)
-            pcaps.append(pcap)
-            mcaps.append(mcap)
-            if p > pcap:
-                flags.append(f"plus_{j}_exceeds_case_cap")
-            if q > mcap:
-                flags.append(f"minus_{j}_exceeds_case_cap")
-        if sum(plus) > per_edge_cap:
-            flags.append("plus_total_exceeds_edge_cap")
-        if sum(minus) > per_edge_cap:
-            flags.append("minus_total_exceeds_edge_cap")
-        rows.append(LedgerRow(edge, adjacent, tuple(plus), tuple(minus),
-                              tuple(pcaps), tuple(mcaps), tuple(flags)))
+        plus = [Fraction(edge in ps[0], 2) + sum(edge in s for s in ps[1:])
+                for ps in plus_sets]
+        minus = [Fraction(edge in ms[0], 2) + sum(edge in s for s in ms[1:])
+                 for ms in minus_sets]
+        pcaps, mcaps, flags = fraction_caps_and_flags(k, adjacent, adjacent_rev, plus, minus)
+        rows.append(LedgerRow(edge, adjacent, tuple(plus), tuple(minus), pcaps, mcaps, flags))
         if flags:
-            flagged.append((edge, tuple(flags)))
+            flagged.append((edge, flags))
     return ClaimLedger(seq, host.m, s_plus, s_minus, tuple(rows), tuple(flagged))
+
+
+def fraction_caps_and_flags(k, adjacent, adjacent_rev, plus, minus):
+    """The plus and minus caps of a claim1 row and its flags: a contribution
+    over its case cap, or a total over the per-edge cap.  ``adjacent`` and
+    ``adjacent_rev`` are the cycle positions adjacent to the edge, read on
+    the cycle and on the reversed cycle; contributions are Fractions."""
+    l = k // 2
+    per_edge_cap = l if l >= 4 else l + 1
+    pcaps, mcaps, flags = [], [], []
+    for j in range(k):
+        pcap = fraction_contribution_cap(set(adjacent), j, k)
+        mcap = fraction_contribution_cap(set(adjacent_rev), (k - 2 - j) % k, k)
+        pcaps.append(pcap)
+        mcaps.append(mcap)
+        if plus[j] > pcap:
+            flags.append(f"plus_{j}_exceeds_case_cap")
+        if minus[j] > mcap:
+            flags.append(f"minus_{j}_exceeds_case_cap")
+    if sum(plus) > per_edge_cap:
+        flags.append("plus_total_exceeds_edge_cap")
+    if sum(minus) > per_edge_cap:
+        flags.append("minus_total_exceeds_edge_cap")
+    return tuple(pcaps), tuple(mcaps), tuple(flags)
 
 
 def gamma_by_filtering(g: Graph, t, e_last):

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeind import Graph, automorphism_order, cli, kernels, search, write_graph6
+from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, cli, kernels, search,
+                     write_graph6)
 from edgeind import entropy as ent
 from edgeind.cli import dispatch
 
@@ -534,6 +535,23 @@ def test_emit_matches_the_json_encoder_on_deep_and_empty_nesting():
         deep = [deep, {}] if i % 2 else {"k": deep, "e": []}
     for report in (deep, {}, [], {"a": {}, "b": [[]], "c": [{}]}, 7, "x", None, 1.5):
         assert emitted(report) == json_report_oracle(report)
+
+
+def test_emit_matches_the_json_encoder_on_aliased_lists():
+    # one list object at several places and depths, as a claim1 ledger's
+    # rows share their lists
+    texts = ["1/2", "0", "3/2"]
+    ints = [0, 2, 5]
+    mixed = [texts, 1.5, None]
+    report = {"a": texts, "b": [texts, {"c": texts, "d": [texts, [texts, ints]]}],
+              "e": ints, "f": [ints, ints, mixed], "g": {"h": mixed, "i": [mixed, texts]}}
+    assert emitted(report) == json.dumps(report, indent=2) + "\n" == json_report_oracle(report)
+    host = blow_up(BlowupSpec(Graph.cycle(6), (2,) * 6))
+    ledger = ent.cycle_extension_ledger(host, ent.induced_cycles(host, 6)[0]).to_json()
+    rows = ledger["rows"]
+    assert any(row["plus"] is rows[0]["plus"] for row in rows[1:])
+    assert emitted(ledger) == json.dumps(ledger, indent=2) + "\n"
+    assert emitted(report, table=True) == emitted(json.loads(json.dumps(report)), table=True)
 
 
 OUTSIDE_VALUES = [(1, 2), Fraction(1, 2), frozenset(), Level.LOW, Label("g6"), Ratio(1 / 7)]

@@ -33,12 +33,13 @@ from edgeind import (
     verify_path_decomposition,
 )
 from edgeind import entropy as ent
-from edgeind.entropy import _contribution_cap, _validate_induced_cycle
+from edgeind.entropy import _contribution_cap, _row_fields, _validate_induced_cycle
 
 from helpers import (
     complete_bipartite,
     edge_tuples_oracle,
     even_entries,
+    fraction_caps_and_flags,
     fraction_contribution_cap,
     fraction_ledger,
     is_capable,
@@ -374,6 +375,74 @@ def test_half_unit_caps_match_fraction_caps():
             for j in range(k):
                 assert Fraction(_contribution_cap(mask, j, k), 2) == \
                     fraction_contribution_cap(adjacent, j, k)
+
+
+def test_row_fields_match_the_oracle_on_over_cap_vectors():
+    # real hosts never reach the flag path, so synthetic plus and minus
+    # vectors (half-units 0..4, often over a case cap or the per-edge cap)
+    # go straight to the row derivation, on every adjacency mask for k = 6
+    # and 8 and on sampled masks for k = 10
+    rng = random.Random(1910)
+    fired = set()
+    for k in (6, 8, 10):
+        masks = range(1 << k) if k < 10 else rng.sample(range(1 << k), 300)
+        for mask in masks:
+            for _ in range(2):
+                plus = tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(k))
+                minus = tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(k))
+                adjacent = tuple(j for j in range(k) if mask >> j & 1)
+                adjacent_rev = {k - 1 - j for j in adjacent}  # rev[j] is seq[k-1-j]
+                halves = [Fraction(h, 2) for h in plus], [Fraction(h, 2) for h in minus]
+                pcaps, mcaps, flags = fraction_caps_and_flags(k, adjacent, adjacent_rev, *halves)
+                fields = _row_fields(k, mask, plus, minus)
+                assert fields == (adjacent, *map(tuple, halves), pcaps, mcaps, flags), \
+                    (k, mask, plus, minus)
+                for values in fields[1:5]:
+                    assert all(type(x) is Fraction for x in values)
+                fired.update(f.split("_", 1)[0] + ("_total" if "total" in f else "")
+                             for f in flags)
+    assert fired == {"plus", "minus", "plus_total", "minus_total"}
+
+
+def _two_cycle_host():
+    """C8 on 0..7 with the path 3-8-9-0: induced 6- and 8-cycles share
+    vertices, so one host gives ledgers of both lengths."""
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(3, 8), (8, 9), (9, 0)]
+    return Graph.from_edges(10, edges)
+
+
+def test_ledger_memo_holds_the_current_host_only():
+    rng = random.Random(1911)
+    a = _two_cycle_host()
+    b = _relabelled_blowup(rng, 6, (2, 1, 3, 1, 1, 2))
+    perm = list(range(a.n))
+    rng.shuffle(perm)
+    runs = [(a, (6, 8, 6)), (b, (6,)), (a, (8, 6)), (a.relabel(perm), (8, 6))]
+    for host, lengths in runs:
+        for k in lengths:
+            cycles = induced_cycles(host, k)
+            assert cycles
+            for cyc in cycles[:4]:
+                _assert_same_ledger(cycle_extension_ledger(host, cyc), fraction_ledger(host, cyc))
+            assert ent._memo.adj == host.adj
+        # the windows held are the host's own: reading ``host.adj`` again
+        # gives each window's weights
+        for window, (weights, total) in ent._memo.windows.items():
+            assert weights == ent._extension_weights(host.adj, window)
+            assert total == sum(weights.values())
+
+
+def test_ledger_json_shares_one_list_per_shared_tuple():
+    host = blow_up(BlowupSpec(Graph.cycle(6), (3, 3, 2, 2, 2, 2)))
+    ledgers = [cycle_extension_ledger(host, c) for c in induced_cycles(host, 6)[:2]]
+    for led in ledgers:
+        rows = led.to_json()["rows"]
+        for name in ("adjacent_positions", "plus", "minus"):
+            tuples = {id(getattr(r, name)) for r in led.rows}
+            lists = {id(r[name]) for r in rows}
+            assert len(lists) == len(tuples) < len(rows), name
+    # rows of one pattern share their tuples across the host's ledgers
+    assert {id(r.plus) for r in ledgers[0].rows} & {id(r.plus) for r in ledgers[1].rows}
 
 
 def test_odd_path_check_enumerates_once(monkeypatch):
