@@ -9,7 +9,10 @@ The per-copy ledgers re-derive every extension count from the counting
 module; ledger rows are a cross-check against those counts, never the
 source of truth.  A ledger's cycle is checked to be induced by one pinned
 copy count, and an odd path's gamma statistics are read off the copies
-the path check already holds.
+the path check already holds.  The claim1 ledgers of one host share
+their work: extension weights once per cycle window, row fields once
+per distinct row pattern, totals once per ledger; the memo holds the
+current host only.
 
 The path check works on integer edge columns, one entry per ordered copy:
 edges, odd-edge prefixes and conditioning keys are coded as ints, so every
