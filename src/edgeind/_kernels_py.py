@@ -95,7 +95,6 @@ def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
         return [()]
     if len(g_adj) < k:
         return []
-    n, k, comp, prev_nbr, prev_non, deg_ok = _prepare(g_adj, h_adj, order, pin_hosts)
     seed = _pin_state(g_adj, h_adj, order, pin_hosts)
     if seed is None:
         return []
@@ -112,6 +111,7 @@ def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
     if start == k:
         emit()
         return out
+    n, k, comp, prev_nbr, prev_non, deg_ok = _prepare(g_adj, h_adj, order, pin_hosts)
 
     def rec(i, used):
         cand = deg_ok[i] & ~used

@@ -273,6 +273,11 @@ def _cmd_construct(args):
     return {"family": family_name(args.family), "m": args.m}, outputs, 0
 
 
+def _is_shape(pattern, shape):
+    """Whether the pattern is the shape up to relabelling."""
+    return canonical_form(pattern).label == canonical_form(shape).label
+
+
 def _entropy_verify(args):
     from . import entropy as ent  # imported here: no other command needs it
 
@@ -292,12 +297,12 @@ def _entropy_verify(args):
         report = ent.verify_chain_shearer(dist, covers=ent.drop_one_covers(k), r=k - 1)
         return report.to_json(), 0 if report.passed else 1
     if args.verify == "path":
-        if canonical_form(pattern).label != canonical_form(Graph.path(k)).label:
+        if not _is_shape(pattern, Graph.path(k)):
             raise ValueError("path verification needs a path pattern")
         report = ent.verify_path_decomposition(host, ("P", k))
         return report.to_json(), 0 if report.passed else 1
     if args.verify == "claim1":
-        if k < 6 or k % 2 or canonical_form(pattern).label != canonical_form(Graph.cycle(k)).label:
+        if k < 6 or k % 2 or not _is_shape(pattern, Graph.cycle(k)):
             raise ValueError("cycle ledgers need an even cycle pattern on >= 6 vertices")
         cycles = ent.induced_cycles(host, k)
         if not cycles:
@@ -316,7 +321,7 @@ def _entropy_verify(args):
         }
         return out, 0 if ok else 1
     if args.verify == "c6":
-        if canonical_form(pattern).label != canonical_form(Graph.cycle(6)).label:
+        if not _is_shape(pattern, Graph.cycle(6)):
             raise ValueError("hypergraph verification is specific to the 6-cycle")
         report = ent.c6_hypergraph_check(host)
         return report.to_json(), 0 if report.passed else 1

@@ -5,18 +5,21 @@ of a pattern in a host.  Entropies are computed from exact integer counts
 (counts over counts) and converted to floats once, so the 1e-9 identity
 and slack tolerances are honest.  Natural logarithm throughout.
 
-The per-copy ledgers re-derive every extension count from the counting
-module; ledger rows are a cross-check against those counts, never the
-source of truth.  A ledger's cycle is checked to be induced by one pinned
-copy count, and an odd path's gamma statistics are read off the copies
+The per-copy ledgers re-derive every extension count with the counting
+module's one extension routine; ledger rows are a cross-check against
+those counts, never the source of truth.  A ledger's cycle is checked to
+be induced by one pinned copy count.  Tuples read off that cycle, or off
+an ordered induced path, are well-ordered by construction and are not
+checked again.  An odd path's gamma statistics are read off the copies
 the path check already holds.  The claim1 ledgers of one host share
 their work: extension weights once per cycle window, row fields once
 per distinct row pattern, totals once per ledger; the memo holds the
-current host only.
+last host asked only.
 
 The path check works on integer edge columns, one entry per ordered copy:
 edges, odd-edge prefixes and conditioning keys are coded as ints, so every
-count is keyed by ints, and each log is taken once per distinct value.
+count is keyed by ints, and each log and alpha count is taken once per
+distinct value or prefix.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from operator import add, itemgetter
 
 from .graph import Graph
 from .families import parse_family
-from .counting import _extension_edges, _norm, _shape, alpha_extension_edges
+from .counting import _extension_edges, _norm, _shape
 from .canon import automorphism_order
 from . import kernels
 
@@ -69,17 +72,6 @@ class CopyDistribution:
     def __len__(self):
         return len(self.copies)
 
-    def edge_tuples(self):
-        """Copies viewed as tuples of oriented edges e_i = (w_i, w_{i+1});
-        cycles wrap around, paths have arity-1 coordinates.  The pattern
-        must carry the natural path/cycle labeling."""
-        k = self.pattern.n
-        if k >= 3 and self.pattern == Graph.cycle(k):
-            return [tuple(zip(c, c[1:] + c[:1])) for c in self.copies]
-        if k >= 2 and self.pattern == Graph.path(k):
-            return [tuple(zip(c, c[1:])) for c in self.copies]
-        raise ValueError("edge view needs a naturally labeled path or cycle pattern")
-
 
 def _check_coords(k, target, given):
     target = tuple(target)
@@ -103,19 +95,23 @@ def _support(dist):
     return tuples
 
 
-class _Logs(dict):
-    """math.log of each value, taken once."""
+class _Memo(dict):
+    """``fn(key)`` for each key, computed on its first lookup and kept."""
 
-    def __missing__(self, x):
-        self[x] = y = math.log(x)
-        return y
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 def _h(values) -> float:
     """Entropy of the uniform distribution over the values of an iterable."""
     counts = Counter(values)
     n = counts.total()
-    log = _Logs()
+    log = _Memo(math.log)
     return math.log(n) - sum(c * log[c] for c in counts.values()) / n
 
 
@@ -124,7 +120,7 @@ def _h_cond(targets, givens) -> float:
     the uniform distribution over the rows of two equal-length lists."""
     joint = Counter(zip(targets, givens))
     marginal = Counter(givens)
-    log = _Logs()
+    log = _Memo(math.log)
     return sum(c * (log[marginal[g]] - log[c]) for (_, g), c in joint.items()) / len(givens)
 
 
@@ -305,18 +301,19 @@ def _pack(base, columns, packed=None):
 
 
 class _PathColumns:
-    """The ordered copies of a path as integer columns: edge codes, packed
-    odd-edge prefixes, and the alpha count of each copy's prefix."""
+    """The ordered copies of a path as integer columns: edge codes, and
+    memos of the packed odd-edge prefixes and of the alpha count of each
+    copy's prefix, keyed by the number of prefix entries."""
 
     def __init__(self, host, copies):
         self.host = host
         self.copies = copies
         self.n = len(copies)
         self.base = host.n * host.n + 1
-        self.logs = _Logs()
+        self.logs = _Memo(math.log)
         self._vertices = list(zip(*copies))
-        self._prefixes = {}
-        self._alpha = {}
+        self.prefix = _Memo(self._prefix)
+        self.alpha = _Memo(self._alpha)
 
     def _edge(self, j):
         return zip(self._vertices[j], self._vertices[j + 1])
@@ -329,24 +326,22 @@ class _PathColumns:
         size = self.host.n
         return [u * size + v if u < v else v * size + u for u, v in self._edge(j)]
 
-    def prefix(self, i):
+    def _prefix(self, i):
         """The code of each copy's i-entry odd-edge prefix."""
-        if i not in self._prefixes:
-            self._prefixes[i] = _pack(self.base, [self.oriented(2 * i - 2)],
-                                      self.prefix(i - 1) if i > 1 else None)
-        return self._prefixes[i]
+        return _pack(self.base, [self.oriented(2 * i - 2)],
+                     self.prefix[i - 1] if i > 1 else None)
 
-    def alpha(self, i):
+    def _alpha(self, i):
         """The alpha count of each copy's i-entry prefix, from one
-        ``alpha_extension_edges`` call per distinct prefix."""
-        if i not in self._alpha:
-            codes = self.prefix(i)
-            counts = {}
-            for code, c in dict(zip(codes, self.copies)).items():  # one copy per prefix
-                prefix = tuple(zip(c[:2 * i:2], c[1:2 * i:2]))
-                counts[code] = len(alpha_extension_edges(self.host, prefix))
-            self._alpha[i] = list(map(counts.__getitem__, codes))
-        return self._alpha[i]
+        ``_extension_edges`` call per distinct prefix.  The prefix is not
+        checked first: the first 2i vertices of an ordered induced path
+        induce a path, so its odd edges form a well-ordered tuple."""
+        codes = self.prefix[i]
+        counts = {}
+        for code, c in dict(zip(codes, self.copies)).items():  # one copy per prefix
+            prefix = tuple(zip(c[:2 * i:2], c[1:2 * i:2]))
+            counts[code] = len(_extension_edges(self.host.adj, prefix, False))
+        return list(map(counts.__getitem__, codes))
 
     def mean_log(self, values):
         """Builtin ``sum`` of the values' logs in copy order, over n."""
@@ -386,10 +381,10 @@ def _odd_edge_chain(cols, count, report):
     log-average extension bound."""
     chain = _h(cols.oriented(0))
     for i in range(1, count):
-        cond = _h_cond(cols.oriented(2 * i), cols.prefix(i))
+        cond = _h_cond(cols.oriented(2 * i), cols.prefix[i])
         chain += cond
         report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality",
-                   cond, cols.mean_log(cols.alpha(i)))
+                   cond, cols.mean_log(cols.alpha[i]))
     return chain
 
 
@@ -397,11 +392,11 @@ def _even_path_terms(cols, l, m, h_full, report):
     n = cols.n
     chain = _odd_edge_chain(cols, l, report)
     evens = _pack(cols.base, map(cols.oriented, range(1, 2 * l - 2, 2)))
-    h_evens = _h_cond(evens, cols.prefix(l))
+    h_evens = _h_cond(evens, cols.prefix[l])
     report.add("evens_determined", "identity", h_evens, 0.0)
     chain += h_evens
     report.add("chain_rule", "identity", h_full, chain)
-    budgets = list(map(sum, zip(*map(cols.alpha, range(1, l)))))
+    budgets = list(map(sum, zip(*map(cols.alpha.__getitem__, range(1, l)))))
     report.add("per_copy_budget", "inequality", max(budgets), m)
     report.value("budget_equality_copies", budgets.count(m))
     report.add("closed_form", "inequality",
@@ -416,7 +411,7 @@ def _odd_path_terms(cols, l, m, h_full, report):
     # gamma statistics of a prefix and final edge count distinct edges
     # among those copies: gamma0 the final edges per prefix, gamma1 and
     # gamma2 the edges at positions 2l-2 and 2l-1 per (prefix, final edge).
-    prefixes = cols.prefix(l - 1)
+    prefixes = cols.prefix[l - 1]
     last_u = cols.unordered(2 * l - 1)
     h_last = _h_cond(last_u, prefixes)
     gamma0 = _distinct_per_key(zip(last_u, prefixes))
@@ -447,7 +442,7 @@ def _odd_path_terms(cols, l, m, h_full, report):
     report.add("conditional_nexttolast_vs_gamma2", "inequality", h_g2, avg2)
     report.add("split_chain", "identity", h_full, chain + (h_g1 + h_g2) / 2)
     # one row (alpha_1, ..., alpha_{l-2}, gamma0, gamma1, gamma2) per copy
-    rows = Counter(zip(*map(cols.alpha, range(1, l - 1)), g0, g1, g2))
+    rows = Counter(zip(*map(cols.alpha.__getitem__, range(1, l - 1)), g0, g1, g2))
     report.add("per_copy_budget", "inequality", max(map(sum, rows)), m)
     report.value("budget_equality_copies", sum(c for row, c in rows.items() if sum(row) == m))
 
@@ -472,7 +467,7 @@ def _distinct_per_key(pairs):
 # position depend only on the host and the 2l-2 cycle vertices read from
 # that position (its window), and the fields of a row only on k, the row's
 # adjacency mask and its plus and minus vectors; each is derived once per
-# distinct window or pattern, in a memo that holds the current host only.
+# distinct window or pattern, in a memo that holds the last host only.
 # Rows with one pattern share its tuples, and a ledger's JSON gives each
 # shared tuple one list.
 
@@ -681,38 +676,18 @@ def _row_fields(k, adjacent, plus, minus):
             _half_fractions(pcaps), _half_fractions(mcaps), tuple(flags))
 
 
-class _HostMemo:
-    """The ledger work shared across one host's cycles: its edges, the
-    weights and their sum per window, and the row fields per pattern."""
-
-    def __init__(self, host):
-        self.adj = host.adj
-        self.edges = host.edges()
-        self.windows = {}
-        self.rows = {}
-
-    def weights(self, window):
-        """(weights, their sum) of a window, as ``_extension_weights``."""
-        if window not in self.windows:
-            weights = _extension_weights(self.adj, window)
-            self.windows[window] = weights, sum(weights.values())
-        return self.windows[window]
-
-    def row_fields(self, key):
-        if key not in self.rows:
-            self.rows[key] = _row_fields(*key)
-        return self.rows[key]
-
-
-_memo = None
-
-
+@lru_cache(maxsize=1)
 def _host_memo(host):
-    """The memo of ``host``; a ledger of another host replaces it."""
-    global _memo
-    if _memo is None or _memo.adj != host.adj:
-        _memo = _HostMemo(host)
-    return _memo
+    """The ledger work shared across the cycles of one host, held for the
+    last host asked only: its edges, a memo of (weights, their sum) per
+    window, and a memo of the row fields per (k, adjacency mask, plus,
+    minus)."""
+
+    def window_weights(window):
+        weights = _extension_weights(host.adj, window)
+        return weights, sum(weights.values())
+
+    return host.edges(), _Memo(window_weights), _Memo(lambda key: _row_fields(*key))
 
 
 def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
@@ -725,15 +700,14 @@ def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
     seq = tuple(cycle)
     _validate_induced_cycle(host, seq)
     k = len(seq)
-    memo = _host_memo(host)
-    edges = memo.edges
+    edges, windows, patterns = _host_memo(host)
     # the window at position j is the k-2 vertices read forwards from j;
     # the minus tuples at position j are the plus tuples of the reversed
     # sequence at position k-2-j
     ring = seq + seq
     rev = ring[::-1]
-    plus = [memo.weights(ring[j:j + k - 2]) for j in range(k)]
-    minus = [memo.weights(rev[i:i + k - 2]) for i in [(k - 2 - j) % k for j in range(k)]]
+    plus = [windows[ring[j:j + k - 2]] for j in range(k)]
+    minus = [windows[rev[i:i + k - 2]] for i in [(k - 2 - j) % k for j in range(k)]]
     zeros = [0] * len(edges)
     plus_cols = [list(map(w.get, edges, zeros)) for w, _ in plus]
     minus_cols = [list(map(w.get, edges, zeros)) for w, _ in minus]
@@ -747,7 +721,7 @@ def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
     flagged = []
     for edge, p, q in zip(edges, zip(*plus_cols), zip(*minus_cols)):
         x, y = edge
-        *fields, flags = memo.row_fields((k, position_masks[x] | position_masks[y], p, q))
+        *fields, flags = patterns[k, position_masks[x] | position_masks[y], p, q]
         rows.append(LedgerRow(edge, *fields, flags))
         if flags:
             flagged.append((edge, flags))

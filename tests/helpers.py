@@ -537,7 +537,7 @@ def path_decomposition_oracle(host: Graph, family):
     kind, k = parse_family(family)
     if kind != "P" or k < 4:
         raise ValueError("decomposition applies to paths on at least 4 vertices")
-    edge_tuples = CopyDistribution.collect(host, Graph.path(k)).edge_tuples()
+    edge_tuples = edge_tuples_oracle(CopyDistribution.collect(host, Graph.path(k)).copies, k, False)
     m = host.m
     n = len(edge_tuples)
     report = EntropyReport()

@@ -136,16 +136,33 @@ def test_backends_agree_on_counts_and_lists(compiled):
 
 
 def test_backends_agree_with_pins(compiled):
+    # counts and lists under two random pins, two pins on one host vertex,
+    # every vertex pinned to a copy, and every vertex pinned at random;
+    # the inconsistent and the fully pinned cases end before any search
     rng = random.Random(32)
+    h = Graph.path(4)
+    seen = set()
     for _ in range(40):
         g = random_graph(rng, rng.randint(4, 10), 0.5)
-        h = Graph.path(4)
-        pins = [(0, rng.randrange(g.n)), (1, rng.randrange(g.n))]
-        pats = [p for p, _ in pins]
-        hosts = [v for _, v in pins]
-        order = kernels.visit_order(h, pats)
-        assert _kernels_py.count_ordered(g.adj, h.adj, order, hosts) == \
-            compiled.count_ordered(g.adj, h.adj, order, hosts)
+        v = rng.randrange(g.n)
+        pin_sets = [[(0, rng.randrange(g.n)), (1, rng.randrange(g.n))], [(0, v), (1, v)],
+                    list(enumerate(rng.sample(range(g.n), h.n)))]
+        copies = _kernels_py.enumerate_ordered(g.adj, h.adj, kernels.visit_order(h), [])
+        if copies:
+            pin_sets.append(list(enumerate(rng.choice(copies))))
+        for pins in pin_sets:
+            pats = [p for p, _ in pins]
+            hosts = [v for _, v in pins]
+            args = (g.adj, h.adj, kernels.visit_order(h, pats), hosts)
+            count = _kernels_py.count_ordered(*args)
+            assert count == compiled.count_ordered(*args)
+            listed = _kernels_py.enumerate_ordered(*args)
+            assert listed == compiled.enumerate_ordered(*args)
+            assert len(listed) == count
+            seen.add((len(pins) == h.n, _kernels_py._pin_state(*args) is None, count))
+    # a fully pinned copy, a fully pinned inconsistent set, and an
+    # inconsistent partial set all occur
+    assert {(True, False, 1), (True, True, 0), (False, True, 0)} <= seen
 
 
 def test_pins_are_read_once_and_range_checked(backends, monkeypatch):
