@@ -144,8 +144,8 @@ def test_backends_agree_with_pins(compiled):
     seen = set()
     for _ in range(40):
         g = random_graph(rng, rng.randint(4, 10), 0.5)
-        v = rng.randrange(g.n)
-        pin_sets = [[(0, rng.randrange(g.n)), (1, rng.randrange(g.n))], [(0, v), (1, v)],
+        twice = rng.randrange(g.n)
+        pin_sets = [[(0, rng.randrange(g.n)), (1, rng.randrange(g.n))], [(0, twice), (1, twice)],
                     list(enumerate(rng.sample(range(g.n), h.n)))]
         copies = _kernels_py.enumerate_ordered(g.adj, h.adj, kernels.visit_order(h), [])
         if copies:
