@@ -100,6 +100,7 @@ typedef struct {
     int k;
     int order[WORD];
     int placed[WORD];
+    int need[WORD];     /* pattern degree of step i */
     u64 g_adj[WORD];
     u64 comp[WORD];
     u64 deg_ok[WORD];   /* hosts of high enough degree for step i */
@@ -111,46 +112,23 @@ typedef struct {
 
 enum { PREPARE_ERROR = -1, PINS_INCONSISTENT = -2, TRIVIAL = -3 };
 
-/* Fill ctx and seed the pins.  Returns the first free step, TRIVIAL when
-   the pattern is empty or larger than the host (``*trivial_count`` is then
-   its copy count), PINS_INCONSISTENT, or PREPARE_ERROR with an exception
-   set.  ``*used`` receives the pinned hosts. */
+/* The pattern half of a search: read the k pattern rows and the order, and
+   fill the step masks and degrees.  Returns 0, or -1 with an exception
+   set. */
 static int
-prepare(Ctx *ctx, PyObject *g_obj, PyObject *h_obj, PyObject *order_obj, PyObject *pins_obj,
-        u64 *used, int *trivial_count)
+prepare_pattern(Ctx *ctx, PyObject *h_obj, PyObject *order_obj, Py_ssize_t k)
 {
     u64 h_adj[WORD];
-    int pins[WORD];
-    Py_ssize_t k = PySequence_Size(h_obj);
-    Py_ssize_t n = PySequence_Size(g_obj);
-    if (k < 0 || n < 0)
-        return PREPARE_ERROR;
-    if (k == 0 || n < k) {
-        *trivial_count = k == 0;
-        return TRIVIAL;
-    }
-    if (read_rows(g_obj, ctx->g_adj, "host") < 0 ||
-        read_rows(h_obj, h_adj, "pattern") < 0)
-        return PREPARE_ERROR;
+    if (read_rows(h_obj, h_adj, "pattern") < 0)
+        return -1;
     Py_ssize_t len = read_indices(order_obj, ctx->order, k, k, "order");
     if (len < 0)
-        return PREPARE_ERROR;
+        return -1;
     if (len != k) {
         PyErr_SetString(PyExc_ValueError, "order must list every pattern vertex");
-        return PREPARE_ERROR;
+        return -1;
     }
-    Py_ssize_t npins = read_indices(pins_obj, pins, k, n, "pin hosts");
-    if (npins < 0)
-        return PREPARE_ERROR;
-
     ctx->k = (int)k;
-    ctx->overflow = 0;
-    u64 full = n == WORD ? ~(u64)0 : BIT(n) - 1;
-    int g_deg[WORD];
-    for (int v = 0; v < n; v++) {
-        ctx->comp[v] = full & ~ctx->g_adj[v];
-        g_deg[v] = popcount(ctx->g_adj[v]);
-    }
     for (int i = 0; i < k; i++) {
         u64 row = h_adj[ctx->order[i]];
         ctx->nbr_mask[i] = ctx->non_mask[i] = 0;
@@ -160,20 +138,64 @@ prepare(Ctx *ctx, PyObject *g_obj, PyObject *h_obj, PyObject *order_obj, PyObjec
             else
                 ctx->non_mask[i] |= BIT(j);
         }
-        int need = popcount(row);
+        ctx->need[i] = popcount(row);
+    }
+    return 0;
+}
+
+/* The host half: read the n host rows and fill their complements and the
+   degree floor of each step of the prepared pattern.  Returns 0, or -1 with
+   an exception set. */
+static int
+prepare_host(Ctx *ctx, PyObject *g_obj, Py_ssize_t n)
+{
+    if (read_rows(g_obj, ctx->g_adj, "host") < 0)
+        return -1;
+    ctx->overflow = 0;
+    u64 full = n == WORD ? ~(u64)0 : BIT(n) - 1;
+    int g_deg[WORD];
+    for (int v = 0; v < n; v++) {
+        ctx->comp[v] = full & ~ctx->g_adj[v];
+        g_deg[v] = popcount(ctx->g_adj[v]);
+    }
+    for (int i = 0; i < ctx->k; i++) {
         ctx->deg_ok[i] = 0;
         for (int v = 0; v < n; v++)
-            if (g_deg[v] >= need)
+            if (g_deg[v] >= ctx->need[i])
                 ctx->deg_ok[i] |= BIT(v);
     }
+    return 0;
+}
+
+/* Fill ctx and seed the pins.  Returns the first free step, TRIVIAL when
+   the pattern is empty or larger than the host (``*trivial_count`` is then
+   its copy count), PINS_INCONSISTENT, or PREPARE_ERROR with an exception
+   set.  ``*used`` receives the pinned hosts. */
+static int
+prepare(Ctx *ctx, PyObject *g_obj, PyObject *h_obj, PyObject *order_obj, PyObject *pins_obj,
+        u64 *used, int *trivial_count)
+{
+    int pins[WORD];
+    Py_ssize_t k = PySequence_Size(h_obj);
+    Py_ssize_t n = PySequence_Size(g_obj);
+    if (k < 0 || n < 0)
+        return PREPARE_ERROR;
+    if (k == 0 || n < k) {
+        *trivial_count = k == 0;
+        return TRIVIAL;
+    }
+    if (prepare_pattern(ctx, h_obj, order_obj, k) < 0 || prepare_host(ctx, g_obj, n) < 0)
+        return PREPARE_ERROR;
+    Py_ssize_t npins = read_indices(pins_obj, pins, k, n, "pin hosts");
+    if (npins < 0)
+        return PREPARE_ERROR;
     *used = 0;
     for (int i = 0; i < npins; i++) {
         int v = pins[i];
         if (*used >> v & 1)
             return PINS_INCONSISTENT;
-        u64 row = h_adj[ctx->order[i]];
         for (int j = 0; j < i; j++)
-            if ((row >> ctx->order[j] & 1) != (ctx->g_adj[v] >> pins[j] & 1))
+            if ((ctx->nbr_mask[i] >> j & 1) != (ctx->g_adj[v] >> pins[j] & 1))
                 return PINS_INCONSISTENT;
         ctx->placed[i] = v;
         *used |= BIT(v);
@@ -247,6 +269,22 @@ check_nargs(Py_ssize_t nargs, Py_ssize_t want, const char *name)
     return -1;
 }
 
+/* The ordered copies in the prepared host that extend the first ``start``
+   placed steps, as a Python int; NULL with OverflowError set when the
+   count exceeds 64 bits. */
+static PyObject *
+count_from(Ctx *ctx, int start, u64 used)
+{
+    if (start == ctx->k)
+        return PyLong_FromLong(1);
+    unsigned long long total = count_rec(ctx, start, used);
+    if (ctx->overflow) {
+        PyErr_SetString(PyExc_OverflowError, "ordered copy count exceeds 64 bits");
+        return NULL;
+    }
+    return PyLong_FromUnsignedLongLong(total);
+}
+
 static PyObject *
 count_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -262,14 +300,55 @@ count_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
         return PyLong_FromLong(trivial);
     if (start == PINS_INCONSISTENT)
         return PyLong_FromLong(0);
-    if (start == ctx.k)
-        return PyLong_FromLong(1);
-    unsigned long long total = count_rec(&ctx, start, used);
-    if (ctx.overflow) {
-        PyErr_SetString(PyExc_OverflowError, "ordered copy count exceeds 64 bits");
+    return count_from(&ctx, start, used);
+}
+
+/* count_ordered(g_adj, h_adj, order, ()) for each host's rows, in one call:
+   the pattern and the order are read once, when the first host at least as
+   large as the pattern needs them. */
+static PyObject *
+count_ordered_many(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Ctx ctx;
+    if (check_nargs(nargs, 3, "count_ordered_many") < 0)
         return NULL;
+    Py_ssize_t k = PySequence_Size(args[1]);
+    if (k < 0)
+        return NULL;
+    PyObject *hosts = PySequence_Fast(args[0], "hosts must be a sequence");
+    if (hosts == NULL)
+        return NULL;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(hosts);
+    PyObject **items = PySequence_Fast_ITEMS(hosts);
+    PyObject *out = PyList_New(count);
+    int ready = 0;
+    if (out == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        Py_ssize_t n = PySequence_Size(items[i]);
+        PyObject *c;
+        if (n < 0)
+            goto fail;
+        if (k == 0 || n < k)
+            c = PyLong_FromLong(k == 0);
+        else {
+            if (!ready && prepare_pattern(&ctx, args[1], args[2], k) < 0)
+                goto fail;
+            ready = 1;
+            if (prepare_host(&ctx, items[i], n) < 0)
+                goto fail;
+            c = count_from(&ctx, 0, 0);
+        }
+        if (c == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, i, c);
     }
-    return PyLong_FromUnsignedLongLong(total);
+    Py_DECREF(hosts);
+    return out;
+fail:
+    Py_XDECREF(out);
+    Py_DECREF(hosts);
+    return NULL;
 }
 
 static PyObject *
@@ -773,6 +852,8 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"count_ordered", (PyCFunction)(void (*)(void))count_ordered, METH_FASTCALL,
      "count_ordered(g_adj, h_adj, order, pin_hosts) -> int"},
+    {"count_ordered_many", (PyCFunction)(void (*)(void))count_ordered_many, METH_FASTCALL,
+     "count_ordered_many(rows_seq, h_adj, order) -> list of int, one per host"},
     {"enumerate_ordered", (PyCFunction)(void (*)(void))enumerate_ordered, METH_FASTCALL,
      "enumerate_ordered(g_adj, h_adj, order, pin_hosts) -> list of tuples"},
     {"canonical_search", canonical_search, METH_O,

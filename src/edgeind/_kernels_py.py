@@ -89,6 +89,11 @@ def count_ordered(g_adj, h_adj, order, pin_hosts):
     return rec(start, used0)
 
 
+def count_ordered_many(rows_seq, h_adj, order):
+    """``count_ordered(g_adj, h_adj, order, ())`` for each host's rows."""
+    return [count_ordered(g_adj, h_adj, order, ()) for g_adj in rows_seq]
+
+
 def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
     k = len(h_adj)
     if k == 0:

@@ -5,7 +5,10 @@ parts completely exactly when the base vertices are adjacent.  The
 optimizer searches the standard templates (balanced cycle blow-ups,
 alternating two-size even-cycle blow-ups, unit even parts for odd paths,
 weighting-sized parts for a generic pattern) refined by a deterministic
-+-1 local search under the edge budget.
++-1 local search under the edge budget.  The search prices each move
+from the running vertex and edge totals and each part's neighbour sum,
+and a budget below the pattern's edge count skips it (see
+``optimize_part_sizes``).
 
 Candidates are scored by a closed-form count, not by counting in the
 realized graph.  An ordered induced copy of H in the blow-up F[n_1..n_k]
@@ -261,17 +264,20 @@ def _scorer(base, pattern):
     return score
 
 
-def _rank(sizes, score):
-    """Larger is better: the count, then the lexicographically smallest
-    size vector."""
-    return score(sizes), [-x for x in sizes]
-
-
 def optimize_part_sizes(family, m: int) -> BlowupSpec:
     """Best blow-up found for the family under the edge budget; the exact
     induced-copy count of the blow-up is the objective.  Deterministic:
     fixed seed templates plus steepest-ascent +-1 and transfer moves, ties
     to the lexicographically smallest size vector.
+
+    A budget below the pattern's edge count returns the all-zero sizes
+    without climbing, which is what the climb would return.  A blow-up with
+    at most m edges holds no copy of a pattern with more edges, so every
+    size vector that fits scores 0.  From any start, the lexicographically
+    smallest move is then the minus on the first nonzero part; it always
+    fits, so the walk reaches the zero vector within sum(start) <= 64 steps,
+    under the cap of 200.  Among vectors that score 0, the zero vector
+    ranks first.
     """
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
@@ -282,55 +288,71 @@ def optimize_part_sizes(family, m: int) -> BlowupSpec:
     k = arg if kind != "H" else None
     seeds = _seed_specs(kind, k, pattern, m)
     base = seeds[0].base  # every template of a family blows up one base graph
+    if pattern.m > m:
+        return BlowupSpec(base, (0,) * base.n)
     fits = _within(base, m)
     starts = [_clip(s.sizes, fits) for s in seeds]
     score = _scorer(base, pattern)
-    climbed = [_climb(s, score, fits) for s in starts if fits(s)]
-    return BlowupSpec(base, max(climbed, key=lambda s: _rank(s, score)))
+    climbed = [_climb(s, score, base, m) for s in starts if fits(s)]
+    return BlowupSpec(base, min(climbed, key=lambda s: (-score(s), s)))
 
 
-def _moves(sizes):
-    for i in range(len(sizes)):
-        plus = list(sizes)
-        plus[i] += 1
-        yield tuple(plus)
+def _priced_moves(sizes, total, edges, nsum, adj, m):
+    """``(sizes after, vertex total, edge total)`` for each +-1 move and
+    unit transfer that keeps the blow-up within m edges and the 64-vertex
+    word.  A plus move on part i adds ``nsum[i]`` edges (the sizes of its
+    base neighbours), a minus move removes them, and a transfer to i from j
+    adds ``nsum[i] - nsum[j] - [i ~ j]``."""
+    n = len(sizes)
+    for i in range(n):
+        gain = nsum[i]
+        if total < WORD_VERTICES and edges + gain <= m:
+            yield sizes[:i] + (sizes[i] + 1,) + sizes[i + 1:], total + 1, edges + gain
         if sizes[i]:
-            minus = list(sizes)
-            minus[i] -= 1
-            yield tuple(minus)
-        for j in range(len(sizes)):
+            yield sizes[:i] + (sizes[i] - 1,) + sizes[i + 1:], total - 1, edges - gain
+        row = adj[i]
+        for j in range(n):
             if i != j and sizes[j]:
-                move = list(sizes)
-                move[i] += 1
-                move[j] -= 1
-                yield tuple(move)
+                after = edges + gain - nsum[j] - (row >> j & 1)
+                if after <= m:
+                    move = list(sizes)
+                    move[i] += 1
+                    move[j] -= 1
+                    yield tuple(move), total, after
 
 
-def _climb(start, score, fits):
+def _climb(start, score, base, m):
     """Steepest ascent over single +-1 moves and unit transfers between two
-    parts.  Equal-score steps are allowed (plateaus hide the exits at tight
-    budgets) with a visited set and an iteration cap keeping the walk
-    finite; ties go to the lexicographically smallest size vector."""
+    parts, within the budget m and the 64-vertex word.  Equal-score steps
+    are allowed (plateaus hide the exits at tight budgets) with a visited
+    set and an iteration cap keeping the walk finite; ties go to the
+    lexicographically smallest size vector.  The moves are distinct size
+    vectors, so the step taken does not depend on the order they are
+    priced in."""
+    neighbours = [base.neighbors(i) for i in range(base.n)]
     best = current = start
+    best_score = here = score(start)
+    total = sum(start)
+    edges = BlowupSpec(base, start).edge_count()
     visited = {start}
     for _ in range(200):
-        score_here = score(current)
+        nsum = [sum(map(current.__getitem__, row)) for row in neighbours]
         step = None
-        for cand in _moves(current):
-            if cand in visited or not fits(cand):
+        for cand, cand_total, cand_edges in _priced_moves(current, total, edges, nsum,
+                                                           base.adj, m):
+            if cand in visited:
                 continue
             sc = score(cand)
-            if sc < score_here:
+            if sc < here:
                 continue
-            key = (sc, [-x for x in cand])
-            if step is None or key > step[0]:
-                step = (key, cand)
+            if step is None or sc > step[0] or sc == step[0] and cand < step[1]:
+                step = (sc, cand, cand_total, cand_edges)
         if step is None:
             break
-        current = step[1]
+        here, current, total, edges = step
         visited.add(current)
-        if _rank(current, score) > _rank(best, score):
-            best = current
+        if here > best_score or here == best_score and current < best:
+            best, best_score = current, here
     return best
 
 

@@ -29,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations
 from operator import add, itemgetter
 
@@ -303,7 +303,9 @@ def _pack(base, columns, packed=None):
 class _PathColumns:
     """The ordered copies of a path as integer columns: edge codes, and
     memos of the packed odd-edge prefixes and of the alpha count of each
-    copy's prefix, keyed by the number of prefix entries."""
+    copy's prefix, keyed by the number of prefix entries.  The memos hold
+    the columns' data, not the columns object, so a finished check leaves
+    no reference cycle to wait for the collector."""
 
     def __init__(self, host, copies):
         self.host = host
@@ -312,40 +314,51 @@ class _PathColumns:
         self.base = host.n * host.n + 1
         self.logs = _Memo(math.log)
         self._vertices = list(zip(*copies))
-        self.prefix = _Memo(self._prefix)
-        self.alpha = _Memo(self._alpha)
-
-    def _edge(self, j):
-        return zip(self._vertices[j], self._vertices[j + 1])
-
-    def oriented(self, j):
-        size = self.host.n
-        return [u * size + v for u, v in self._edge(j)]
+        self.oriented = partial(_oriented_codes, self._vertices, host.n)
+        self.prefix = _Prefixes(self.base, self.oriented)
+        self.alpha = _Memo(partial(_prefix_alpha, host.adj, copies, self.prefix))
 
     def unordered(self, j):
         size = self.host.n
-        return [u * size + v if u < v else v * size + u for u, v in self._edge(j)]
-
-    def _prefix(self, i):
-        """The code of each copy's i-entry odd-edge prefix."""
-        return _pack(self.base, [self.oriented(2 * i - 2)],
-                     self.prefix[i - 1] if i > 1 else None)
-
-    def _alpha(self, i):
-        """The alpha count of each copy's i-entry prefix, from one
-        ``_extension_edges`` call per distinct prefix.  The prefix is not
-        checked first: the first 2i vertices of an ordered induced path
-        induce a path, so its odd edges form a well-ordered tuple."""
-        codes = self.prefix[i]
-        counts = {}
-        for code, c in dict(zip(codes, self.copies)).items():  # one copy per prefix
-            prefix = tuple(zip(c[:2 * i:2], c[1:2 * i:2]))
-            counts[code] = len(_extension_edges(self.host.adj, prefix, False))
-        return list(map(counts.__getitem__, codes))
+        return [u * size + v if u < v else v * size + u
+                for u, v in zip(self._vertices[j], self._vertices[j + 1])]
 
     def mean_log(self, values):
         """Builtin ``sum`` of the values' logs in copy order, over n."""
         return sum(map(self.logs.__getitem__, values)) / self.n
+
+
+def _oriented_codes(vertices, size, j):
+    """The code of each copy's oriented edge j, from the vertex columns."""
+    return [u * size + v for u, v in zip(vertices[j], vertices[j + 1])]
+
+
+class _Prefixes(dict):
+    """The code of each copy's i-entry odd-edge prefix, by i, each packed
+    from the one before."""
+
+    def __init__(self, base, oriented):
+        super().__init__()
+        self.base = base
+        self.oriented = oriented
+
+    def __missing__(self, i):
+        self[i] = codes = _pack(self.base, [self.oriented(2 * i - 2)],
+                                self[i - 1] if i > 1 else None)
+        return codes
+
+
+def _prefix_alpha(adj, copies, prefixes, i):
+    """The alpha count of each copy's i-entry prefix, from one
+    ``_extension_edges`` call per distinct prefix.  The prefix is not
+    checked first: the first 2i vertices of an ordered induced path induce
+    a path, so its odd edges form a well-ordered tuple."""
+    codes = prefixes[i]
+    counts = {}
+    for code, c in dict(zip(codes, copies)).items():  # one copy per prefix
+        prefix = tuple(zip(c[:2 * i:2], c[1:2 * i:2]))
+        counts[code] = len(_extension_edges(adj, prefix, False))
+    return list(map(counts.__getitem__, codes))
 
 
 def verify_path_decomposition(host: Graph, family) -> EntropyReport:

@@ -114,14 +114,19 @@ def count_ordered(g: Graph, h: Graph, pins=()) -> int:
 
 
 def count_ordered_many(hosts, h: Graph) -> list:
-    """``count_ordered(g, h)`` for every host g, in order: one visit order
-    for the pattern, and one kernel call per host that is at least as
-    large as the pattern, on the backend its vertex count allows."""
+    """``count_ordered(g, h)`` for every host g, in order.  ``hosts`` is a
+    sequence of graphs or, as a level scan passes it, of their adjacency-row
+    tuples.  One backend call counts them all when every host fits the
+    64-vertex word; otherwise each host goes to the backend its vertex count
+    allows."""
+    if hosts and isinstance(hosts[0], Graph):
+        hosts = [g.adj for g in hosts]
     order = visit_order(h)
-    k = h.n
-    h_adj = h.adj
-    return [_backend_for(g).count_ordered(g.adj, h_adj, order, ()) if g.n >= k else 0
-            for g in hosts]
+    if max(map(len, hosts), default=0) <= WORD_VERTICES:
+        return _impl.count_ordered_many(hosts, h.adj, order)
+    pure = _pure()
+    return [(pure if len(rows) > WORD_VERTICES else _impl).count_ordered(rows, h.adj, order, ())
+            for rows in hosts]
 
 
 def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:

@@ -17,17 +17,21 @@ forked shard worker found the class first.
 
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value the closed-form bounds are
-sandwiched against.
+sandwiched against.  A level keeps its labels and rows as tuples of their
+own, so a scan is one kernel call over the whole level.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import marshal
 import os
 import sys
 import urllib.parse
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 
 from .graph import Graph, parse_graph6, write_graph6
 from .canon import automorphism_order, canonical_form
@@ -152,6 +156,19 @@ def _grow_sharded(slices):
     return found
 
 
+class _Level(tuple):
+    """A level's (label, graph) pairs, sorted by label.  The labels and the
+    graphs' rows are kept as tuples of their own too, so that a scan hands
+    the rows to the kernel without a Python step per class."""
+
+    def __new__(cls, labels, rows):
+        level = super().__new__(cls, ((label, Graph._unchecked(len(r), r))
+                                      for label, r in zip(labels, rows)))
+        level.labels = labels
+        level.rows = rows
+        return level
+
+
 _LEVELS = {}
 
 
@@ -182,8 +199,8 @@ def _level(m, shards=1):
         if m < len(CLASS_COUNTS) and len(found) != CLASS_COUNTS[m]:
             raise RuntimeError(f"level {m} has {len(found)} classes, expected "
                                f"{CLASS_COUNTS[m]} (OEIS A000664)")
-        _LEVELS[m] = tuple((label, Graph._unchecked(len(found[label]), found[label]))
-                           for label in sorted(found))
+        labels = tuple(sorted(found))
+        _LEVELS[m] = _Level(labels, tuple(map(found.__getitem__, labels)))
     return _LEVELS[m]
 
 
@@ -224,23 +241,76 @@ class SearchResult:
                    rec["truncated"], rec["classes"], rec["version"])
 
 
-def _scan(pairs, pattern: Graph):
+def _scan(level, pattern: Graph):
     """Maximum induced-copy count over the level and its maximizers: one
-    kernel loop over the hosts, |Aut(pattern)| taken once."""
+    kernel call over the level's rows, |Aut(pattern)| taken once."""
+    counts = kernels.count_ordered_many(level.rows, pattern)
     aut = automorphism_order(pattern)
-    rho = 0
-    maximizers = []
-    counts = kernels.count_ordered_many([g for _, g in pairs], pattern)
-    for (label, _), ordered in zip(pairs, counts):
-        if ordered % aut:
-            raise AssertionError("ordered copy count not divisible by |Aut|")
-        c = ordered // aut
-        if c > rho:
-            rho = c
-            maximizers = [label]
-        elif c == rho:
-            maximizers.append(label)
-    return rho, maximizers, len(counts)
+    if any(c % aut for c in set(counts)):  # each distinct count once
+        raise AssertionError("ordered copy count not divisible by |Aut|")
+    top = max(counts)
+    return top // aut, list(compress(level.labels, map(top.__eq__, counts))), len(counts)
+
+
+@dataclass
+class _CacheFile:
+    """What one read of a cache file found, with the file's (inode, size,
+    mtime) stamp at that read."""
+
+    stamp: tuple
+    hits: dict  # (h, m, version) -> the last record with that key that parsed
+    broken: dict  # (h, m, version) -> records with that key that did not parse
+    unreadable: int  # lines without a JSON h, m and version
+    newline_end: bool  # empty, or ending in a newline
+
+
+# Cache files read in this process, by path.  The CLI makes a new
+# ResultCache for each command, so the memo lives on the module; an entry
+# serves while the file's stamp is unchanged.
+_CACHE_FILES = {}
+
+
+def _stamp(st):
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@lru_cache(maxsize=None)
+def _cache_path(directory, pattern_label):
+    return os.path.join(directory, urllib.parse.quote(pattern_label, safe="") + ".jsonl")
+
+
+def _read_cache_file(path):
+    """The memo entry for the file at path, read again if the file changed
+    since; None if there is no file."""
+    try:
+        stamp = _stamp(os.stat(path))
+    except OSError:  # as os.path.exists: no readable file
+        return None
+    entry = _CACHE_FILES.get(path)
+    if entry is not None and entry.stamp == stamp:
+        return entry
+    with open(path, "rb") as fh:
+        stamp = _stamp(os.fstat(fh.fileno()))
+        data = fh.read()
+    entry = _CACHE_FILES[path] = _CacheFile(stamp, {}, {}, 0, data[-1:] in (b"", b"\n"))
+    for line in io.TextIOWrapper(io.BytesIO(data)):  # the lines open(path) would give
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            key = (rec["h"], rec["m"], rec["version"])
+        except (ValueError, KeyError, TypeError):
+            entry.unreadable += 1  # torn or foreign line
+            continue
+        try:
+            hash(key)
+        except TypeError:
+            continue  # no lookup can match it
+        try:
+            entry.hits[key] = SearchResult.from_record(rec)
+        except (ValueError, KeyError, TypeError):
+            entry.broken[key] = entry.broken.get(key, 0) + 1
+    return entry
 
 
 class ResultCache:
@@ -248,44 +318,61 @@ class ResultCache:
     Records from other generator versions are ignored; unreadable (torn)
     lines are skipped with one note on stderr.  A record is only appended
     when the cached one holds too few certificates, so the last matching
-    record is the most complete."""
+    record is the most complete.  Each file is parsed once per process and
+    read again only when its size, mtime or inode changed since.  Appends,
+    the only writes a cache makes, always change the size; a rewrite that
+    keeps the size within one tick of the file system's clock goes unseen."""
 
     def __init__(self, directory):
         self.directory = directory
 
     def _path(self, pattern_label):
-        name = urllib.parse.quote(pattern_label, safe="") + ".jsonl"
-        return os.path.join(self.directory, name)
+        return _cache_path(self.directory, pattern_label)
 
     def get(self, pattern_label, m):
         path = self._path(pattern_label)
-        if not os.path.exists(path):
+        entry = _read_cache_file(path)
+        if entry is None:
             return None
-        hit, skipped = None, 0
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    if (rec["h"], rec["m"], rec["version"]) == (pattern_label, m, GENERATOR_VERSION):
-                        hit = SearchResult.from_record(rec)
-                except (ValueError, KeyError, TypeError):
-                    skipped += 1  # torn or foreign line
+        key = (pattern_label, m, GENERATOR_VERSION)
+        skipped = entry.unreadable + entry.broken.get(key, 0)
         if skipped:
             print(f"warning: skipped {skipped} unreadable line(s) in {path}", file=sys.stderr)
-        return hit
+        return entry.hits.get(key)
 
     def put(self, result: SearchResult):
-        os.makedirs(self.directory, exist_ok=True)
-        record = (json.dumps(result.to_record(), sort_keys=True) + "\n").encode()
-        with open(self._path(result.pattern), "ab+") as fh:
-            end = fh.seek(0, os.SEEK_END)
-            if end:
-                fh.seek(end - 1)
-                if fh.read(1) != b"\n":
-                    record = b"\n" + record  # the last record is torn; start a fresh line
+        path = self._path(result.pattern)
+        rec = result.to_record()
+        record = (json.dumps(rec, sort_keys=True) + "\n").encode()
+        try:
+            fh = open(path, "ab+")
+        except FileNotFoundError:
+            os.makedirs(self.directory, exist_ok=True)
+            fh = open(path, "ab+")
+        with fh:
+            before = _stamp(os.fstat(fh.fileno()))
+            entry = _CACHE_FILES.get(path)
+            if before[1] == 0:
+                entry = _CacheFile(before, {}, {}, 0, True)
+            elif entry is not None and entry.stamp != before:
+                entry = None
+            if entry is not None:
+                torn = not entry.newline_end
+            else:
+                fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+                torn = fh.read(1) not in (b"", b"\n")
+            if torn:
+                record = b"\n" + record  # the last record is torn; start a fresh line
             fh.write(record)
+            fh.flush()
+            after = _stamp(os.fstat(fh.fileno()))
+        if entry is None or after[1] != before[1] + len(record):
+            _CACHE_FILES.pop(path, None)  # unknown or changed by another writer: read it again
+            return
+        entry.stamp = after
+        entry.hits[rec["h"], rec["m"], rec["version"]] = SearchResult.from_record(rec)
+        entry.newline_end = True
+        _CACHE_FILES[path] = entry
 
 
 def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,

@@ -651,3 +651,75 @@ def json_report_oracle(report):
     json.dump(normalize_report(report), out, indent=2)
     out.write("\n")
     return out.getvalue()
+
+
+# -- the reference part-size optimizer --
+
+
+def _moves(sizes):
+    for i in range(len(sizes)):
+        plus = list(sizes)
+        plus[i] += 1
+        yield tuple(plus)
+        if sizes[i]:
+            minus = list(sizes)
+            minus[i] -= 1
+            yield tuple(minus)
+        for j in range(len(sizes)):
+            if i != j and sizes[j]:
+                move = list(sizes)
+                move[i] += 1
+                move[j] -= 1
+                yield tuple(move)
+
+
+def _rank(sizes, score):
+    """Larger is better: the count, then the lexicographically smallest
+    size vector."""
+    return score(sizes), [-x for x in sizes]
+
+
+def reference_climb(start, score, fits):
+    """Steepest ascent over single +-1 moves and unit transfers between two
+    parts.  Equal-score steps are allowed (plateaus hide the exits at tight
+    budgets) with a visited set and an iteration cap keeping the walk
+    finite; ties go to the lexicographically smallest size vector."""
+    best = current = start
+    visited = {start}
+    for _ in range(200):
+        score_here = score(current)
+        step = None
+        for cand in _moves(current):
+            if cand in visited or not fits(cand):
+                continue
+            sc = score(cand)
+            if sc < score_here:
+                continue
+            key = (sc, [-x for x in cand])
+            if step is None or key > step[0]:
+                step = (key, cand)
+        if step is None:
+            break
+        current = step[1]
+        visited.add(current)
+        if _rank(current, score) > _rank(best, score):
+            best = current
+    return best
+
+
+def reference_optimize(family, m):
+    """The part-size optimizer climbing from every seed, whatever the
+    budget, with every candidate checked by ``fits`` on its whole size
+    vector."""
+    from edgeind import blowups
+    from edgeind.families import family_graph, parse_family
+
+    kind, arg = parse_family(family)
+    pattern = family_graph(family)
+    seeds = blowups._seed_specs(kind, arg if kind != "H" else None, pattern, m)
+    base = seeds[0].base
+    fits = blowups._within(base, m)
+    starts = [blowups._clip(s.sizes, fits) for s in seeds]
+    score = blowups._scorer(base, pattern)
+    climbed = [reference_climb(s, score, fits) for s in starts if fits(s)]
+    return blowups.BlowupSpec(base, max(climbed, key=lambda s: _rank(s, score)))

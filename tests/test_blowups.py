@@ -1,6 +1,8 @@
 import math
 import random
+import warnings
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -24,7 +26,7 @@ from edgeind import (
 from edgeind.blowups import map_profile
 from edgeind.families import family_graph
 
-from helpers import complete_bipartite, without_isolated
+from helpers import complete_bipartite, reference_optimize, without_isolated
 
 
 def test_blowup_examples():
@@ -276,3 +278,17 @@ def test_optimizer_specs_are_pinned():
         spec = optimize_part_sizes(family, m)
         assert spec == BlowupSpec(base, sizes), (family, m)
         assert closed_form(spec, family_graph(family)) == count
+
+
+def test_optimizer_matches_reference_climb(monkeypatch):
+    # the climb that prices moves incrementally, and returns early on a
+    # budget below the pattern's edge count, against the climb that checks
+    # every candidate's whole size vector and always climbs; both sides
+    # share one scorer per (base, pattern), whose counts do not depend on m
+    monkeypatch.setattr(blowups, "_scorer", lru_cache(maxsize=None)(blowups._scorer))
+    families = [f"P{k}" for k in range(3, 8)] + [f"C{k}" for k in range(4, 9)] + ["Cs", "Dhc"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # generic seeds below one edge per pattern edge
+        for family in families:
+            for m in [*range(61), 90, 95, 130]:
+                assert optimize_part_sizes(family, m) == reference_optimize(family, m), (family, m)

@@ -664,3 +664,30 @@ def test_path_check_asks_alpha_once_per_distinct_prefix(monkeypatch):
     prefixes = {t[:1] for t in edges}
     assert len(calls) == len(set(calls)) == len(prefixes) == 64
     assert set(calls) == prefixes
+
+
+def test_finished_path_check_leaves_no_cycle(monkeypatch):
+    # with the collector off, reference counting alone must free the
+    # columns and their memos once the check returns
+    import gc
+    import weakref
+
+    made = []
+
+    class Watched(ent._PathColumns):
+        def __init__(self, host, copies):
+            super().__init__(host, copies)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(ent, "_PathColumns", Watched)
+    host = blow_up(BlowupSpec(Graph.cycle(8), (2,) * 8))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for family in ("P4", "P5", "P7"):
+            assert verify_path_decomposition(host, family).passed
+        freed = [ref() is None for ref in made]
+    finally:
+        if enabled:
+            gc.enable()
+    assert freed == [True] * 3

@@ -320,3 +320,48 @@ def test_count_many_routes_each_host_by_size(compiled, monkeypatch):
     c4 = Graph.cycle(4)
     assert kernels.count_ordered_many(hosts, c4) == [kernels.count_ordered(g, c4) for g in hosts]
     assert kernels.count_ordered_many(hosts, c4)[:3] == [8 * math.comb(33, 2) ** 2, 8, 0]
+
+
+PATTERNS_G6 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "perfbench", "patterns.g6")
+
+
+def test_count_ordered_many_matches_per_host_counts(backends):
+    # every host of levels <= 7 (most of them smaller than most patterns)
+    # against every benchmark pattern, on each backend, against the
+    # per-host entry of the compiled kernel when it is built
+    from edgeind import search
+
+    with open(PATTERNS_G6) as fh:
+        patterns = [parse_graph6(line.strip()) for line in fh
+                    if line.strip() and not line.startswith("#")]
+    assert len(patterns) == 196
+    hosts = [g.adj for m in range(8) for _, g in search._level(m)]
+    reference = backends[-1]
+    for h in patterns + [Graph.empty(0), Graph.complete(2)]:
+        order = kernels.visit_order(h)
+        want = [reference.count_ordered(rows, h.adj, order, ()) for rows in hosts]
+        for backend in backends:
+            assert backend.count_ordered_many(hosts, h.adj, order) == want, backend.BACKEND
+    for backend in backends:
+        assert backend.count_ordered_many([], Graph.path(3).adj, (1, 0, 2)) == []
+
+
+def test_count_ordered_many_fails_like_count_ordered(compiled):
+    # a host above the 64-vertex word, or a row naming a vertex outside
+    # its host, fails the whole call with count_ordered's error; a pattern
+    # larger than every host is never read
+    c4 = Graph.cycle(4)
+    order = kernels.visit_order(c4)
+    big = complete_bipartite(33, 33).adj
+    for bad in (big, (2, 1, 0, 16)):
+        hosts = [Graph.cycle(5).adj, bad, Graph.cycle(4).adj]
+        with pytest.raises(ValueError) as many:
+            compiled.count_ordered_many(hosts, c4.adj, order)
+        with pytest.raises(ValueError) as one:
+            compiled.count_ordered(bad, c4.adj, order, ())
+        assert str(many.value) == str(one.value)
+    assert _kernels_py.count_ordered_many([big], c4.adj, order) == \
+        [8 * math.comb(33, 2) ** 2]
+    huge = [(1 << 65) - 1] * 66  # not a valid pattern for the compiled kernel
+    assert compiled.count_ordered_many([Graph.cycle(4).adj, ()], huge, ()) == [0, 0]

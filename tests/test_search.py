@@ -357,20 +357,72 @@ def test_cache_returns_the_last_matching_record(tmp_path):
     assert cache.get(canonical_label(h), 5) == full[0]
 
 
-def test_scan_makes_one_kernel_call_per_host(monkeypatch):
+def test_cache_reads_each_file_once_and_sees_writes_behind_its_back(tmp_path, monkeypatch,
+                                                                    capsys):
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append((os.path.basename(path), args[0] if args else kwargs.get("mode", "r")))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(search, "open", counting_open, raising=False)
+    h = Graph.path(3)
+    label = canonical_label(h)
+    first = rho_exact(h, 4, cache=ResultCache(str(tmp_path)))
+    (path,) = tmp_path.iterdir()
+    # a new cache per query, as the CLI makes them: the file written by
+    # this process is not read back
+    for _ in range(3):
+        assert ResultCache(str(tmp_path)).get(label, 4) == first
+    assert opened == [(path.name, "ab+")]
+    # a line appended behind the memo's back is seen by the next get
+    behind = SearchResult(label, 5, 10, ("Ds",), False, 26)
+    with open(path, "a") as fh:
+        fh.write(json.dumps(behind.to_record()) + "\n")
+    cache = ResultCache(str(tmp_path))
+    assert cache.get(label, 5) == behind and cache.get(label, 4) == first
+    assert opened[1:] == [(path.name, "rb")]
+    # a torn tail written behind its back still gets a fresh line
+    with open(path, "a") as fh:
+        fh.write('{"h": "B')
+    cache.put(rho_exact(h, 6))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4 and lines[2] == '{"h": "B' and json.loads(lines[3])["m"] == 6
+    assert cache.get(label, 6) == rho_exact(h, 6)
+    assert capsys.readouterr().err.count("skipped 1 unreadable line") == 1
+    # a torn tail the memo has read gets a fresh line too
+    with open(path, "a") as fh:
+        fh.write('{"h": "B')
+    assert cache.get(label, 4) == first
+    cache.put(rho_exact(h, 7))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 6 and json.loads(lines[5])["m"] == 7
+    assert cache.get(label, 7) == rho_exact(h, 7)
+    assert [mode for _, mode in opened] == ["ab+", "rb", "ab+", "rb", "rb", "ab+"]
+
+
+def test_scan_makes_one_kernel_call_per_level(monkeypatch):
+    # the stand-in backend has no per-host entry, so a scan that counted
+    # host by host would fail; the rows are the level's own tuple, built
+    # once with the level
     pattern = Graph.path(4)
     automorphism_order(pattern)
-    level = search._level(6)
-    hosts = []
     backend = kernels._impl
+    calls = []
 
-    def spy(g_adj, h_adj, order, pins):
-        hosts.append(g_adj)
-        return backend.count_ordered(g_adj, h_adj, order, pins)
+    def spy(rows_seq, h_adj, order):
+        calls.append(rows_seq)
+        return backend.count_ordered_many(rows_seq, h_adj, order)
 
-    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(count_ordered=spy))
-    search._scan(level, pattern)
-    assert hosts == [g.adj for _, g in level if g.n >= pattern.n]
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(count_ordered_many=spy))
+    for m in range(8):
+        level = search._level(m)
+        for _ in range(2):
+            calls.clear()
+            search._scan(level, pattern)
+            assert len(calls) == 1 and calls[0] is level.rows
+        assert level.rows == tuple(g.adj for _, g in level)
+        assert level.labels == tuple(label for label, _ in level)
 
 
 def connected(g):
