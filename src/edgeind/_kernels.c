@@ -12,7 +12,8 @@
  * refinement rule and automorphism pruning.  The growth entry labels the
  * parent for its automorphism generators and then one extension per orbit,
  * where the pure twin labels every extension; a skipped extension is
- * isomorphic to an earlier one, so both return the same list.
+ * isomorphic to an earlier one, so both return the same list.  The level
+ * entries, children() and count_ordered_many(), take graph6 labels.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -94,6 +95,51 @@ read_indices(PyObject *seq, int *out, Py_ssize_t cap, Py_ssize_t bound, const ch
     return n;
 }
 
+/* Read the graph6 label ``obj``, the strict inverse of graph6(): no header
+   line or newline, at most ``max_n`` vertices, zero padding bits.  Returns
+   the vertex count, read from the header first; the rows go to out[] only
+   when there are at least ``min_n``.  -1 with ValueError set otherwise. */
+static int
+read_graph6(PyObject *obj, u64 *out, int min_n, int max_n)
+{
+    Py_ssize_t len, i;
+    const unsigned char *s = (const unsigned char *)PyUnicode_AsUTF8AndSize(obj, &len);
+    if (s == NULL)
+        return -1;
+    int body = len && s[0] == 126 ? 4 : 1, n = 0, v = 1, first = 0;
+    for (i = body > 1; i < body && i < len && s[i] - 63u < 64; i++)
+        n = n << 6 | (s[i] - 63);
+    if (i == body && n > max_n) {
+        PyErr_Format(PyExc_ValueError, "graph6 label %R has %d vertices; this compiled entry "
+                     "takes at most %d", obj, n, max_n);
+        return -1;
+    }
+    Py_ssize_t pad = 6 * (len - body) - n * (n - 1) / 2;
+    if (i < body || pad < 0 || pad > 5)
+        goto bad;
+    if (n < min_n)
+        return n;
+    memset(out, 0, n * sizeof(u64));
+    for (i = body; i < len; i++) {
+        if (s[i] - 63u > 63 || (i == len - 1 && (s[i] - 63) & ((1 << pad) - 1)))
+            goto bad; /* outside ?..~, or a padding bit set */
+        /* bit t, met in increasing order, is row t - first of column v,
+           which starts at bit first = v(v-1)/2 */
+        for (unsigned x = s[i] - 63, k; x; x ^= 32u >> k) {
+            k = __builtin_clz(x) - 26;
+            int t = 6 * (int)(i - body) + (int)k;
+            while (first + v <= t)
+                first += v++;
+            out[t - first] |= BIT(v);
+            out[v] |= BIT(t - first);
+        }
+    }
+    return n;
+bad:
+    PyErr_Format(PyExc_ValueError, "malformed graph6 label %R", obj);
+    return -1;
+}
+
 /* -- ordered induced-copy search ------------------------------------------ */
 
 typedef struct {
@@ -143,14 +189,11 @@ prepare_pattern(Ctx *ctx, PyObject *h_obj, PyObject *order_obj, Py_ssize_t k)
     return 0;
 }
 
-/* The host half: read the n host rows and fill their complements and the
-   degree floor of each step of the prepared pattern.  Returns 0, or -1 with
-   an exception set. */
-static int
-prepare_host(Ctx *ctx, PyObject *g_obj, Py_ssize_t n)
+/* The host half: the complements of the n host rows in ctx->g_adj and the
+   degree floor of each step of the prepared pattern. */
+static void
+fill_host(Ctx *ctx, int n)
 {
-    if (read_rows(g_obj, ctx->g_adj, "host") < 0)
-        return -1;
     ctx->overflow = 0;
     u64 full = n == WORD ? ~(u64)0 : BIT(n) - 1;
     int g_deg[WORD];
@@ -164,7 +207,6 @@ prepare_host(Ctx *ctx, PyObject *g_obj, Py_ssize_t n)
             if (g_deg[v] >= ctx->need[i])
                 ctx->deg_ok[i] |= BIT(v);
     }
-    return 0;
 }
 
 /* Fill ctx and seed the pins.  Returns the first free step, TRIVIAL when
@@ -184,8 +226,9 @@ prepare(Ctx *ctx, PyObject *g_obj, PyObject *h_obj, PyObject *order_obj, PyObjec
         *trivial_count = k == 0;
         return TRIVIAL;
     }
-    if (prepare_pattern(ctx, h_obj, order_obj, k) < 0 || prepare_host(ctx, g_obj, n) < 0)
+    if (prepare_pattern(ctx, h_obj, order_obj, k) < 0 || read_rows(g_obj, ctx->g_adj, "host") < 0)
         return PREPARE_ERROR;
+    fill_host(ctx, (int)n);
     Py_ssize_t npins = read_indices(pins_obj, pins, k, n, "pin hosts");
     if (npins < 0)
         return PREPARE_ERROR;
@@ -303,9 +346,10 @@ count_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     return count_from(&ctx, start, used);
 }
 
-/* count_ordered(g_adj, h_adj, order, ()) for each host's rows, in one call:
-   the pattern and the order are read once, when the first host at least as
-   large as the pattern needs them. */
+/* count_ordered(g_adj, h_adj, order, ()) for the host each graph6 label
+   encodes, in one call.  A host is decoded into the context only when it
+   is at least as large as the pattern, and the pattern and the order are
+   read once, when the first such host needs them. */
 static PyObject *
 count_ordered_many(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -315,17 +359,17 @@ count_ordered_many(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t 
     Py_ssize_t k = PySequence_Size(args[1]);
     if (k < 0)
         return NULL;
-    PyObject *hosts = PySequence_Fast(args[0], "hosts must be a sequence");
-    if (hosts == NULL)
+    PyObject *labels = PySequence_Fast(args[0], "labels must be a sequence");
+    if (labels == NULL)
         return NULL;
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(hosts);
-    PyObject **items = PySequence_Fast_ITEMS(hosts);
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(labels);
+    PyObject **items = PySequence_Fast_ITEMS(labels);
     PyObject *out = PyList_New(count);
     int ready = 0;
     if (out == NULL)
         goto fail;
     for (Py_ssize_t i = 0; i < count; i++) {
-        Py_ssize_t n = PySequence_Size(items[i]);
+        int n = read_graph6(items[i], ctx.g_adj, k ? (int)k : WORD + 1, WORD);
         PyObject *c;
         if (n < 0)
             goto fail;
@@ -335,19 +379,18 @@ count_ordered_many(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t 
             if (!ready && prepare_pattern(&ctx, args[1], args[2], k) < 0)
                 goto fail;
             ready = 1;
-            if (prepare_host(&ctx, items[i], n) < 0)
-                goto fail;
+            fill_host(&ctx, n);
             c = count_from(&ctx, 0, 0);
         }
         if (c == NULL)
             goto fail;
         PyList_SET_ITEM(out, i, c);
     }
-    Py_DECREF(hosts);
+    Py_DECREF(labels);
     return out;
 fail:
     Py_XDECREF(out);
-    Py_DECREF(hosts);
+    Py_DECREF(labels);
     return NULL;
 }
 
@@ -709,7 +752,7 @@ done:
 /* -- level growth ----------------------------------------------------------- */
 
 /* Label the extension in cs->adj; if its label is not in ``seen``, add it
-   there and append (label, canonical rows) to ``out``. */
+   there and append it to ``out``. */
 static int
 offer(Canon *cs, PyObject *seen, PyObject *out)
 {
@@ -718,31 +761,11 @@ offer(Canon *cs, PyObject *seen, PyObject *out)
     PyObject *label = graph6(cs->best_cert, cs->n);
     if (label == NULL)
         return -1;
-    int known = PySet_Contains(seen, label);
-    PyObject *rows = NULL, *pair = NULL;
-    int rc = -1;
-    if (known < 0)
-        goto done;
-    if (known) {
-        rc = 0;
-        goto done;
-    }
-    if ((rows = PyTuple_New(cs->n)) == NULL)
-        goto done;
-    for (int i = 0; i < cs->n; i++) {
-        PyObject *row = PyLong_FromUnsignedLongLong(cs->best_cert[i]);
-        if (row == NULL)
-            goto done;
-        PyTuple_SET_ITEM(rows, i, row);
-    }
-    if ((pair = PyTuple_Pack(2, label, rows)) != NULL &&
-        PySet_Add(seen, label) == 0 && PyList_Append(out, pair) == 0)
-        rc = 0;
-done:
+    int rc = PySet_Contains(seen, label);
+    if (rc == 0)
+        rc = PySet_Add(seen, label) < 0 || PyList_Append(out, label) < 0 ? -1 : 0;
     Py_DECREF(label);
-    Py_XDECREF(rows);
-    Py_XDECREF(pair);
-    return rc;
+    return rc < 0 ? -1 : 0;
 }
 
 /* Mark the orbit of the non-edge {u, v} under the automorphism generators
@@ -792,15 +815,10 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "children() needs a set of seen labels");
         return NULL;
     }
-    Py_ssize_t n = read_rows(args[0], parent.adj, "parent");
+    int n = read_graph6(args[0], parent.adj, 0, WORD - 1); /* children beyond WORD otherwise */
     if (n < 0)
         return NULL;
-    if (n >= WORD) {
-        PyErr_Format(PyExc_ValueError, "a parent of %zd vertices has children beyond %d vertices",
-                     n, WORD);
-        return NULL;
-    }
-    parent.n = (int)n;
+    parent.n = n;
     parent.gens = cs.gens = NULL;
     parent.cap = cs.cap = 0;
     if (label_graph(&parent) < 0) {
@@ -821,7 +839,7 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             memcpy(cs.adj, parent.adj, size);
             cs.adj[u] |= BIT(v);
             cs.adj[v] |= BIT(u);
-            cs.n = (int)n;
+            cs.n = n;
             rc = offer(&cs, args[1], out);
         }
         if (rc == 0 && !(vertices >> u & 1)) {
@@ -829,7 +847,7 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             memcpy(cs.adj, parent.adj, size);
             cs.adj[u] |= BIT(n);
             cs.adj[n] = BIT(u);
-            cs.n = (int)n + 1;
+            cs.n = n + 1;
             rc = offer(&cs, args[1], out);
         }
     }
@@ -837,7 +855,7 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         memcpy(cs.adj, parent.adj, size);
         cs.adj[n] = BIT(n + 1);
         cs.adj[n + 1] = BIT(n);
-        cs.n = (int)n + 2;
+        cs.n = n + 2;
         rc = offer(&cs, args[1], out);
     }
     PyMem_Free(parent.gens);
@@ -853,13 +871,13 @@ static PyMethodDef methods[] = {
     {"count_ordered", (PyCFunction)(void (*)(void))count_ordered, METH_FASTCALL,
      "count_ordered(g_adj, h_adj, order, pin_hosts) -> int"},
     {"count_ordered_many", (PyCFunction)(void (*)(void))count_ordered_many, METH_FASTCALL,
-     "count_ordered_many(rows_seq, h_adj, order) -> list of int, one per host"},
+     "count_ordered_many(labels, h_adj, order) -> list of int, one per graph6 host label"},
     {"enumerate_ordered", (PyCFunction)(void (*)(void))enumerate_ordered, METH_FASTCALL,
      "enumerate_ordered(g_adj, h_adj, order, pin_hosts) -> list of tuples"},
     {"canonical_search", canonical_search, METH_O,
      "canonical_search(rows) -> (label, perm, gens)"},
     {"children", (PyCFunction)(void (*)(void))children, METH_FASTCALL,
-     "children(rows, seen) -> list of (label, canonical rows) new to seen"},
+     "children(label, seen) -> list of new labels"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -4,12 +4,14 @@ labelling search core and the one-edge growth of a search level.
 Twin of the compiled module ``edgeind._kernels``; both expose the same
 functions and must produce identical results.  Adjacency rows are integer
 bitmasks; the compiled twin takes at most 64 rows, this module any number.
+The level entries ``children`` and ``count_ordered_many`` take graph6
+labels instead.
 For the copy search, ``order`` is the sequence in which pattern vertices
 are assigned; the first ``len(pin_hosts)`` of them are forced to the given
 host vertices.
 """
 
-from .graph import WORD_VERTICES, encode_graph6
+from .graph import WORD_VERTICES, encode_graph6, parse_graph6
 
 BACKEND = "pure"
 
@@ -89,9 +91,9 @@ def count_ordered(g_adj, h_adj, order, pin_hosts):
     return rec(start, used0)
 
 
-def count_ordered_many(rows_seq, h_adj, order):
-    """``count_ordered(g_adj, h_adj, order, ())`` for each host's rows."""
-    return [count_ordered(g_adj, h_adj, order, ()) for g_adj in rows_seq]
+def count_ordered_many(labels, h_adj, order):
+    """``count_ordered`` of the host each graph6 label encodes."""
+    return [count_ordered(parse_graph6(label).adj, h_adj, order, ()) for label in labels]
 
 
 def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
@@ -274,23 +276,22 @@ def _canonical(adj):
 # -- level growth --------------------------------------------------------
 
 
-def children(adj, seen):
-    """``(label, rows)`` for each one-edge extension of the graph with rows
-    ``adj`` whose label is not in ``seen``, where ``rows`` are those of the
-    canonical relabeling; each new label joins ``seen``.  The extensions
-    come in a fixed order: for each vertex u, the non-edges uv with v > u,
-    then a pendant edge at u; last, while it fits in the 64-vertex word, a
-    disjoint edge."""
+def children(label, seen):
+    """The canonical label of each one-edge extension of the graph with
+    graph6 ``label`` that is not in ``seen``; each new label joins ``seen``.
+    The extensions come in a fixed order: for each vertex u, the non-edges
+    uv with v > u, then a pendant edge at u; last, while it fits in the
+    64-vertex word, a disjoint edge."""
+    adj = parse_graph6(label).adj
     n = len(adj)
     bit = 1 << n
     out = []
 
     def offer(rows):
-        cert = _canonical(rows)[0]
-        label = encode_graph6(cert)
-        if label not in seen:
-            seen.add(label)
-            out.append((label, cert))
+        child = encode_graph6(_canonical(rows)[0])
+        if child not in seen:
+            seen.add(child)
+            out.append(child)
 
     for u in range(n):
         row = adj[u]

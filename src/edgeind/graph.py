@@ -46,7 +46,7 @@ class Graph:
     @classmethod
     def _unchecked(cls, n, adj: tuple):
         """A graph from rows that are valid by construction, such as the
-        canonical rows a kernel returns or a pickled graph's rows."""
+        rows of checked graph6 text or of a pickled graph."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)

@@ -35,11 +35,12 @@ else:
 
 BACKEND = _impl.BACKEND
 
+_WORD_LABEL = 340  # graph6 length of a 64-vertex graph; it grows with n
 
-def _backend_for(g: Graph, extra=0):
-    """The backend module for g, or for graphs of up to ``extra`` more
-    vertices."""
-    return _pure() if g.n + extra > WORD_VERTICES else _impl
+
+def _backend_for(g: Graph):
+    """The backend module for g."""
+    return _pure() if g.n > WORD_VERTICES else _impl
 
 
 def canonical_search(g: Graph) -> tuple:
@@ -48,15 +49,15 @@ def canonical_search(g: Graph) -> tuple:
     return _backend_for(g).canonical_search(g.adj)
 
 
-def children(parent: Graph, seen: set) -> list:
-    """``(label, rows)`` for each one-edge extension of ``parent`` whose
-    canonical label is not in ``seen``, ``rows`` being the adjacency rows of
-    its canonical relabeling; each new label joins ``seen``.  The extensions
-    are each non-edge added, a pendant edge at each vertex and, within the
-    64-vertex word, a disjoint edge.  The compiled backend labels one
-    extension per orbit of the parent's automorphisms, the pure twin each
-    extension; both return the same list."""
-    return _backend_for(parent, 2).children(parent.adj, seen)
+def children(label: str, seen: set) -> list:
+    """The canonical label of each one-edge extension of the graph with
+    graph6 ``label`` that is not in ``seen``; each new label joins ``seen``.
+    The extensions are each non-edge added, a pendant edge at each vertex
+    and, within the 64-vertex word, a disjoint edge.  The compiled backend
+    labels one extension per orbit of the parent's automorphisms, the pure
+    twin each extension; both return the same list.  Only a short-form
+    label (at most 62 vertices) has all its children within the word."""
+    return (_impl if label[:1] != "~" else _pure()).children(label, seen)
 
 
 def visit_order(h: Graph, pinned=()) -> tuple:
@@ -113,20 +114,16 @@ def count_ordered(g: Graph, h: Graph, pins=()) -> int:
     return _backend_for(g).count_ordered(g.adj, h.adj, order, hosts)
 
 
-def count_ordered_many(hosts, h: Graph) -> list:
-    """``count_ordered(g, h)`` for every host g, in order.  ``hosts`` is a
-    sequence of graphs or, as a level scan passes it, of their adjacency-row
-    tuples.  One backend call counts them all when every host fits the
-    64-vertex word; otherwise each host goes to the backend its vertex count
-    allows."""
-    if hosts and isinstance(hosts[0], Graph):
-        hosts = [g.adj for g in hosts]
+def count_ordered_many(labels, h: Graph) -> list:
+    """``count_ordered(g, h)`` for the host g each graph6 label encodes, in
+    order.  One backend call counts them all when every label is short
+    enough for 64 vertices; otherwise each host goes to the backend its
+    label's length allows."""
     order = visit_order(h)
-    if max(map(len, hosts), default=0) <= WORD_VERTICES:
-        return _impl.count_ordered_many(hosts, h.adj, order)
-    pure = _pure()
-    return [(pure if len(rows) > WORD_VERTICES else _impl).count_ordered(rows, h.adj, order, ())
-            for rows in hosts]
+    if max(map(len, labels), default=0) <= _WORD_LABEL:
+        return _impl.count_ordered_many(labels, h.adj, order)
+    return [(_pure() if len(label) > _WORD_LABEL else _impl)
+            .count_ordered_many((label,), h.adj, order)[0] for label in labels]
 
 
 def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:

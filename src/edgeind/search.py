@@ -3,22 +3,20 @@
 Graphs with m edges and no isolated vertices are generated one per
 isomorphism class, level by level: the m-edge classes are the canonical
 labels of the one-edge extensions of the (m-1)-edge classes, each kept
-the first time it is seen.  One kernel call per parent (``kernels.children``) builds its extensions,
-labels them and returns each new class with the rows of its canonical
-relabeling, which represent the class.  The compiled kernel labels the
-parent first and then only one extension per orbit of its automorphism
-group (McKay, "Isomorph-free exhaustive generation", 1998); the pure twin
-labels every extension.  Both return the same classes, because a skipped
-extension is isomorphic to a labelled one of the same parent.  A
-level-wide seen-set of labels is sound because labels are canonical
-(equal exactly for isomorphic graphs), and the representative is the
-graph the label encodes, so it does not depend on which parent or which
-forked shard worker found the class first.
+the first time it is seen.  A level is the sorted tuple of these graph6
+labels and nothing else.  A level-wide seen-set of labels is sound
+because labels are canonical (equal exactly for isomorphic graphs), and
+the graph a label encodes is the class's canonical relabeling, so it does
+not depend on which parent or forked shard worker found the class first.
+One kernel call per parent (``kernels.children``) decodes its label,
+labels its extensions and returns the new labels.  The compiled kernel
+labels the parent first and then only one extension per orbit of its
+automorphism group (McKay, "Isomorph-free exhaustive generation", 1998);
+the pure twin labels every extension.  Both return the same classes.
 
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value the closed-form bounds are
-sandwiched against.  A level keeps its labels and rows as tuples of their
-own, so a scan is one kernel call over the whole level.
+sandwiched against.  A scan is one kernel call over the level's labels.
 """
 
 from __future__ import annotations
@@ -76,31 +74,30 @@ def estimated_class_count(m):
     return int(CLASS_COUNTS[-1] * ratio ** (m - len(CLASS_COUNTS) + 1))
 
 
-def _children(parent: Graph, seen: set):
-    """``(label, canonical rows)`` of each class among the one-edge
-    extensions of ``parent`` whose label is not yet in ``seen``; new labels
-    join ``seen`` (``kernels.children``)."""
+def _children(parent: str, seen: set):
+    """The labels of the classes among the one-edge extensions of the graph
+    with label ``parent`` that are not yet in ``seen``; new labels join
+    ``seen`` (``kernels.children``)."""
     return kernels.children(parent, seen)
 
 
 def _grow(parents):
-    """All one-edge extensions of the given graphs, each class once, as a
-    dict from canonical label to canonical rows."""
+    """The labels of all one-edge extensions of the graphs with the given
+    labels, each class once, as a set."""
     seen = set()
-    found = {}
     for parent in parents:
-        found.update(_children(parent, seen))
-    return found
+        _children(parent, seen)
+    return seen
 
 
 def _shard_worker(parents):
-    """Grow one slice of a level's parents in a forked child, which
+    """Grow one slice of a level's parent labels in a forked child, which
     inherited them from the process that forked it."""
     return _grow(parents)
 
 
 def _fork_shard(parents):
-    """Fork a child that runs ``_shard_worker(parents)``, sends the dict back
+    """Fork a child that runs ``_shard_worker(parents)``, sends the set back
     through a pipe with marshal and leaves with ``os._exit``, 0 on success.
     Returns its pid and the read end of the pipe."""
     r, w = os.pipe()
@@ -152,31 +149,17 @@ def _grow_sharded(slices):
     if failed:
         raise RuntimeError(f"{failed} of {len(workers)} shard workers failed")
     for data in parts:
-        found.update(marshal.loads(data))
+        found |= marshal.loads(data)
     return found
-
-
-class _Level(tuple):
-    """A level's (label, graph) pairs, sorted by label.  The labels and the
-    graphs' rows are kept as tuples of their own too, so that a scan hands
-    the rows to the kernel without a Python step per class."""
-
-    def __new__(cls, labels, rows):
-        level = super().__new__(cls, ((label, Graph._unchecked(len(r), r))
-                                      for label, r in zip(labels, rows)))
-        level.labels = labels
-        level.rows = rows
-        return level
 
 
 _LEVELS = {}
 
 
 def _level(m, shards=1):
-    """All m-edge classes without isolated vertices, as (label, graph)
-    pairs sorted by label, each graph the canonical relabeling.  A level is
-    grown once per process from level m-1; level 0 holds the empty graph,
-    its own canonical relabeling.  With shards > 1 its parents are
+    """All m-edge classes without isolated vertices, as the sorted tuple of
+    their canonical labels.  A level is grown once per process from level
+    m-1; level 0 holds the empty graph.  With shards > 1 its parents are
     cut into k = min(shards, CPUs, parents) interleaved slices; this process
     grows the first and a forked child each of the others, so sharding
     needs ``os.fork`` (ValueError without it).  A level within
@@ -188,9 +171,9 @@ def _level(m, shards=1):
         raise ValueError("sharded growth needs os.fork, which this platform lacks")
     if m not in _LEVELS:
         if m == 0:
-            found = {write_graph6(Graph.empty(0)): ()}
+            found = {write_graph6(Graph.empty(0))}
         else:
-            parents = [g for _, g in _level(m - 1)]
+            parents = _level(m - 1)
             k = min(shards, os.cpu_count() or 1, len(parents))
             if k <= 1:
                 found = _grow(parents)
@@ -199,19 +182,18 @@ def _level(m, shards=1):
         if m < len(CLASS_COUNTS) and len(found) != CLASS_COUNTS[m]:
             raise RuntimeError(f"level {m} has {len(found)} classes, expected "
                                f"{CLASS_COUNTS[m]} (OEIS A000664)")
-        labels = tuple(sorted(found))
-        _LEVELS[m] = _Level(labels, tuple(map(found.__getitem__, labels)))
+        _LEVELS[m] = tuple(sorted(found))
     return _LEVELS[m]
 
 
 def enumerate_m_edge_graphs(m, ceiling=DEFAULT_CEILING):
     """An iterator over one canonical representative per isomorphism class
-    of graphs with m edges and no isolated vertices.  A bad budget raises
-    here, not on first iteration."""
+    of graphs with m edges and no isolated vertices, each decoded from its
+    label as it is reached.  A bad budget raises here, not on first
+    iteration."""
     if m > ceiling:
         raise CeilingError(m, ceiling, estimated_class_count(m))
-    level = _level(m)
-    return (g for _, g in level)
+    return map(parse_graph6, _level(m))
 
 
 @dataclass(frozen=True)
@@ -242,14 +224,15 @@ class SearchResult:
 
 
 def _scan(level, pattern: Graph):
-    """Maximum induced-copy count over the level and its maximizers: one
-    kernel call over the level's rows, |Aut(pattern)| taken once."""
-    counts = kernels.count_ordered_many(level.rows, pattern)
+    """Maximum induced-copy count over the level's labels and its
+    maximizers: one kernel call over the labels, |Aut(pattern)| taken
+    once."""
+    counts = kernels.count_ordered_many(level, pattern)
     aut = automorphism_order(pattern)
     if any(c % aut for c in set(counts)):  # each distinct count once
         raise AssertionError("ordered copy count not divisible by |Aut|")
     top = max(counts)
-    return top // aut, list(compress(level.labels, map(top.__eq__, counts))), len(counts)
+    return top // aut, list(compress(level, map(top.__eq__, counts))), len(counts)
 
 
 @dataclass

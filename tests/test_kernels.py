@@ -9,7 +9,7 @@ import sysconfig
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeind import Graph, canonical_form, kernels, parse_graph6
+from edgeind import Graph, canonical_form, kernels, parse_graph6, write_graph6
 from edgeind import _kernels_py
 
 from helpers import (
@@ -88,17 +88,19 @@ def test_labels_above_64_vertices_take_the_pure_path(compiled, monkeypatch):
 @settings(max_examples=150, deadline=None, database=None)
 @given(graphs(max_n=10), st.integers(0, 3))
 def test_backends_agree_on_growth(compiled, parent, keep):
-    # seen-sets empty and holding every (keep + 1)-th new class
-    fresh = _kernels_py.children(parent.adj, set())
-    for start in (set(), {label for label, _ in fresh[::keep + 1]}):
+    # seen-sets empty and holding every (keep + 1)-th new class; the parent
+    # label need not be canonical, and each child label is its own label
+    label = write_graph6(parent)
+    fresh = _kernels_py.children(label, set())
+    for start in (set(), set(fresh[::keep + 1])):
         seen_c, seen_py = set(start), set(start)
-        new = compiled.children(parent.adj, seen_c)
-        assert new == _kernels_py.children(parent.adj, seen_py)
-        assert seen_c == seen_py == start | {label for label, _ in fresh}
-        assert new == [(label, rows) for label, rows in fresh if label not in start]
-    for label, rows in fresh:
-        child = Graph._unchecked(len(rows), rows)
-        assert child == parse_graph6(label)
+        new = compiled.children(label, seen_c)
+        assert new == _kernels_py.children(label, seen_py)
+        assert seen_c == seen_py == start | set(fresh)
+        assert new == [child for child in fresh if child not in start]
+    for child_label in fresh:
+        child = parse_graph6(child_label)
+        assert compiled.canonical_search(child.adj)[0] == child_label
         assert child.m == parent.m + 1 and child.n - parent.n in (0, 1, 2)
 
 
@@ -107,19 +109,21 @@ def test_growth_up_to_the_word(compiled):
     # parent has no disjoint-edge extension, and the compiled entry refuses
     # a 64-vertex parent
     for n, sizes in ((62, {62, 63, 64}), (63, {63, 64})):
-        parent = Graph.path(n)
-        new = compiled.children(parent.adj, set())
-        assert len(new) == len({label for label, _ in new})
-        assert {len(rows) for _, rows in new} == sizes
-        assert [len(rows) for _, rows in new].count(n + 2) == (n == 62)
-        for label, rows in new:
-            assert label.startswith("~") == (len(rows) > 62)
-            assert Graph._unchecked(len(rows), rows) == parse_graph6(label)
-        assert compiled.children(parent.adj, {label for label, _ in new}) == []
+        label = write_graph6(Graph.path(n))
+        assert label.startswith("~") == (n > 62)
+        new = compiled.children(label, set())
+        assert len(new) == len(set(new))
+        children = [parse_graph6(child) for child in new]
+        assert {child.n for child in children} == sizes
+        assert [child.n for child in children].count(n + 2) == (n == 62)
+        for child_label, child in zip(new, children):
+            assert child_label.startswith("~") == (child.n > 62)
+            assert child.m == n
+        assert compiled.children(label, set(new)) == []
     with pytest.raises(ValueError):
-        compiled.children(Graph.path(64).adj, set())
+        compiled.children(write_graph6(Graph.path(64)), set())
     with pytest.raises(TypeError):
-        compiled.children(Graph.path(3).adj, frozenset())
+        compiled.children(write_graph6(Graph.path(3)), frozenset())
 
 
 def test_backends_agree_on_counts_and_lists(compiled):
@@ -211,15 +215,15 @@ def test_growth_of_symmetric_parents(compiled):
     parents = [Graph.complete(8), complete_bipartite(4, 4),
                complete_bipartite(1, 12), disjoint_union(*[Graph.complete(2)] * 8),
                disjoint_union(c5, c5, c5), Graph.cycle(16)]
-    for parent in parents:
-        fresh = _kernels_py.children(parent.adj, set())
-        half = {label for label, _ in fresh[::2]}
+    for parent in map(write_graph6, parents):
+        fresh = _kernels_py.children(parent, set())
+        half = set(fresh[::2])
         seen_py = set(half)
-        runs = [(set(), fresh, {label for label, _ in fresh}),
-                (half, _kernels_py.children(parent.adj, seen_py), seen_py)]
+        runs = [(set(), fresh, set(fresh)),
+                (half, _kernels_py.children(parent, seen_py), seen_py)]
         for start, pure, pure_seen in runs:
             seen_c = set(start)
-            assert compiled.children(parent.adj, seen_c) == pure
+            assert compiled.children(parent, seen_c) == pure
             assert seen_c == pure_seen
 
 
@@ -236,9 +240,9 @@ def test_growth_of_symmetric_62_vertex_parents(compiled):
                                            disjoint_union(*[k2] * 32)])]
     for parent, extensions in cases:
         labels = {compiled.canonical_search(child.adj)[0] for child in extensions}
-        new = compiled.children(parent.adj, set())
+        new = compiled.children(write_graph6(parent), set())
         assert len(new) == len(labels)
-        assert {label for label, _ in new} == labels
+        assert set(new) == labels
 
 
 def test_kernel_source_compiles_without_warnings(built_lib):
@@ -317,9 +321,11 @@ def test_count_many_routes_each_host_by_size(compiled, monkeypatch):
     monkeypatch.setattr(kernels, "_impl", compiled)
     hosts = [complete_bipartite(33, 33), Graph.cycle(4), Graph.path(3),
              complete_bipartite(3, 5)]
+    labels = list(map(write_graph6, hosts))
+    assert len(write_graph6(Graph.empty(64))) == 340 < len(labels[0])
     c4 = Graph.cycle(4)
-    assert kernels.count_ordered_many(hosts, c4) == [kernels.count_ordered(g, c4) for g in hosts]
-    assert kernels.count_ordered_many(hosts, c4)[:3] == [8 * math.comb(33, 2) ** 2, 8, 0]
+    assert kernels.count_ordered_many(labels, c4) == [kernels.count_ordered(g, c4) for g in hosts]
+    assert kernels.count_ordered_many(labels, c4)[:3] == [8 * math.comb(33, 2) ** 2, 8, 0]
 
 
 PATTERNS_G6 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -327,7 +333,7 @@ PATTERNS_G6 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
 
 
 def test_count_ordered_many_matches_per_host_counts(backends):
-    # every host of levels <= 7 (most of them smaller than most patterns)
+    # every label of levels <= 7 (most of them smaller than most patterns)
     # against every benchmark pattern, on each backend, against the
     # per-host entry of the compiled kernel when it is built
     from edgeind import search
@@ -336,32 +342,51 @@ def test_count_ordered_many_matches_per_host_counts(backends):
         patterns = [parse_graph6(line.strip()) for line in fh
                     if line.strip() and not line.startswith("#")]
     assert len(patterns) == 196
-    hosts = [g.adj for m in range(8) for _, g in search._level(m)]
+    labels = [label for m in range(8) for label in search._level(m)]
+    hosts = [parse_graph6(label).adj for label in labels]
     reference = backends[-1]
     for h in patterns + [Graph.empty(0), Graph.complete(2)]:
         order = kernels.visit_order(h)
         want = [reference.count_ordered(rows, h.adj, order, ()) for rows in hosts]
         for backend in backends:
-            assert backend.count_ordered_many(hosts, h.adj, order) == want, backend.BACKEND
+            assert backend.count_ordered_many(labels, h.adj, order) == want, backend.BACKEND
     for backend in backends:
         assert backend.count_ordered_many([], Graph.path(3).adj, (1, 0, 2)) == []
 
 
 def test_count_ordered_many_fails_like_count_ordered(compiled):
-    # a host above the 64-vertex word, or a row naming a vertex outside
-    # its host, fails the whole call with count_ordered's error; a pattern
-    # larger than every host is never read
+    # a host above the 64-vertex word fails the whole call with a
+    # ValueError, as count_ordered does on its rows, and the pure twin
+    # counts it; a pattern larger than every host is never read
     c4 = Graph.cycle(4)
     order = kernels.visit_order(c4)
-    big = complete_bipartite(33, 33).adj
-    for bad in (big, (2, 1, 0, 16)):
-        hosts = [Graph.cycle(5).adj, bad, Graph.cycle(4).adj]
-        with pytest.raises(ValueError) as many:
-            compiled.count_ordered_many(hosts, c4.adj, order)
-        with pytest.raises(ValueError) as one:
-            compiled.count_ordered(bad, c4.adj, order, ())
-        assert str(many.value) == str(one.value)
-    assert _kernels_py.count_ordered_many([big], c4.adj, order) == \
+    big = complete_bipartite(33, 33)
+    labels = [write_graph6(Graph.cycle(5)), write_graph6(big), write_graph6(c4)]
+    with pytest.raises(ValueError, match="has 66 vertices"):
+        compiled.count_ordered_many(labels, c4.adj, order)
+    with pytest.raises(ValueError, match="66 rows"):
+        compiled.count_ordered(big.adj, c4.adj, order, ())
+    assert _kernels_py.count_ordered_many([write_graph6(big)], c4.adj, order) == \
         [8 * math.comb(33, 2) ** 2]
     huge = [(1 << 65) - 1] * 66  # not a valid pattern for the compiled kernel
-    assert compiled.count_ordered_many([Graph.cycle(4).adj, ()], huge, ()) == [0, 0]
+    assert compiled.count_ordered_many([write_graph6(c4), "?"], huge, ()) == [0, 0]
+
+
+def test_level_entries_reject_malformed_labels(backends):
+    # the compiled decoder is strict: a character outside ?..~ (in the
+    # header or the body), a truncated body, a trailing character, a set
+    # padding bit and, on the compiled entries only, more than 64 vertices
+    c5 = write_graph6(Graph.cycle(5))  # 10 bits: two body characters
+    assert not (ord(c5[-1]) - 63) & 3
+    malformed = [" " + c5[1:], c5[:-1] + " ", c5[:-1] + chr(127), c5[:-1], c5 + "?",
+                 c5[:-1] + chr(ord(c5[-1]) + 1)]
+    k2 = Graph.complete(2)
+    for backend in backends:
+        big = [write_graph6(Graph.path(65))] if backend.BACKEND == "c" else []
+        for label in malformed + big:
+            with pytest.raises(ValueError):
+                backend.count_ordered_many([c5, label], k2.adj, (0, 1))
+            with pytest.raises(ValueError):
+                backend.children(label, set())
+        assert backend.count_ordered_many([c5], k2.adj, (0, 1)) == [10]
+        assert backend.count_ordered_many([], k2.adj, (0, 1)) == []

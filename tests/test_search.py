@@ -135,13 +135,18 @@ CANDIDATE_FORMS_SHA256 = "8ed9ff8aae8632734fc056ad96e3f31bc961d78b85e32c80044fb2
 
 
 def test_level_labels_match_fixture(backends, monkeypatch):
+    # a level is its sorted labels, and up to m = 7 each is the label of
+    # the graph it encodes
     for backend in backends:
         monkeypatch.setattr(kernels, "_impl", backend)
         monkeypatch.setattr(search, "_LEVELS", {})
         digest = hashlib.sha256()
         for m in range(10):
-            for label, g in search._level(m):
-                assert g == parse_graph6(label)
+            level = search._level(m)
+            assert type(level) is tuple and list(level) == sorted(level)
+            for label in level:
+                if m <= 7:
+                    assert canonical_label(parse_graph6(label)) == label, backend.BACKEND
                 digest.update(f"{m} {label}\n".encode())
         assert digest.hexdigest() == LEVEL_LABELS_SHA256, backend.BACKEND
 
@@ -153,7 +158,7 @@ def test_candidate_labels_and_perms_match_fixture(backends, monkeypatch):
         digest = hashlib.sha256()
         count = 0
         for level in levels:
-            for _, g in level:
+            for g in map(parse_graph6, level):
                 for child in one_edge_extensions(g):
                     form = canonical_form(child)
                     digest.update(f"{form.label} {','.join(map(str, form.perm))}\n".encode())
@@ -194,33 +199,33 @@ def test_growth_entries_agree(backends):
     # with one holding every other class of the next level
     levels = [search._level(m) for m in range(9)]
     for m in range(8):
-        filled = {label for label, _ in levels[m + 1][::2]}
-        for _, parent in levels[m]:
+        filled = set(levels[m + 1][::2])
+        for parent in levels[m]:
             for start in (set(), filled):
                 runs = []
                 for backend in backends:
                     seen = set(start)
-                    runs.append((backend.children(parent.adj, seen), seen))
+                    runs.append((backend.children(parent, seen), seen))
                 assert all(run == runs[0] for run in runs[1:])
                 new, seen = runs[0]
-                assert seen == start | {label for label, _ in new}
+                assert seen == start | set(new)
                 assert len(seen) == len(start) + len(new)
-                for label, rows in new:
-                    assert Graph._unchecked(len(rows), rows) == parse_graph6(label)
+                assert set(new) <= set(levels[m + 1])
 
 
 def test_children_of_large_parents_take_the_pure_path(monkeypatch):
     # the compiled entry packs a child's rows into 64-bit words, so a
-    # parent with n + 2 > 64 goes to the pure twin
+    # parent with n + 2 > 64, whose label takes the long form, goes to the
+    # pure twin
     calls = []
 
     def spy(name):
-        return lambda adj, seen: calls.append((name, len(adj))) or []
+        return lambda label, seen: calls.append((name, parse_graph6(label).n)) or []
 
     monkeypatch.setattr(kernels, "_impl", SimpleNamespace(children=spy("impl")))
     monkeypatch.setattr(_kernels_py, "children", spy("pure"))
     for n in (61, 62, 63, 64, 70):
-        assert search._children(Graph.empty(n), set()) == []
+        assert search._children(write_graph6(Graph.empty(n)), set()) == []
     assert calls == [("impl", 61), ("impl", 62), ("pure", 63), ("pure", 64), ("pure", 70)]
 
 
@@ -240,8 +245,7 @@ def test_level_with_a_missing_class_raises(monkeypatch):
     # run the lossy growth too
     dropped = canonical_label(Graph.cycle(6))
     grow = search._grow
-    monkeypatch.setattr(search, "_grow", lambda parents: {
-        label: rows for label, rows in grow(parents).items() if label != dropped})
+    monkeypatch.setattr(search, "_grow", lambda parents: grow(parents) - {dropped})
     for shards in (1, 2):
         monkeypatch.setattr(search, "_LEVELS", {})
         assert len(search._level(5, shards)) == 26
@@ -403,16 +407,16 @@ def test_cache_reads_each_file_once_and_sees_writes_behind_its_back(tmp_path, mo
 
 def test_scan_makes_one_kernel_call_per_level(monkeypatch):
     # the stand-in backend has no per-host entry, so a scan that counted
-    # host by host would fail; the rows are the level's own tuple, built
-    # once with the level
+    # host by host would fail; the kernel gets the level's own tuple of
+    # labels, which is all a level stores
     pattern = Graph.path(4)
     automorphism_order(pattern)
     backend = kernels._impl
     calls = []
 
-    def spy(rows_seq, h_adj, order):
-        calls.append(rows_seq)
-        return backend.count_ordered_many(rows_seq, h_adj, order)
+    def spy(labels, h_adj, order):
+        calls.append(labels)
+        return backend.count_ordered_many(labels, h_adj, order)
 
     monkeypatch.setattr(kernels, "_impl", SimpleNamespace(count_ordered_many=spy))
     for m in range(8):
@@ -420,9 +424,8 @@ def test_scan_makes_one_kernel_call_per_level(monkeypatch):
         for _ in range(2):
             calls.clear()
             search._scan(level, pattern)
-            assert len(calls) == 1 and calls[0] is level.rows
-        assert level.rows == tuple(g.adj for _, g in level)
-        assert level.labels == tuple(label for label, _ in level)
+            assert len(calls) == 1 and calls[0] is level
+        assert type(level) is tuple and all(type(label) is str for label in level)
 
 
 def connected(g):
@@ -439,15 +442,15 @@ def connected(g):
 
 def test_scan_matches_per_host_count_induced(backends, monkeypatch):
     levels = [search._level(m) for m in range(8)]
-    patterns = [g for level in levels[1:7] for _, g in level if connected(g)]
+    patterns = [g for level in levels[1:7] for g in map(parse_graph6, level) if connected(g)]
     assert len(patterns) == 52  # connected graphs with 1..6 edges
     for backend in backends:
         monkeypatch.setattr(kernels, "_impl", backend)
         for h in patterns:
             for level in levels:
                 rho, maximizers = 0, []
-                for label, g in level:
-                    c = count_induced(g, h).unordered
+                for label in level:
+                    c = count_induced(parse_graph6(label), h).unordered
                     if c > rho:
                         rho, maximizers = c, [label]
                     elif c == rho:
