@@ -91,9 +91,16 @@ def count_ordered(g_adj, h_adj, order, pin_hosts):
     return rec(start, used0)
 
 
+def _rows(label):
+    """The rows of a graph6 label, which (as in ``_kernels``) has no header or newline."""
+    if label[:1] == ">" or label[-1:] == "\n":
+        raise ValueError(f"malformed graph6 label {label!r}")
+    return parse_graph6(label).adj
+
+
 def count_ordered_many(labels, h_adj, order):
     """``count_ordered`` of the host each graph6 label encodes."""
-    return [count_ordered(parse_graph6(label).adj, h_adj, order, ()) for label in labels]
+    return [count_ordered(_rows(label), h_adj, order, ()) for label in labels]
 
 
 def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
@@ -282,7 +289,7 @@ def children(label, seen):
     The extensions come in a fixed order: for each vertex u, the non-edges
     uv with v > u, then a pendant edge at u; last, while it fits in the
     64-vertex word, a disjoint edge."""
-    adj = parse_graph6(label).adj
+    adj = _rows(label)
     n = len(adj)
     bit = 1 << n
     out = []

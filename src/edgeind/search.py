@@ -26,9 +26,7 @@ import json
 import marshal
 import os
 import sys
-import urllib.parse
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from itertools import compress
 
 from .graph import Graph, parse_graph6, write_graph6
@@ -257,11 +255,6 @@ def _stamp(st):
     return st.st_ino, st.st_size, st.st_mtime_ns
 
 
-@lru_cache(maxsize=None)
-def _cache_path(directory, pattern_label):
-    return os.path.join(directory, urllib.parse.quote(pattern_label, safe="") + ".jsonl")
-
-
 def _read_cache_file(path):
     """The memo entry for the file at path, read again if the file changed
     since; None if there is no file."""
@@ -297,46 +290,47 @@ def _read_cache_file(path):
 
 
 class ResultCache:
-    """JSON-lines result store, one file per pattern canonical label.
+    """JSON-lines result store: every record of a directory is one line of
+    its ``results.jsonl``, so a new pattern appends a line, not a file.
     Records from other generator versions are ignored; unreadable (torn)
     lines are skipped with one note on stderr.  A record is only appended
     when the cached one holds too few certificates, so the last matching
-    record is the most complete.  Each file is parsed once per process and
-    read again only when its size, mtime or inode changed since.  Appends,
-    the only writes a cache makes, always change the size; a rewrite that
-    keeps the size within one tick of the file system's clock goes unseen."""
+    record is the most complete.  A process parses the whole file on its
+    first get and again only when its size, mtime or inode changed: appends
+    change the size, a same-size rewrite within one clock tick goes unseen.
+    Per-pattern files of the older layout are not read; ``put`` reports them
+    on stderr when it starts the file."""
 
     def __init__(self, directory):
         self.directory = directory
-
-    def _path(self, pattern_label):
-        return _cache_path(self.directory, pattern_label)
+        self.path = os.path.join(directory, "results.jsonl")
 
     def get(self, pattern_label, m):
-        path = self._path(pattern_label)
-        entry = _read_cache_file(path)
+        entry = _read_cache_file(self.path)
         if entry is None:
             return None
         key = (pattern_label, m, GENERATOR_VERSION)
         skipped = entry.unreadable + entry.broken.get(key, 0)
         if skipped:
-            print(f"warning: skipped {skipped} unreadable line(s) in {path}", file=sys.stderr)
+            print(f"warning: skipped {skipped} unreadable line(s) in {self.path}", file=sys.stderr)
         return entry.hits.get(key)
 
     def put(self, result: SearchResult):
-        path = self._path(result.pattern)
         rec = result.to_record()
         record = (json.dumps(rec, sort_keys=True) + "\n").encode()
         try:
-            fh = open(path, "ab+")
+            fh = open(self.path, "ab+")
         except FileNotFoundError:
             os.makedirs(self.directory, exist_ok=True)
-            fh = open(path, "ab+")
+            fh = open(self.path, "ab+")
         with fh:
             before = _stamp(os.fstat(fh.fileno()))
-            entry = _CACHE_FILES.get(path)
+            entry = _CACHE_FILES.get(self.path)
             if before[1] == 0:
                 entry = _CacheFile(before, {}, {}, 0, True)
+                if sum(name.endswith(".jsonl") for name in os.listdir(self.directory)) > 1:
+                    print(f"warning: {self.directory} holds per-pattern cache files of an "
+                          "older layout; they are not read", file=sys.stderr)
             elif entry is not None and entry.stamp != before:
                 entry = None
             if entry is not None:
@@ -350,12 +344,12 @@ class ResultCache:
             fh.flush()
             after = _stamp(os.fstat(fh.fileno()))
         if entry is None or after[1] != before[1] + len(record):
-            _CACHE_FILES.pop(path, None)  # unknown or changed by another writer: read it again
+            _CACHE_FILES.pop(self.path, None)  # unknown or changed by another writer: read it again
             return
         entry.stamp = after
         entry.hits[rec["h"], rec["m"], rec["version"]] = SearchResult.from_record(rec)
         entry.newline_end = True
-        _CACHE_FILES[path] = entry
+        _CACHE_FILES[self.path] = entry
 
 
 def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
@@ -376,12 +370,10 @@ def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
     if cache is not None:
         os.makedirs(cache.directory, exist_ok=True)  # an unusable path fails before the search
         hit = cache.get(pattern_label, m)
-        if hit is not None and hit.truncated and len(hit.extremal) < max_certificates:
-            hit = None  # cached under a smaller cap; recompute
-        if hit is not None and len(hit.extremal) > max_certificates:
-            hit = SearchResult(hit.pattern, hit.m, hit.rho, hit.extremal[:max_certificates],
-                               True, hit.classes_scanned)
-        if hit is not None:
+        # a hit truncated under a smaller cap is recomputed
+        if hit is not None and not (hit.truncated and len(hit.extremal) < max_certificates):
+            if len(hit.extremal) > max_certificates:
+                hit = replace(hit, extremal=hit.extremal[:max_certificates], truncated=True)
             return hit
     rho, maximizers, scanned = _scan(_level(m, shards), parse_graph6(pattern_label))
     truncated = len(maximizers) > max_certificates

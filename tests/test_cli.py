@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, cli, kernels, search,
-                     write_graph6)
+from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, canonical_label, cli,
+                     kernels, search, write_graph6)
 from edgeind import entropy as ent
 from edgeind.cli import dispatch
 
@@ -240,6 +240,39 @@ def test_rejected_search_inputs_make_no_cache_dir(tmp_path):
         for cache_dir in (tmp_path / "new", tmp_path / "file" / "sub"):
             assert run(["--cache-dir", str(cache_dir), *argv]) == run(argv), argv
             assert not cache_dir.exists()
+
+
+def test_cache_takes_patterns_with_long_labels(tmp_path, monkeypatch):
+    # a per-pattern file named by the quoted label of P36 would exceed the
+    # file system's 255-byte name limit
+    label = canonical_label(Graph.path(36))
+    argv = ["rho", "--pattern", label, "-m", "3"]
+    code, out, _ = run(argv)
+    assert code == 0
+    assert run(["--cache-dir", str(tmp_path), *argv])[:2] == (0, out)
+    monkeypatch.setattr(search, "_level", lambda *args: pytest.fail("cache miss"))
+    assert run(["--cache-dir", str(tmp_path), *argv])[:2] == (0, out)
+    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+
+
+def test_cache_names_files_of_the_older_layout(tmp_path, capsys):
+    # per-pattern files are not read; the first put names them once on
+    # stderr, and stdout is what a fresh directory gives
+    argv = ["rho", "--pattern", P3, "-m", "4"]
+    _, out, _ = run(["--cache-dir", str(tmp_path / "fresh"), *argv])
+    assert capsys.readouterr().err == ""
+    old = tmp_path / "old"
+    old.mkdir()
+    label = canonical_label(Graph.path(3))  # its own quoted form, as the old file name
+    stale = search.SearchResult(label, 4, 99, ("Ds",), False, 11).to_record()
+    for name in (label, canonical_label(Graph.cycle(3))):
+        (old / f"{name}.jsonl").write_text(json.dumps(stale) + "\n")
+    for _ in range(2):
+        assert run(["--cache-dir", str(old), *argv])[:2] == (0, out)
+    assert run(["--cache-dir", str(old), "rho", "--pattern", P3, "-m", "5"])[0] == 0
+    err = capsys.readouterr().err
+    assert err == (f"warning: {old} holds per-pattern cache files of an older layout; "
+                   "they are not read\n")
 
 
 def test_cold_searches_import_neither_entropy_nor_the_pool(request):

@@ -373,13 +373,15 @@ def test_count_ordered_many_fails_like_count_ordered(compiled):
 
 
 def test_level_entries_reject_malformed_labels(backends):
-    # the compiled decoder is strict: a character outside ?..~ (in the
-    # header or the body), a truncated body, a trailing character, a set
-    # padding bit and, on the compiled entries only, more than 64 vertices
+    # both decoders are strict: a character outside ?..~ (in the header or
+    # the body), a truncated body, a trailing character, a set padding bit,
+    # a ">>graph6<<" header, a trailing newline and, on the compiled entries
+    # only, more than 64 vertices
     c5 = write_graph6(Graph.cycle(5))  # 10 bits: two body characters
     assert not (ord(c5[-1]) - 63) & 3
     malformed = [" " + c5[1:], c5[:-1] + " ", c5[:-1] + chr(127), c5[:-1], c5 + "?",
-                 c5[:-1] + chr(ord(c5[-1]) + 1)]
+                 c5[:-1] + chr(ord(c5[-1]) + 1), ">>graph6<<" + c5, c5 + "\n",
+                 ">>graph6<<A_", "A_\n"]
     k2 = Graph.complete(2)
     for backend in backends:
         big = [write_graph6(Graph.path(65))] if backend.BACKEND == "c" else []

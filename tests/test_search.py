@@ -319,7 +319,7 @@ def test_cache_roundtrip(tmp_path):
     hit = rho_exact(h, 6, cache=cache)
     assert first == hit
     files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].suffix == ".jsonl"
+    assert len(files) == 1 and files[0].name == "results.jsonl"
     rec = json.loads(files[0].read_text().splitlines()[0])
     assert SearchResult.from_record(rec) == first
     # stale versions are ignored
@@ -335,6 +335,7 @@ def test_cache_skips_torn_lines(tmp_path, capsys):
     h = Graph.path(3)
     rho_exact(h, 4, cache=cache)
     (path,) = tmp_path.iterdir()
+    assert path.name == "results.jsonl"
     with open(path, "a") as fh:
         fh.write('{"classes": 26, "extremal": ["Ds')  # a record cut short
     assert rho_exact(h, 5, cache=cache).rho == 10
@@ -374,6 +375,7 @@ def test_cache_reads_each_file_once_and_sees_writes_behind_its_back(tmp_path, mo
     label = canonical_label(h)
     first = rho_exact(h, 4, cache=ResultCache(str(tmp_path)))
     (path,) = tmp_path.iterdir()
+    assert path.name == "results.jsonl"
     # a new cache per query, as the CLI makes them: the file written by
     # this process is not read back
     for _ in range(3):
@@ -403,6 +405,57 @@ def test_cache_reads_each_file_once_and_sees_writes_behind_its_back(tmp_path, mo
     assert len(lines) == 6 and json.loads(lines[5])["m"] == 7
     assert cache.get(label, 7) == rho_exact(h, 7)
     assert [mode for _, mode in opened] == ["ab+", "rb", "ab+", "rb", "rb", "ab+"]
+
+
+def test_cache_keeps_every_record_of_a_directory_in_one_file(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path))
+    patterns = [Graph.path(3), Graph.path(4), Graph.cycle(4), complete_bipartite(1, 3)]
+    results = [rho_exact(h, m, cache=cache) for h in patterns for m in range(3, 7)]
+    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+    lines = (tmp_path / "results.jsonl").read_text().splitlines()
+    assert [SearchResult.from_record(json.loads(line)) for line in lines] == results
+    monkeypatch.setattr(search, "_CACHE_FILES", {})  # as a fresh process
+    fresh = ResultCache(str(tmp_path))
+    assert [fresh.get(r.pattern, r.m) for r in results] == results
+
+
+def test_cache_forked_writers_leave_whole_lines(tmp_path, monkeypatch, capsys):
+    # the writers start together once the pipe closes; some records are
+    # longer than a pipe buffer and than the file object's buffer.  A writer
+    # that reads the file's end while a long record is half written starts
+    # its own record on a new line, which leaves a blank line readers skip
+    level = search._level(6)
+    label = canonical_label(Graph.complete(2))
+    writers = 4
+    results = [[SearchResult(label, 100 * w + i, 6, level * (1 + 2 * i), False, len(level))
+                for i in range(12)] for w in range(writers)]
+    assert max(len(json.dumps(r.to_record())) for r in results[0]) > 8192
+    start, release = os.pipe()
+    pids = []
+    for mine in results:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(release)
+                os.read(start, 1)
+                cache = ResultCache(str(tmp_path))
+                for result in mine:
+                    cache.put(result)
+                code = 0
+            finally:
+                os._exit(code)
+        pids.append(pid)
+    os.close(start)
+    os.close(release)
+    assert all(os.waitpid(pid, 0)[1] == 0 for pid in pids)
+    lines = [line for line in (tmp_path / "results.jsonl").read_text().splitlines() if line]
+    assert sorted(json.loads(line)["m"] for line in lines) == \
+        sorted(r.m for mine in results for r in mine)
+    monkeypatch.setattr(search, "_CACHE_FILES", {})
+    cache = ResultCache(str(tmp_path))
+    assert all(cache.get(r.pattern, r.m) == r for mine in results for r in mine)
+    assert capsys.readouterr().err == ""
 
 
 def test_scan_makes_one_kernel_call_per_level(monkeypatch):
