@@ -37,6 +37,7 @@ from .blowups import (
     BoundValue,
     blow_up,
     bound_eval,
+    construction,
     effective_upper,
     lower_bound_construction,
     optimize_part_sizes,

@@ -28,9 +28,9 @@ from . import __version__
 from .graph import Graph, Graph6Error, parse_graph6, write_graph6
 from .canon import canonical_form
 from .counting import count_induced
-from .families import family_graph, family_name, parse_family
+from .families import family_name
 from .fracind import alpha_f, optimal_weighting
-from .blowups import blow_up, bound_eval, effective_upper, optimize_part_sizes
+from .blowups import blow_up, bound_eval, construction, effective_upper
 from .search import CeilingError, ResultCache, SandwichError, rho_exact, verify_sandwich
 from .kernels import BACKEND
 
@@ -259,10 +259,8 @@ def _cmd_bound(args):
 
 
 def _cmd_construct(args):
-    spec = optimize_part_sizes(args.family, args.m)
+    spec, count = construction(args.family, args.m)
     realized = blow_up(spec)
-    pattern = family_graph(args.family)
-    count = count_induced(realized, pattern).unordered
     outputs = {
         "spec": spec.to_json(),
         "vertices": realized.n,

@@ -31,9 +31,8 @@ from itertools import compress
 
 from .graph import Graph, parse_graph6, write_graph6
 from .canon import automorphism_order, canonical_form
-from .counting import count_induced
 from .families import family_graph, family_name
-from .blowups import blow_up, bound_eval, effective_upper, optimize_part_sizes
+from .blowups import bound_eval, construction, effective_upper
 from . import kernels
 
 DEFAULT_CEILING = 12
@@ -392,10 +391,10 @@ def verify_sandwich(family, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
     pattern = family_graph(family)
     name = family_name(family)
     rows = bound_eval(family, m, include_construction=False)
-    spec = optimize_part_sizes(family, m)
-    lower = count_induced(blow_up(spec), pattern).unordered
+    # rho_exact first: above the ceiling it raises before doing any work
     exact = rho_exact(pattern, m, ceiling=ceiling, shards=shards,
                       max_certificates=max_certificates, cache=cache)
+    spec, lower = construction(family, m)
     upper_row = effective_upper(rows)
     report = {
         "family": name,

@@ -16,6 +16,7 @@ from edgeind import (
     blow_up,
     blowups,
     bound_eval,
+    construction,
     count_induced,
     effective_upper,
     kernels,
@@ -278,6 +279,21 @@ def test_optimizer_specs_are_pinned():
         spec = optimize_part_sizes(family, m)
         assert spec == BlowupSpec(base, sizes), (family, m)
         assert closed_form(spec, family_graph(family)) == count
+
+
+def test_construction_recount_catches_a_wrong_closed_form(monkeypatch):
+    # the pinned specs stay under the recount budget, so their counts are
+    # still checked on the kernel when printed
+    for (family, _), (_, _, count) in PINNED_SPECS.items():
+        aut = automorphism_order(family_graph(family))
+        assert count * aut <= blowups.KERNEL_CHECK_COPIES, family
+    spec, count = construction("C5", 20)
+    assert count == count_induced(blow_up(spec), Graph.cycle(5)).unordered
+    scorer = blowups._scorer
+    monkeypatch.setattr(blowups, "_scorer",
+                        lambda base, pattern: lambda sizes: scorer(base, pattern)(sizes) + 1)
+    with pytest.raises(AssertionError, match="kernel count"):
+        construction("C5", 20)
 
 
 def test_optimizer_matches_reference_climb(monkeypatch):

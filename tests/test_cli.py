@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, canonical_label, cli,
-                     kernels, search, write_graph6)
+from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, blowups, canonical_label,
+                     cli, kernels, search, write_graph6)
+from edgeind.families import family_graph
 from edgeind import entropy as ent
 from edgeind.cli import dispatch
 
@@ -134,7 +136,7 @@ def test_bound_and_construct():
     assert rep["outputs"]["count"] == 2025 and rep["outputs"]["edges"] <= 100
 
 
-def test_sandwich_pass_and_exit_codes():
+def test_sandwich_pass_and_exit_codes(monkeypatch):
     code, out, _ = run(["sandwich", "--family", "C6", "-m", "9"])
     assert code == 0
     rep = json.loads(out)
@@ -143,6 +145,46 @@ def test_sandwich_pass_and_exit_codes():
     assert code == 3
     code, _, err = run(["bound", "--family", "C3", "-m", "4"])
     assert code == 2
+
+    # the family is checked first, then the ceiling, and only then does the
+    # optimizer run
+    def unreachable(family, m):
+        raise AssertionError("the optimizer ran above the search ceiling")
+
+    monkeypatch.setattr(search, "construction", unreachable)
+    assert run(["sandwich", "--family", "C3", "-m", "13"])[0] == 2
+    assert run(["sandwich", "--family", "C5", "-m", "13"])[0] == 3
+
+
+def test_large_constructions_skip_the_kernel_recount(monkeypatch):
+    # C27 at m = 200 holds 4.2e11 ordered copies, far above the recount
+    # budget; its count is the product of the part sizes, 2^17 * 3^10
+    def unreachable(g, h):
+        raise AssertionError("the kernel recounted a construction above the budget")
+
+    monkeypatch.setattr(blowups, "count_induced", unreachable)
+    c27 = write_graph6(Graph.cycle(27))
+    code, out, _ = run(["bound", "--family", c27, "-m", "200"])
+    assert code == 0
+    rows = {r["provenance"]: r for r in json.loads(out)["outputs"]["bounds"]}
+    assert rows["construction_lower"]["value"] == 7739670528
+    code, out, _ = run(["construct", "--family", c27, "-m", "200"])
+    assert code == 0
+    rep = json.loads(out)["outputs"]
+    assert rep["count"] == math.prod(rep["spec"]["sizes"]) == 2 ** 17 * 3 ** 10 == 7739670528
+
+
+def test_pinned_constructions_keep_their_kernel_recount():
+    # every construct/bound/sandwich digest below pins a construction under
+    # the recount budget, so its printed count is also checked on the kernel
+    pinned = [command.split() for command in {**STDOUT_SHA256, **TABLE_SHA256}]
+    budgets = {(argv[argv.index("--family") + 1], int(argv[argv.index("-m") + 1]))
+               for argv in pinned if "--family" in argv}
+    assert len(budgets) == 9
+    for family, m in budgets:
+        _, count = blowups.construction(family, m)
+        aut = automorphism_order(family_graph(family))
+        assert count * aut <= blowups.KERNEL_CHECK_COPIES, (family, m)
 
 
 def test_entropy_modes(tmp_path):
