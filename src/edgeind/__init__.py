@@ -44,7 +44,6 @@ from .blowups import (
 )
 from .search import (
     CeilingError,
-    ResultCache,
     SandwichError,
     SearchResult,
     enumerate_m_edge_graphs,

@@ -11,8 +11,8 @@ used.  ``--table`` prints the same report as indented lines, floats
 rounded the same way.  Wall time and the kernel backend go to stderr so
 they never perturb the payload.  Exit codes: 0 success, 1 a verified
 inequality failed, 2 usage error or any OSError (an unreadable or
-unwritable path, say, a failed worker fork or a stdout closed before the
-report was written), 3 resource ceiling.
+unwritable path, say, a shard worker that could not be forked or failed,
+or a stdout closed before the report was written), 3 resource ceiling.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .counting import count_induced
 from .families import family_name
 from .fracind import alpha_f, optimal_weighting
 from .blowups import blow_up, bound_eval, construction, effective_upper
-from .search import CeilingError, ResultCache, SandwichError, rho_exact, verify_sandwich
+from .search import CeilingError, SandwichError, rho_exact, verify_sandwich
 from .kernels import BACKEND
 
 CACHE_ENV = "EDGEIND_CACHE_DIR"
@@ -165,7 +165,7 @@ def _build_parser():
     )
     parser.add_argument("--table", action="store_true", help="human-readable tables")
     parser.add_argument("--cache-dir", default=None,
-                        help=f"search-result cache directory (default ${CACHE_ENV})")
+                        help=f"search-level store directory (default ${CACHE_ENV})")
     parser.add_argument("--shards", type=_int_at_least(1), default=1,
                         help="processes that grow the last search level: this one "
                              "and up to N-1 forked children, at most one per CPU; "
@@ -207,8 +207,7 @@ def _build_parser():
 
 
 def _cache(args):
-    directory = args.cache_dir or os.environ.get(CACHE_ENV)
-    return ResultCache(directory) if directory else None
+    return args.cache_dir or os.environ.get(CACHE_ENV) or None
 
 
 def _cmd_alphaf(args):
@@ -239,7 +238,7 @@ def _cmd_count(args):
 
 def _cmd_rho(args):
     result = rho_exact(args.pattern, args.m, shards=args.shards,
-                       max_certificates=args.max_certificates, cache=_cache(args))
+                       max_certificates=args.max_certificates, cache_dir=_cache(args))
     outputs = {
         "rho": result.rho,
         "extremal": list(result.extremal),
@@ -338,7 +337,7 @@ def _cmd_sandwich(args):
     try:
         report = verify_sandwich(args.family, args.m, shards=args.shards,
                                  max_certificates=args.max_certificates,
-                                 cache=_cache(args))
+                                 cache_dir=_cache(args))
         code = 0
     except SandwichError as exc:
         report = dict(exc.report)

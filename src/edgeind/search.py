@@ -17,16 +17,23 @@ the pure twin labels every extension.  Both return the same classes.
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value the closed-form bounds are
 sandwiched against.  A scan is one kernel call over the level's labels.
+
+A store directory (the CLI's ``--cache-dir``) keeps levels, not results:
+level m is the file ``level-<m>-v<GENERATOR_VERSION>.g6``, its sorted
+labels one per line and then ``sha256 <hex digest of those lines>``.  A
+level is read from the store before it is grown, and every level grown
+with a store is saved there, so a new pattern at a stored budget costs a
+file read and a scan.  A file whose digest or class count is wrong is
+reported on stderr, grown again and rewritten; files of other generator
+versions are never read.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import marshal
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 from .graph import Graph, parse_graph6, write_graph6
@@ -35,7 +42,7 @@ from .families import family_graph, family_name
 from .blowups import bound_eval, construction, effective_upper
 from . import kernels
 
-DEFAULT_CEILING = 12
+DEFAULT_CEILING = 14
 GENERATOR_VERSION = "1"
 FLOAT_SLACK = 1e-9
 
@@ -129,7 +136,7 @@ def _grow_sharded(slices):
     and one forked child each of the others (edgeind starts no threads, so
     the children inherit a consistent process).  Every child is reaped,
     also when this process's own slice raises; a child that failed raises
-    RuntimeError."""
+    ChildProcessError, an OSError."""
     workers, parts, statuses = [], [], []
     try:
         for part in slices[1:]:
@@ -144,7 +151,7 @@ def _grow_sharded(slices):
             statuses.append(os.waitpid(pid, 0)[1])
     failed = sum(status != 0 for status in statuses)
     if failed:
-        raise RuntimeError(f"{failed} of {len(workers)} shard workers failed")
+        raise ChildProcessError(f"{failed} of {len(workers)} shard workers failed")
     for data in parts:
         found |= marshal.loads(data)
     return found
@@ -153,24 +160,71 @@ def _grow_sharded(slices):
 _LEVELS = {}
 
 
-def _level(m, shards=1):
+def _load_level(path, m):
+    """The level stored at path, or None if there is no file there.  A file
+    whose sha256 line does not match the labels above it, or whose label
+    count differs from CLASS_COUNTS[m], gives one warning on stderr and
+    None."""
+    import hashlib
+
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    cut = data.rfind(b"\n", 0, -1) + 1  # where the last line starts
+    body = data[:cut]
+    if data[cut:] == b"sha256 %s\n" % hashlib.sha256(body).hexdigest().encode():
+        level = tuple(body.decode().split("\n")[:-1])
+        if m >= len(CLASS_COUNTS) or len(level) == CLASS_COUNTS[m]:
+            return level
+    print(f"warning: {path} is damaged; the level is grown again", file=sys.stderr)
+    return None
+
+
+def _save_level(path, level):
+    """Write the level's labels, one per line, and a last line ``sha256
+    <hex digest of the lines above>``.  The file is written whole under a
+    per-process temporary name and renamed into place, so a reader never
+    sees it half written and concurrent writers never mix."""
+    import hashlib
+
+    body = ("\n".join(level) + "\n").encode()
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body + b"sha256 %s\n" % hashlib.sha256(body).hexdigest().encode())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _level(m, shards=1, store=None):
     """All m-edge classes without isolated vertices, as the sorted tuple of
-    their canonical labels.  A level is grown once per process from level
-    m-1; level 0 holds the empty graph.  With shards > 1 its parents are
-    cut into k = min(shards, CPUs, parents) interleaved slices; this process
-    grows the first and a forked child each of the others, so sharding
-    needs ``os.fork`` (ValueError without it).  A level within
-    CLASS_COUNTS that does not have exactly that many classes raises
-    RuntimeError."""
+    their canonical labels.  A level is taken once per process: from the
+    store directory, if one is given and holds it as
+    ``level-<m>-v<GENERATOR_VERSION>.g6``, or else grown from level m-1
+    (level 0 holds the empty graph) and then saved there.  With shards > 1
+    the parents of a grown level are cut into k = min(shards, CPUs,
+    parents) interleaved slices; this process grows the first and a forked
+    child each of the others, so sharding needs ``os.fork`` (ValueError
+    without it).  A grown level within CLASS_COUNTS that does not have
+    exactly that many classes raises RuntimeError and is not saved."""
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
     if shards > 1 and not hasattr(os, "fork"):
         raise ValueError("sharded growth needs os.fork, which this platform lacks")
-    if m not in _LEVELS:
+    if m in _LEVELS:
+        return _LEVELS[m]
+    path = os.path.join(store, f"level-{m}-v{GENERATOR_VERSION}.g6") if store else None
+    level = _load_level(path, m) if path else None
+    if level is None:
         if m == 0:
             found = {write_graph6(Graph.empty(0))}
         else:
-            parents = _level(m - 1)
+            parents = _level(m - 1, store=store)
             k = min(shards, os.cpu_count() or 1, len(parents))
             if k <= 1:
                 found = _grow(parents)
@@ -179,8 +233,11 @@ def _level(m, shards=1):
         if m < len(CLASS_COUNTS) and len(found) != CLASS_COUNTS[m]:
             raise RuntimeError(f"level {m} has {len(found)} classes, expected "
                                f"{CLASS_COUNTS[m]} (OEIS A000664)")
-        _LEVELS[m] = tuple(sorted(found))
-    return _LEVELS[m]
+        level = tuple(sorted(found))
+        if path:
+            _save_level(path, level)
+    _LEVELS[m] = level
+    return level
 
 
 def enumerate_m_edge_graphs(m, ceiling=DEFAULT_CEILING):
@@ -203,22 +260,6 @@ class SearchResult:
     classes_scanned: int
     version: str = GENERATOR_VERSION
 
-    def to_record(self):
-        return {
-            "h": self.pattern,
-            "m": self.m,
-            "rho": self.rho,
-            "extremal": list(self.extremal),
-            "truncated": self.truncated,
-            "classes": self.classes_scanned,
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_record(cls, rec):
-        return cls(rec["h"], rec["m"], rec["rho"], tuple(rec["extremal"]),
-                   rec["truncated"], rec["classes"], rec["version"])
-
 
 def _scan(level, pattern: Graph):
     """Maximum induced-copy count over the level's labels and its
@@ -232,131 +273,13 @@ def _scan(level, pattern: Graph):
     return top // aut, list(compress(level, map(top.__eq__, counts))), len(counts)
 
 
-@dataclass
-class _CacheFile:
-    """What one read of a cache file found, with the file's (inode, size,
-    mtime) stamp at that read."""
-
-    stamp: tuple
-    hits: dict  # (h, m, version) -> the last record with that key that parsed
-    broken: dict  # (h, m, version) -> records with that key that did not parse
-    unreadable: int  # lines without a JSON h, m and version
-    newline_end: bool  # empty, or ending in a newline
-
-
-# Cache files read in this process, by path.  The CLI makes a new
-# ResultCache for each command, so the memo lives on the module; an entry
-# serves while the file's stamp is unchanged.
-_CACHE_FILES = {}
-
-
-def _stamp(st):
-    return st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _read_cache_file(path):
-    """The memo entry for the file at path, read again if the file changed
-    since; None if there is no file."""
-    try:
-        stamp = _stamp(os.stat(path))
-    except OSError:  # as os.path.exists: no readable file
-        return None
-    entry = _CACHE_FILES.get(path)
-    if entry is not None and entry.stamp == stamp:
-        return entry
-    with open(path, "rb") as fh:
-        stamp = _stamp(os.fstat(fh.fileno()))
-        data = fh.read()
-    entry = _CACHE_FILES[path] = _CacheFile(stamp, {}, {}, 0, data[-1:] in (b"", b"\n"))
-    for line in io.TextIOWrapper(io.BytesIO(data)):  # the lines open(path) would give
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            key = (rec["h"], rec["m"], rec["version"])
-        except (ValueError, KeyError, TypeError):
-            entry.unreadable += 1  # torn or foreign line
-            continue
-        try:
-            hash(key)
-        except TypeError:
-            continue  # no lookup can match it
-        try:
-            entry.hits[key] = SearchResult.from_record(rec)
-        except (ValueError, KeyError, TypeError):
-            entry.broken[key] = entry.broken.get(key, 0) + 1
-    return entry
-
-
-class ResultCache:
-    """JSON-lines result store: every record of a directory is one line of
-    its ``results.jsonl``, so a new pattern appends a line, not a file.
-    Records from other generator versions are ignored; unreadable (torn)
-    lines are skipped with one note on stderr.  A record is only appended
-    when the cached one holds too few certificates, so the last matching
-    record is the most complete.  A process parses the whole file on its
-    first get and again only when its size, mtime or inode changed: appends
-    change the size, a same-size rewrite within one clock tick goes unseen.
-    Per-pattern files of the older layout are not read; ``put`` reports them
-    on stderr when it starts the file."""
-
-    def __init__(self, directory):
-        self.directory = directory
-        self.path = os.path.join(directory, "results.jsonl")
-
-    def get(self, pattern_label, m):
-        entry = _read_cache_file(self.path)
-        if entry is None:
-            return None
-        key = (pattern_label, m, GENERATOR_VERSION)
-        skipped = entry.unreadable + entry.broken.get(key, 0)
-        if skipped:
-            print(f"warning: skipped {skipped} unreadable line(s) in {self.path}", file=sys.stderr)
-        return entry.hits.get(key)
-
-    def put(self, result: SearchResult):
-        rec = result.to_record()
-        record = (json.dumps(rec, sort_keys=True) + "\n").encode()
-        try:
-            fh = open(self.path, "ab+")
-        except FileNotFoundError:
-            os.makedirs(self.directory, exist_ok=True)
-            fh = open(self.path, "ab+")
-        with fh:
-            before = _stamp(os.fstat(fh.fileno()))
-            entry = _CACHE_FILES.get(self.path)
-            if before[1] == 0:
-                entry = _CacheFile(before, {}, {}, 0, True)
-                if sum(name.endswith(".jsonl") for name in os.listdir(self.directory)) > 1:
-                    print(f"warning: {self.directory} holds per-pattern cache files of an "
-                          "older layout; they are not read", file=sys.stderr)
-            elif entry is not None and entry.stamp != before:
-                entry = None
-            if entry is not None:
-                torn = not entry.newline_end
-            else:
-                fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
-                torn = fh.read(1) not in (b"", b"\n")
-            if torn:
-                record = b"\n" + record  # the last record is torn; start a fresh line
-            fh.write(record)
-            fh.flush()
-            after = _stamp(os.fstat(fh.fileno()))
-        if entry is None or after[1] != before[1] + len(record):
-            _CACHE_FILES.pop(self.path, None)  # unknown or changed by another writer: read it again
-            return
-        entry.stamp = after
-        entry.hits[rec["h"], rec["m"], rec["version"]] = SearchResult.from_record(rec)
-        entry.newline_end = True
-        _CACHE_FILES[self.path] = entry
-
-
 def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
-              max_certificates=1000, cache: ResultCache | None = None) -> SearchResult:
+              max_certificates=1000, cache_dir=None) -> SearchResult:
     """Exact maximum induced-copy count of the pattern over all hosts with
     exactly m edges, with every maximizer retained as a certificate
     (capped, sorted by canonical label).  Deterministic: the result is
-    identical for any shard count."""
+    identical for any shard count.  With a cache_dir the levels are taken
+    from and saved to that store directory (``_level``)."""
     if pattern.n == 0 or pattern.isolated_vertices():
         raise ValueError("pattern must have no isolated vertices")
     if m < 0:
@@ -366,25 +289,15 @@ def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
     if m > ceiling:
         raise CeilingError(m, ceiling, estimated_class_count(m))
     pattern_label = canonical_form(pattern).label
-    if cache is not None:
-        os.makedirs(cache.directory, exist_ok=True)  # an unusable path fails before the search
-        hit = cache.get(pattern_label, m)
-        # a hit truncated under a smaller cap is recomputed
-        if hit is not None and not (hit.truncated and len(hit.extremal) < max_certificates):
-            if len(hit.extremal) > max_certificates:
-                hit = replace(hit, extremal=hit.extremal[:max_certificates], truncated=True)
-            return hit
-    rho, maximizers, scanned = _scan(_level(m, shards), parse_graph6(pattern_label))
-    truncated = len(maximizers) > max_certificates
-    result = SearchResult(pattern_label, m, rho, tuple(maximizers[:max_certificates]),
-                          truncated, scanned)
-    if cache is not None:
-        cache.put(result)
-    return result
+    if cache_dir is not None:
+        os.makedirs(cache_dir, exist_ok=True)  # an unusable path fails before the search
+    rho, maximizers, scanned = _scan(_level(m, shards, cache_dir), parse_graph6(pattern_label))
+    return SearchResult(pattern_label, m, rho, tuple(maximizers[:max_certificates]),
+                        len(maximizers) > max_certificates, scanned)
 
 
 def verify_sandwich(family, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
-                    max_certificates=1000, cache: ResultCache | None = None) -> dict:
+                    max_certificates=1000, cache_dir=None) -> dict:
     """Check construction lower bound <= exact value <= tightest closed-form
     upper bound.  A violation raises SandwichError naming the bound: this
     is the regression alarm for the whole package."""
@@ -393,7 +306,7 @@ def verify_sandwich(family, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
     rows = bound_eval(family, m, include_construction=False)
     # rho_exact first: above the ceiling it raises before doing any work
     exact = rho_exact(pattern, m, ceiling=ceiling, shards=shards,
-                      max_certificates=max_certificates, cache=cache)
+                      max_certificates=max_certificates, cache_dir=cache_dir)
     spec, lower = construction(family, m)
     upper_row = effective_upper(rows)
     report = {

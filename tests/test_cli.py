@@ -141,7 +141,7 @@ def test_sandwich_pass_and_exit_codes(monkeypatch):
     assert code == 0
     rep = json.loads(out)
     assert rep["outputs"]["pass"] is True
-    code, _, err = run(["rho", "--pattern", P3, "-m", "13"])
+    code, _, err = run(["rho", "--pattern", P3, "-m", "15"])
     assert code == 3
     code, _, err = run(["bound", "--family", "C3", "-m", "4"])
     assert code == 2
@@ -152,8 +152,8 @@ def test_sandwich_pass_and_exit_codes(monkeypatch):
         raise AssertionError("the optimizer ran above the search ceiling")
 
     monkeypatch.setattr(search, "construction", unreachable)
-    assert run(["sandwich", "--family", "C3", "-m", "13"])[0] == 2
-    assert run(["sandwich", "--family", "C5", "-m", "13"])[0] == 3
+    assert run(["sandwich", "--family", "C3", "-m", "15"])[0] == 2
+    assert run(["sandwich", "--family", "C5", "-m", "15"])[0] == 3
 
 
 def test_large_constructions_skip_the_kernel_recount(monkeypatch):
@@ -285,36 +285,38 @@ def test_rejected_search_inputs_make_no_cache_dir(tmp_path):
 
 
 def test_cache_takes_patterns_with_long_labels(tmp_path, monkeypatch):
-    # a per-pattern file named by the quoted label of P36 would exceed the
-    # file system's 255-byte name limit
+    # the store names its files by level, so the pattern's label (P36's
+    # quoted form would exceed a 255-byte file name) never names a file
     label = canonical_label(Graph.path(36))
     argv = ["rho", "--pattern", label, "-m", "3"]
     code, out, _ = run(argv)
     assert code == 0
+    monkeypatch.setattr(search, "_LEVELS", {})
     assert run(["--cache-dir", str(tmp_path), *argv])[:2] == (0, out)
-    monkeypatch.setattr(search, "_level", lambda *args: pytest.fail("cache miss"))
+    monkeypatch.setattr(search, "_LEVELS", {})
+    monkeypatch.setattr(search, "_grow", lambda parents: pytest.fail("store miss"))
     assert run(["--cache-dir", str(tmp_path), *argv])[:2] == (0, out)
-    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"level-{m}-v1.g6" for m in range(4)]
 
 
-def test_cache_names_files_of_the_older_layout(tmp_path, capsys):
-    # per-pattern files are not read; the first put names them once on
-    # stderr, and stdout is what a fresh directory gives
+def test_cache_ignores_result_files_of_older_layouts(tmp_path, monkeypatch, capsys):
+    # results.jsonl and per-pattern files holding a wrong rho are neither
+    # read nor reported: stdout is what a fresh directory gives
     argv = ["rho", "--pattern", P3, "-m", "4"]
     _, out, _ = run(["--cache-dir", str(tmp_path / "fresh"), *argv])
-    assert capsys.readouterr().err == ""
     old = tmp_path / "old"
     old.mkdir()
     label = canonical_label(Graph.path(3))  # its own quoted form, as the old file name
-    stale = search.SearchResult(label, 4, 99, ("Ds",), False, 11).to_record()
-    for name in (label, canonical_label(Graph.cycle(3))):
-        (old / f"{name}.jsonl").write_text(json.dumps(stale) + "\n")
+    stale = json.dumps({"h": label, "m": 4, "rho": 99, "extremal": ["Ds"], "truncated": False,
+                        "classes": 11, "version": "1"}) + "\n"
+    for name in ("results", label, canonical_label(Graph.cycle(3))):
+        (old / f"{name}.jsonl").write_text(stale)
+    capsys.readouterr()
     for _ in range(2):
+        monkeypatch.setattr(search, "_LEVELS", {})
         assert run(["--cache-dir", str(old), *argv])[:2] == (0, out)
-    assert run(["--cache-dir", str(old), "rho", "--pattern", P3, "-m", "5"])[0] == 0
-    err = capsys.readouterr().err
-    assert err == (f"warning: {old} holds per-pattern cache files of an older layout; "
-                   "they are not read\n")
+    assert capsys.readouterr().err == ""
+    assert all(path.read_text() == stale for path in old.glob("*.jsonl"))
 
 
 def test_cold_searches_import_neither_entropy_nor_the_pool(request):
@@ -364,6 +366,21 @@ def test_closed_stdout_is_an_error():
     assert proc.stderr == "error: stdout was closed before the report was written\n"
 
 
+def test_a_failed_shard_worker_is_an_error(monkeypatch):
+    # a worker's failure is an operating-system error: exit 2 and one error
+    # line, no traceback from this process
+    def failing(parents):
+        raise ValueError("worker failed")
+
+    monkeypatch.setattr(search, "_shard_worker", failing)
+    monkeypatch.setattr(search, "_LEVELS", {m: search._level(m) for m in range(5)})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(["--shards", "2", "rho", "--pattern", P3, "-m", "5"])
+    assert (code, out) == (2, "")
+    assert err == "error: 1 of 1 shard workers failed\n"
+    assert 5 not in search._LEVELS
+
+
 def test_shards_without_fork_are_a_usage_error(monkeypatch):
     monkeypatch.delattr(os, "fork")
     code, out, err = run(["--shards", "2", "rho", "--pattern", P3, "-m", "4"])
@@ -387,9 +404,10 @@ def test_table_mode():
 
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("EDGEIND_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(search, "_LEVELS", {})  # as a fresh process starts
     code, out, _ = run(["rho", "--pattern", P3, "-m", "4"])
     assert code == 0
-    assert list(tmp_path.iterdir())  # cache file written without --cache-dir
+    assert list(tmp_path.iterdir())  # levels stored without --cache-dir
 
 
 def test_count_copies_export():

@@ -1,5 +1,5 @@
+import errno
 import hashlib
-import json
 import os
 from itertools import combinations
 from types import SimpleNamespace
@@ -9,7 +9,6 @@ import pytest
 from edgeind import (
     CeilingError,
     Graph,
-    ResultCache,
     canonical_form,
     canonical_label,
     count_induced,
@@ -20,7 +19,7 @@ from edgeind import (
     write_graph6,
 )
 from edgeind import _kernels_py, automorphism_order, kernels, search
-from edgeind.search import SearchResult, estimated_class_count
+from edgeind.search import estimated_class_count
 
 from helpers import (
     complete_bipartite,
@@ -73,8 +72,8 @@ def test_no_duplicates_and_no_isolated():
 
 def test_ceiling():
     with pytest.raises(CeilingError):
-        list(enumerate_m_edge_graphs(13))
-    assert estimated_class_count(13) > 1476
+        list(enumerate_m_edge_graphs(15))
+    assert estimated_class_count(15) > 1476
     with pytest.raises(CeilingError, match="roughly 177 isomorphism classes") as exc:
         list(enumerate_m_edge_graphs(7, ceiling=5))
     assert exc.value.estimate == 177
@@ -89,7 +88,7 @@ def test_estimated_class_count_is_the_exact_table():
 
 def test_bad_budgets_raise_at_call_time():
     with pytest.raises(CeilingError):
-        enumerate_m_edge_graphs(13)
+        enumerate_m_edge_graphs(15)
     with pytest.raises(ValueError):
         enumerate_m_edge_graphs(-2)
 
@@ -239,19 +238,21 @@ def test_sharded_growth_equals_level(monkeypatch):
             assert search._level(m, shards) == serial
 
 
-def test_level_with_a_missing_class_raises(monkeypatch):
-    # every grown level is checked against A000664, serial or sharded; C6
-    # is one of the 68 classes with 6 edges, and the pool's forked workers
-    # run the lossy growth too
+def test_level_with_a_missing_class_raises(monkeypatch, tmp_path):
+    # every grown level is checked against A000664, serial or sharded, and
+    # only then saved; C6 is one of the 68 classes with 6 edges, and the
+    # forked workers run the lossy growth too
     dropped = canonical_label(Graph.cycle(6))
     grow = search._grow
     monkeypatch.setattr(search, "_grow", lambda parents: grow(parents) - {dropped})
     for shards in (1, 2):
-        monkeypatch.setattr(search, "_LEVELS", {})
-        assert len(search._level(5, shards)) == 26
-        with pytest.raises(RuntimeError, match=r"^level 6 has 67 classes, expected 68 "):
-            search._level(6, shards)
-        assert 6 not in search._LEVELS
+        for store in (None, str(tmp_path)):
+            monkeypatch.setattr(search, "_LEVELS", {})
+            assert len(search._level(5, shards, store)) == 26
+            with pytest.raises(RuntimeError, match=r"^level 6 has 67 classes, expected 68 "):
+                search._level(6, shards, store)
+            assert 6 not in search._LEVELS
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"level-{m}-v1.g6" for m in range(6)]
 
 
 def test_sharded_growth_calls_the_worker_set_on_the_module(monkeypatch, tmp_path):
@@ -280,7 +281,7 @@ def test_a_failed_shard_worker_raises_and_is_reaped(monkeypatch):
 
     monkeypatch.setattr(search, "_shard_worker", failing)
     monkeypatch.setattr(search, "_LEVELS", {m: search._level(m) for m in range(5)})
-    with pytest.raises(RuntimeError, match="^1 of 1 shard workers failed$"):
+    with pytest.raises(ChildProcessError, match="^1 of 1 shard workers failed$"):
         search._level(5, 2)
     assert 5 not in search._LEVELS
     with pytest.raises(ChildProcessError):
@@ -312,136 +313,118 @@ def test_sharded_rho_identical():
     assert a == b
 
 
-def test_cache_roundtrip(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    h = Graph.cycle(4)
-    first = rho_exact(h, 6, cache=cache)
-    hit = rho_exact(h, 6, cache=cache)
-    assert first == hit
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].name == "results.jsonl"
-    rec = json.loads(files[0].read_text().splitlines()[0])
-    assert SearchResult.from_record(rec) == first
-    # stale versions are ignored
-    rec["version"] = "0"
-    rec["rho"] = 99
-    files[0].write_text(json.dumps(rec) + "\n")
-    fresh = rho_exact(h, 6, cache=cache)
-    assert fresh.rho == first.rho
+def stored(level):
+    """The bytes of a store file holding the level."""
+    body = "".join(label + "\n" for label in level).encode()
+    return body + f"sha256 {hashlib.sha256(body).hexdigest()}\n".encode()
 
 
-def test_cache_skips_torn_lines(tmp_path, capsys):
-    cache = ResultCache(str(tmp_path))
-    h = Graph.path(3)
-    rho_exact(h, 4, cache=cache)
-    (path,) = tmp_path.iterdir()
-    assert path.name == "results.jsonl"
-    with open(path, "a") as fh:
-        fh.write('{"classes": 26, "extremal": ["Ds')  # a record cut short
-    assert rho_exact(h, 5, cache=cache).rho == 10
-    assert capsys.readouterr().err.count("skipped 1 unreadable line") == 1
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3 and json.loads(lines[2])["m"] == 5
-    assert cache.get(canonical_label(h), 5) == rho_exact(h, 5)
-    assert cache.get(canonical_label(h), 4) == rho_exact(h, 4)
-    path.write_text(path.read_text() + '[1]\n{"h": "Bw"}\n')  # foreign records
-    assert cache.get(canonical_label(h), 6) is None
-    assert "skipped 3 unreadable line(s)" in capsys.readouterr().err
+def test_cache_roundtrip(tmp_path, monkeypatch):
+    # every level grown with a store is saved; a fresh process then takes a
+    # new pattern's level from the store and grows nothing
+    expected = rho_exact(Graph.path(4), 6)
+    first = rho_exact(Graph.cycle(4), 6)
+    levels = [search._level(m) for m in range(7)]
+    monkeypatch.setattr(search, "_LEVELS", {})
+    assert rho_exact(Graph.cycle(4), 6, cache_dir=str(tmp_path)) == first
+    names = [f"level-{m}-v1.g6" for m in range(7)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert [(tmp_path / name).read_bytes() for name in names] == list(map(stored, levels))
+    monkeypatch.setattr(search, "_LEVELS", {})
+    monkeypatch.setattr(search, "_grow", lambda parents: pytest.fail("a level was grown"))
+    assert rho_exact(Graph.path(4), 6, cache_dir=str(tmp_path)) == expected
+    assert list(search._LEVELS) == [6]
 
 
-def test_cache_returns_the_last_matching_record(tmp_path):
-    # a capped search stores a truncated record; the full record appended
-    # after it must serve every later lookup
-    cache = ResultCache(str(tmp_path))
-    h = Graph.complete(2)
-    assert rho_exact(h, 5, max_certificates=1, cache=cache).truncated
-    full = [rho_exact(h, 5, cache=cache) for _ in range(3)]
-    assert full[0] == full[1] == full[2] and not full[0].truncated
-    (path,) = tmp_path.iterdir()
-    assert len(path.read_text().splitlines()) == 2
-    assert cache.get(canonical_label(h), 5) == full[0]
+def drop_a_label(data):
+    # one class fewer, under a digest that matches
+    return stored(data.decode().split("\n")[1:-2])
 
 
-def test_cache_reads_each_file_once_and_sees_writes_behind_its_back(tmp_path, monkeypatch,
-                                                                    capsys):
-    opened = []
-
-    def counting_open(path, *args, **kwargs):
-        opened.append((os.path.basename(path), args[0] if args else kwargs.get("mode", "r")))
-        return open(path, *args, **kwargs)
-
-    monkeypatch.setattr(search, "open", counting_open, raising=False)
-    h = Graph.path(3)
-    label = canonical_label(h)
-    first = rho_exact(h, 4, cache=ResultCache(str(tmp_path)))
-    (path,) = tmp_path.iterdir()
-    assert path.name == "results.jsonl"
-    # a new cache per query, as the CLI makes them: the file written by
-    # this process is not read back
-    for _ in range(3):
-        assert ResultCache(str(tmp_path)).get(label, 4) == first
-    assert opened == [(path.name, "ab+")]
-    # a line appended behind the memo's back is seen by the next get
-    behind = SearchResult(label, 5, 10, ("Ds",), False, 26)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(behind.to_record()) + "\n")
-    cache = ResultCache(str(tmp_path))
-    assert cache.get(label, 5) == behind and cache.get(label, 4) == first
-    assert opened[1:] == [(path.name, "rb")]
-    # a torn tail written behind its back still gets a fresh line
-    with open(path, "a") as fh:
-        fh.write('{"h": "B')
-    cache.put(rho_exact(h, 6))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 4 and lines[2] == '{"h": "B' and json.loads(lines[3])["m"] == 6
-    assert cache.get(label, 6) == rho_exact(h, 6)
-    assert capsys.readouterr().err.count("skipped 1 unreadable line") == 1
-    # a torn tail the memo has read gets a fresh line too
-    with open(path, "a") as fh:
-        fh.write('{"h": "B')
-    assert cache.get(label, 4) == first
-    cache.put(rho_exact(h, 7))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 6 and json.loads(lines[5])["m"] == 7
-    assert cache.get(label, 7) == rho_exact(h, 7)
-    assert [mode for _, mode in opened] == ["ab+", "rb", "ab+", "rb", "rb", "ab+"]
-
-
-def test_cache_keeps_every_record_of_a_directory_in_one_file(tmp_path, monkeypatch):
-    cache = ResultCache(str(tmp_path))
-    patterns = [Graph.path(3), Graph.path(4), Graph.cycle(4), complete_bipartite(1, 3)]
-    results = [rho_exact(h, m, cache=cache) for h in patterns for m in range(3, 7)]
-    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
-    lines = (tmp_path / "results.jsonl").read_text().splitlines()
-    assert [SearchResult.from_record(json.loads(line)) for line in lines] == results
-    monkeypatch.setattr(search, "_CACHE_FILES", {})  # as a fresh process
-    fresh = ResultCache(str(tmp_path))
-    assert [fresh.get(r.pattern, r.m) for r in results] == results
-
-
-def test_cache_forked_writers_leave_whole_lines(tmp_path, monkeypatch, capsys):
-    # the writers start together once the pipe closes; some records are
-    # longer than a pipe buffer and than the file object's buffer.  A writer
-    # that reads the file's end while a long record is half written starts
-    # its own record on a new line, which leaves a blank line readers skip
+@pytest.mark.parametrize("damage", [
+    lambda data: bytes([data[0] ^ 1]) + data[1:],  # a flipped label byte
+    lambda data: data[:len(data) // 2],  # a truncated file
+    lambda data: data[:data.rindex(b"sha256 ")],  # no digest line
+    drop_a_label,  # a wrong class count
+], ids=["flipped", "truncated", "no-digest", "count"])
+def test_a_damaged_level_is_grown_again(damage, tmp_path, monkeypatch, capsys):
     level = search._level(6)
-    label = canonical_label(Graph.complete(2))
-    writers = 4
-    results = [[SearchResult(label, 100 * w + i, 6, level * (1 + 2 * i), False, len(level))
-                for i in range(12)] for w in range(writers)]
-    assert max(len(json.dumps(r.to_record())) for r in results[0]) > 8192
+    monkeypatch.setattr(search, "_LEVELS", {})
+    search._level(6, store=str(tmp_path))
+    path = tmp_path / "level-6-v1.g6"
+    path.write_bytes(damage(path.read_bytes()))
+    capsys.readouterr()
+    monkeypatch.setattr(search, "_LEVELS", {})
+    assert search._level(6, store=str(tmp_path)) == level
+    assert capsys.readouterr().err == f"warning: {path} is damaged; the level is grown again\n"
+    assert path.read_bytes() == stored(level)
+    monkeypatch.setattr(search, "_LEVELS", {})
+    assert search._level(6, store=str(tmp_path)) == level
+    assert capsys.readouterr().err == ""
+
+
+def test_levels_of_other_generator_versions_are_not_read(tmp_path, monkeypatch, capsys):
+    # a well-formed level 6 under version 0, one class swapped for another
+    level = search._level(6)
+    old = tmp_path / "level-6-v0.g6"
+    old.write_bytes(stored(level[1:] + search._level(5)[:1]))
+    before = old.read_bytes()
+    monkeypatch.setattr(search, "_LEVELS", {})
+    assert search._level(6, store=str(tmp_path)) == level
+    assert old.read_bytes() == before
+    assert (tmp_path / "level-6-v1.g6").read_bytes() == stored(level)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failed_save_leaves_the_stored_level_whole(tmp_path, monkeypatch):
+    # the disk fills halfway through the write: the file already stored is
+    # untouched and no temporary file is left
+    level = search._level(6)
+    path = tmp_path / "level-6-v1.g6"
+    path.write_bytes(stored(level))
+
+    class Full:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def filling_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return Full(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(search, "open", filling_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        search._save_level(str(path), search._level(5) + level)
+    assert path.read_bytes() == stored(level)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_cache_forked_writers_leave_whole_files(tmp_path):
+    # the writers start together once the pipe closes and each saves every
+    # level up to 7 several times over
+    levels = [search._level(m) for m in range(8)]
     start, release = os.pipe()
     pids = []
-    for mine in results:
+    for _ in range(4):
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
                 os.close(release)
                 os.read(start, 1)
-                cache = ResultCache(str(tmp_path))
-                for result in mine:
-                    cache.put(result)
+                for _ in range(20):
+                    for m, level in enumerate(levels):
+                        search._save_level(str(tmp_path / f"level-{m}-v1.g6"), level)
                 code = 0
             finally:
                 os._exit(code)
@@ -449,13 +432,9 @@ def test_cache_forked_writers_leave_whole_lines(tmp_path, monkeypatch, capsys):
     os.close(start)
     os.close(release)
     assert all(os.waitpid(pid, 0)[1] == 0 for pid in pids)
-    lines = [line for line in (tmp_path / "results.jsonl").read_text().splitlines() if line]
-    assert sorted(json.loads(line)["m"] for line in lines) == \
-        sorted(r.m for mine in results for r in mine)
-    monkeypatch.setattr(search, "_CACHE_FILES", {})
-    cache = ResultCache(str(tmp_path))
-    assert all(cache.get(r.pattern, r.m) == r for mine in results for r in mine)
-    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"level-{m}-v1.g6" for m in range(8)]
+    for m, level in enumerate(levels):
+        assert search._load_level(str(tmp_path / f"level-{m}-v1.g6"), m) == level
 
 
 def test_scan_makes_one_kernel_call_per_level(monkeypatch):
