@@ -6,13 +6,15 @@ of the entropy-method inequalities behind the bounds."""
 __version__ = "0.1.0"
 
 from .graph import Graph, Graph6Error, parse_graph6, parse_graph6_file, write_graph6
-from .canon import (
+from .kernels import (
+    BACKEND,
     CanonicalForm,
     automorphism_order,
     canonical_form,
     canonical_label,
+    count_ordered,
+    enumerate_ordered,
 )
-from .kernels import BACKEND, count_ordered, enumerate_ordered
 from .counting import (
     CountSummary,
     InvalidTupleError,

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from .graph import Graph, MAX_VERTICES, WORD_VERTICES, write_graph6
 from .families import family_graph, family_name, parse_family
 from .counting import count_induced
-from .canon import automorphism_order
-from .kernels import visit_order
+from .kernels import automorphism_order, visit_order
 from .fracind import alpha_f, optimal_weighting
 
 
@@ -151,6 +150,8 @@ def _seed_specs(kind, k, pattern, m):
                     sizes.append(c)
             seeds.append(BlowupSpec(base, tuple(sizes)))
         seeds.append(BlowupSpec(base, tuple(1 for _ in range(k))))
+    elif pattern.m > m:  # no copy fits, so no weighting (and no warning) is needed
+        seeds.append(BlowupSpec(pattern, (0,) * pattern.n))
     else:
         seeds.append(lower_bound_construction(pattern, m))
     return seeds

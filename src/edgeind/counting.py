@@ -22,7 +22,7 @@ from functools import lru_cache
 from .graph import Graph
 from .families import parse_family
 from . import kernels
-from .canon import automorphism_order
+from .kernels import automorphism_order
 
 
 class InvalidTupleError(ValueError):

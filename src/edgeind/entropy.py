@@ -18,8 +18,8 @@ last host asked only.
 
 The path check works on integer edge columns, one entry per ordered copy:
 edges, odd-edge prefixes and conditioning keys are coded as ints, so every
-count is keyed by ints, and each log and alpha count is taken once per
-distinct value or prefix.
+count is keyed by ints.  Each column is built once, and each log and alpha
+count is taken once per distinct value or prefix.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import add, itemgetter
 
 from .graph import Graph
 from .families import parse_family
 from .counting import _extension_edges, _norm, _shape
-from .canon import automorphism_order
+from .kernels import automorphism_order
 from . import kernels
 
 TOL = 1e-9
@@ -301,25 +301,30 @@ def _pack(base, columns, packed=None):
 
 
 class _PathColumns:
-    """The ordered copies of a path as integer columns: edge codes, and
-    memos of the packed odd-edge prefixes and of the alpha count of each
-    copy's prefix, keyed by the number of prefix entries.  The memos hold
-    the columns' data, not the columns object, so a finished check leaves
-    no reference cycle to wait for the collector."""
+    """The ordered copies of a k-vertex path as integer columns, each built
+    once: the oriented code of each edge the check reads (all k - 1 edges
+    of an even path; the first k - 4 of an odd one, whose last three edges
+    are read without orientation), the packed odd-edge prefixes (entry i - 1
+    holds the i-entry prefix, packed from the one before) and the alpha
+    count of each copy's prefix for every prefix but the longest."""
 
-    def __init__(self, host, copies):
-        self.host = host
-        self.copies = copies
+    def __init__(self, host, copies, k):
+        self.size = size = host.n
         self.n = len(copies)
-        self.base = host.n * host.n + 1
+        self.base = size * size + 1
         self.logs = _Memo(math.log)
-        self._vertices = list(zip(*copies))
-        self.oriented = partial(_oriented_codes, self._vertices, host.n)
-        self.prefix = _Prefixes(self.base, self.oriented)
-        self.alpha = _Memo(partial(_prefix_alpha, host.adj, copies, self.prefix))
+        self._vertices = vertices = list(zip(*copies))
+        self.oriented = [[u * size + v for u, v in zip(vertices[j], vertices[j + 1])]
+                         for j in range(k - 1 if k % 2 == 0 else k - 4)]
+        self.prefix, packed = [], None
+        for col in self.oriented[::2]:
+            packed = _pack(self.base, [col], packed)
+            self.prefix.append(packed)
+        self.alpha = [_prefix_alpha(host.adj, copies, codes, i)
+                      for i, codes in enumerate(self.prefix[:-1], 1)]
 
     def unordered(self, j):
-        size = self.host.n
+        size = self.size
         return [u * size + v if u < v else v * size + u
                 for u, v in zip(self._vertices[j], self._vertices[j + 1])]
 
@@ -328,32 +333,11 @@ class _PathColumns:
         return sum(map(self.logs.__getitem__, values)) / self.n
 
 
-def _oriented_codes(vertices, size, j):
-    """The code of each copy's oriented edge j, from the vertex columns."""
-    return [u * size + v for u, v in zip(vertices[j], vertices[j + 1])]
-
-
-class _Prefixes(dict):
-    """The code of each copy's i-entry odd-edge prefix, by i, each packed
-    from the one before."""
-
-    def __init__(self, base, oriented):
-        super().__init__()
-        self.base = base
-        self.oriented = oriented
-
-    def __missing__(self, i):
-        self[i] = codes = _pack(self.base, [self.oriented(2 * i - 2)],
-                                self[i - 1] if i > 1 else None)
-        return codes
-
-
-def _prefix_alpha(adj, copies, prefixes, i):
-    """The alpha count of each copy's i-entry prefix, from one
-    ``_extension_edges`` call per distinct prefix.  The prefix is not
-    checked first: the first 2i vertices of an ordered induced path induce
-    a path, so its odd edges form a well-ordered tuple."""
-    codes = prefixes[i]
+def _prefix_alpha(adj, copies, codes, i):
+    """The alpha count of each copy's i-entry prefix, whose codes are given,
+    from one ``_extension_edges`` call per distinct prefix.  The prefix is
+    not checked first: the first 2i vertices of an ordered induced path
+    induce a path, so its odd edges form a well-ordered tuple."""
     counts = {}
     for code, c in dict(zip(codes, copies)).items():  # one copy per prefix
         prefix = tuple(zip(c[:2 * i:2], c[1:2 * i:2]))
@@ -370,7 +354,7 @@ def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     if kind != "P" or k < 4:
         raise ValueError("decomposition applies to paths on at least 4 vertices")
     copies = CopyDistribution.collect(host, Graph.path(k)).copies
-    cols = _PathColumns(host, copies)
+    cols = _PathColumns(host, copies, k)
     m = host.m
     n = len(copies)
     h_full = _h(copies)  # the copies and their edge tuples correspond one to one
@@ -380,7 +364,7 @@ def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     first_u = cols.unordered(0)
     report.add("first_edge_support", "inequality", _h(first_u), math.log(m))
     report.add("orientation_reveal", "inequality",
-               _h_cond(cols.oriented(0), first_u), math.log(2))
+               _h_cond(cols.oriented[0], first_u), math.log(2))
     if k % 2 == 0:
         _even_path_terms(cols, k // 2, m, h_full, report)
     else:
@@ -388,28 +372,28 @@ def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     return report
 
 
-def _odd_edge_chain(cols, count, report):
-    """H(edge 0) plus, for 0 < i < count, the conditional entropy of edge
-    2i given edges 0, 2, ..., 2i-2; each conditional is reported against its
-    log-average extension bound."""
-    chain = _h(cols.oriented(0))
-    for i in range(1, count):
-        cond = _h_cond(cols.oriented(2 * i), cols.prefix[i])
+def _odd_edge_chain(cols, report):
+    """H(edge 0) plus, for each prefix but the longest, the conditional
+    entropy of edge 2i given its i entries, edges 0, 2, ..., 2i-2; each
+    conditional is reported against its log-average extension bound."""
+    chain = _h(cols.oriented[0])
+    for i, (prefix, alpha) in enumerate(zip(cols.prefix, cols.alpha), 1):
+        cond = _h_cond(cols.oriented[2 * i], prefix)
         chain += cond
         report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality",
-                   cond, cols.mean_log(cols.alpha[i]))
+                   cond, cols.mean_log(alpha))
     return chain
 
 
 def _even_path_terms(cols, l, m, h_full, report):
     n = cols.n
-    chain = _odd_edge_chain(cols, l, report)
-    evens = _pack(cols.base, map(cols.oriented, range(1, 2 * l - 2, 2)))
-    h_evens = _h_cond(evens, cols.prefix[l])
+    chain = _odd_edge_chain(cols, report)
+    evens = _pack(cols.base, cols.oriented[1::2])
+    h_evens = _h_cond(evens, cols.prefix[-1])
     report.add("evens_determined", "identity", h_evens, 0.0)
     chain += h_evens
     report.add("chain_rule", "identity", h_full, chain)
-    budgets = list(map(sum, zip(*map(cols.alpha.__getitem__, range(1, l)))))
+    budgets = list(map(sum, zip(*cols.alpha)))
     report.add("per_copy_budget", "inequality", max(budgets), m)
     report.value("budget_equality_copies", budgets.count(m))
     report.add("closed_form", "inequality",
@@ -419,12 +403,12 @@ def _even_path_terms(cols, l, m, h_full, report):
 def _odd_path_terms(cols, l, m, h_full, report):
     n = cols.n
     logs = cols.logs
-    chain = _odd_edge_chain(cols, l - 1, report)
+    chain = _odd_edge_chain(cols, report)
     # The copies sharing an odd-edge prefix are its completions, so the
     # gamma statistics of a prefix and final edge count distinct edges
     # among those copies: gamma0 the final edges per prefix, gamma1 and
     # gamma2 the edges at positions 2l-2 and 2l-1 per (prefix, final edge).
-    prefixes = cols.prefix[l - 1]
+    prefixes = cols.prefix[-1]
     last_u = cols.unordered(2 * l - 1)
     h_last = _h_cond(last_u, prefixes)
     gamma0 = _distinct_per_key(zip(last_u, prefixes))
@@ -432,7 +416,7 @@ def _odd_path_terms(cols, l, m, h_full, report):
     report.add("conditional_final_vs_gamma0", "inequality", h_last, cols.mean_log(g0))
     chain += h_last
     if l >= 3:
-        middle = _pack(cols.base, map(cols.oriented, range(1, 2 * l - 4, 2)))
+        middle = _pack(cols.base, cols.oriented[1::2])
         report.add("middle_evens_determined", "identity", _h_cond(middle, prefixes), 0.0)
     given = _pack(cols.base, [last_u], prefixes)  # (prefix, final edge)
     g1_u = cols.unordered(2 * l - 3)
@@ -455,7 +439,7 @@ def _odd_path_terms(cols, l, m, h_full, report):
     report.add("conditional_nexttolast_vs_gamma2", "inequality", h_g2, avg2)
     report.add("split_chain", "identity", h_full, chain + (h_g1 + h_g2) / 2)
     # one row (alpha_1, ..., alpha_{l-2}, gamma0, gamma1, gamma2) per copy
-    rows = Counter(zip(*map(cols.alpha.__getitem__, range(1, l - 1)), g0, g1, g2))
+    rows = Counter(zip(*cols.alpha, g0, g1, g2))
     report.add("per_copy_budget", "inequality", max(map(sum, rows)), m)
     report.value("budget_equality_copies", sum(c for row, c in rows.items() if sum(row) == m))
 

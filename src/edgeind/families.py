@@ -38,7 +38,7 @@ def family_graph(family) -> Graph:
 def family_name(family) -> str:
     kind, arg = parse_family(family)
     if kind == "H":
-        from .canon import canonical_label
+        from .kernels import canonical_label
 
         return canonical_label(arg)
     return f"{kind}{arg}"

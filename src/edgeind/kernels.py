@@ -1,5 +1,6 @@
 """Backend selection and the public kernel interface: ordered induced-copy
-search, canonical labelling and the one-edge growth of a search level.
+search, canonical labelling, the automorphism-group order and the one-edge
+growth of a search level.
 
 At import time the compiled C extension ``edgeind._kernels`` (backend
 ``"c"``) is preferred; the pure-Python twin ``edgeind._kernels_py``
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graph import Graph, WORD_VERTICES
 
@@ -43,10 +45,38 @@ def _backend_for(g: Graph):
     return _pure() if g.n > WORD_VERTICES else _impl
 
 
-def canonical_search(g: Graph) -> tuple:
-    """``(label, perm, gens)``: the canonical graph6 label of g, the
-    relabeling that produces it and sorted automorphism generators."""
-    return _backend_for(g).canonical_search(g.adj)
+class CanonicalForm(NamedTuple):
+    label: str
+    perm: tuple
+    gens: tuple  # sorted generators of Aut(g), as image tuples
+
+
+def canonical_form(g: Graph) -> CanonicalForm:
+    """The canonical graph6 label of g, the relabeling that produces it and
+    sorted automorphism generators.  The backend refines equitably, with
+    individualization and backtracking; discovered automorphisms prune
+    branches that would only revisit certificates already seen, and the
+    label is the graph6 text of the relabeling that minimizes the adjacency
+    certificate over the (pruned) search tree.  The label, not the
+    traversal, is the contract: equal labels if and only if isomorphic.
+    The automorphisms found on the way generate the whole automorphism
+    group (every pruned branch is the image of an explored one under
+    them)."""
+    return CanonicalForm(*_backend_for(g).canonical_search(g.adj))
+
+
+def canonical_label(g: Graph) -> str:
+    return canonical_form(g).label
+
+
+@lru_cache(maxsize=None)
+def automorphism_order(g: Graph) -> int:
+    """Order of the automorphism group, counted as the adjacency- and
+    non-adjacency-preserving self-maps.  Exhaustive backtracking, memoised
+    per graph.  Its cost follows |Aut|, not the vertex count: C27 (54
+    automorphisms) takes milliseconds, but a star's is factorial, and
+    K_{1,12} takes about 10 s on the compiled kernel."""
+    return count_ordered(g, g)
 
 
 def children(label: str, seen: set) -> list:
@@ -118,7 +148,8 @@ def count_ordered_many(labels, h: Graph) -> list:
     """``count_ordered(g, h)`` for the host g each graph6 label encodes, in
     order.  One backend call counts them all when every label is short
     enough for 64 vertices; otherwise each host goes to the backend its
-    label's length allows."""
+    label's length allows.  The labels are read once, so an iterator works."""
+    labels = tuple(labels)
     order = visit_order(h)
     if max(map(len, labels), default=0) <= _WORD_LABEL:
         return _impl.count_ordered_many(labels, h.adj, order)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .graph import Graph, parse_graph6, write_graph6
-from .canon import automorphism_order, canonical_form
+from .kernels import automorphism_order, canonical_form
 from .families import family_graph, family_name
 from .blowups import bound_eval, construction, effective_upper
 from . import kernels
@@ -258,7 +258,6 @@ class SearchResult:
     extremal: tuple
     truncated: bool
     classes_scanned: int
-    version: str = GENERATOR_VERSION
 
 
 def _scan(level, pattern: Graph):

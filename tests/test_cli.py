@@ -366,6 +366,32 @@ def test_closed_stdout_is_an_error():
     assert proc.stderr == "error: stdout was closed before the report was written\n"
 
 
+# stdout of a graph6 family below one edge per pattern edge (C5 at m = 2)
+BELOW_BUDGET_SHA256 = {
+    "construct --family Dhc -m 2":
+        "ded8b65d1651ccbe39190c47d96e3d0ea7fe87c2da743bbf661d06378d780c60",
+    "bound --family Dhc -m 2":
+        "5a8d8cc719ea8cd7b8ada0690631261b2dbccf4611946a19a65a3795c3420d18",
+    "sandwich --family Dhc -m 2":
+        "06e0b8d9243d964fd9789dc5485ca442b3fac73bea0090a4cf6a29b0a424fee5",
+}
+
+
+def test_budget_below_a_graph6_pattern_warns_nothing():
+    # the optimizer returns the empty construction without building the
+    # generic seed, whose weighting would warn; stderr holds the wall-time
+    # line alone, with warnings shown
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    for command, digest in BELOW_BUDGET_SHA256.items():
+        proc = subprocess.run([sys.executable, "-m", "edgeind.cli", *command.split()],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("# wall_time_s="), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, command
+
+
 def test_a_failed_shard_worker_is_an_error(monkeypatch):
     # a worker's failure is an operating-system error: exit 2 and one error
     # line, no traceback from this process

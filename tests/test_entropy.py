@@ -675,8 +675,8 @@ def test_finished_path_check_leaves_no_cycle(monkeypatch):
     made = []
 
     class Watched(ent._PathColumns):
-        def __init__(self, host, copies):
-            super().__init__(host, copies)
+        def __init__(self, host, copies, k):
+            super().__init__(host, copies, k)
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(ent, "_PathColumns", Watched)

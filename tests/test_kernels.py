@@ -354,6 +354,18 @@ def test_count_ordered_many_matches_per_host_counts(backends):
         assert backend.count_ordered_many([], Graph.path(3).adj, (1, 0, 2)) == []
 
 
+def test_count_ordered_many_reads_an_iterator_once(backends, monkeypatch):
+    # an iterator of labels gives the counts a list does, on either backend,
+    # both within the 64-vertex word and with a host above it
+    p3 = Graph.path(3)
+    for labels, want in ((["Bw", "Bo", "Dhc"], [0, 2, 10]),
+                         (["Bo", write_graph6(Graph.path(65))], [2, 126])):
+        for backend in backends:
+            monkeypatch.setattr(kernels, "_impl", backend)
+            assert kernels.count_ordered_many(labels, p3) == want, backend.BACKEND
+            assert kernels.count_ordered_many(iter(labels), p3) == want, backend.BACKEND
+
+
 def test_count_ordered_many_fails_like_count_ordered(compiled):
     # a host above the 64-vertex word fails the whole call with a
     # ValueError, as count_ordered does on its rows, and the pure twin
