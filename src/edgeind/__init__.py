@@ -9,23 +9,13 @@ from .graph import Graph, Graph6Error, parse_graph6, parse_graph6_file, write_gr
 from .kernels import (
     BACKEND,
     CanonicalForm,
+    CountSummary,
     automorphism_order,
     canonical_form,
     canonical_label,
+    count_induced,
     count_ordered,
     enumerate_ordered,
-)
-from .counting import (
-    CountSummary,
-    InvalidTupleError,
-    alpha_extension_edges,
-    alpha_extensions,
-    beta_embeddings,
-    characterizes_cycle,
-    count_induced,
-    gamma_table,
-    is_well_ordered,
-    validate_edge_tuple,
 )
 from .fracind import (
     ABCDecomposition,
@@ -60,13 +50,21 @@ _ENTROPY_NAMES = frozenset({
     "CopyDistribution",
     "EmptySupportError",
     "EntropyReport",
+    "InvalidTupleError",
+    "alpha_extension_edges",
+    "alpha_extensions",
+    "beta_embeddings",
     "c6_hypergraph_check",
+    "characterizes_cycle",
     "cycle_extension_ledger",
     "cycle_path_shearer",
     "drop_one_covers",
     "full_tuple_identity",
+    "gamma_table",
     "induced_cycles",
+    "is_well_ordered",
     "projection_entropy",
+    "validate_edge_tuple",
     "verify_chain_shearer",
     "verify_path_decomposition",
 })

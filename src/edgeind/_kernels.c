@@ -156,7 +156,7 @@ typedef struct {
     PyObject *out;      /* enumeration target, NULL when counting */
 } Ctx;
 
-enum { PREPARE_ERROR = -1, PINS_INCONSISTENT = -2, TRIVIAL = -3 };
+enum { PREPARE_ERROR = -1, NO_COPY = -2 };
 
 /* The pattern half of a search: read the k pattern rows and the order, and
    fill the step masks and degrees.  Returns 0, or -1 with an exception
@@ -209,37 +209,39 @@ fill_host(Ctx *ctx, int n)
     }
 }
 
-/* Fill ctx and seed the pins.  Returns the first free step, TRIVIAL when
-   the pattern is empty or larger than the host (``*trivial_count`` is then
-   its copy count), PINS_INCONSISTENT, or PREPARE_ERROR with an exception
-   set.  ``*used`` receives the pinned hosts. */
+/* Fill ctx and seed the pins.  Returns the first free step (0 == k for an
+   empty pattern, whose host rows are not read), NO_COPY when the host is
+   smaller than the pattern or the pins repeat a host or contradict the
+   pattern, or PREPARE_ERROR with an exception set.  ``*used`` receives the
+   pinned hosts. */
 static int
 prepare(Ctx *ctx, PyObject *g_obj, PyObject *h_obj, PyObject *order_obj, PyObject *pins_obj,
-        u64 *used, int *trivial_count)
+        u64 *used)
 {
     int pins[WORD];
     Py_ssize_t k = PySequence_Size(h_obj);
     Py_ssize_t n = PySequence_Size(g_obj);
+    *used = 0;
+    ctx->k = 0;
     if (k < 0 || n < 0)
         return PREPARE_ERROR;
-    if (k == 0 || n < k) {
-        *trivial_count = k == 0;
-        return TRIVIAL;
-    }
+    if (n < k)
+        return NO_COPY;
+    if (k == 0)
+        return 0;
     if (prepare_pattern(ctx, h_obj, order_obj, k) < 0 || read_rows(g_obj, ctx->g_adj, "host") < 0)
         return PREPARE_ERROR;
     fill_host(ctx, (int)n);
     Py_ssize_t npins = read_indices(pins_obj, pins, k, n, "pin hosts");
     if (npins < 0)
         return PREPARE_ERROR;
-    *used = 0;
     for (int i = 0; i < npins; i++) {
         int v = pins[i];
         if (*used >> v & 1)
-            return PINS_INCONSISTENT;
+            return NO_COPY;
         for (int j = 0; j < i; j++)
             if ((ctx->nbr_mask[i] >> j & 1) != (ctx->g_adj[v] >> pins[j] & 1))
-                return PINS_INCONSISTENT;
+                return NO_COPY;
         ctx->placed[i] = v;
         *used |= BIT(v);
     }
@@ -333,15 +335,12 @@ count_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
 {
     Ctx ctx;
     u64 used;
-    int trivial;
     if (check_nargs(nargs, 4, "count_ordered") < 0)
         return NULL;
-    int start = prepare(&ctx, args[0], args[1], args[2], args[3], &used, &trivial);
+    int start = prepare(&ctx, args[0], args[1], args[2], args[3], &used);
     if (start == PREPARE_ERROR)
         return NULL;
-    if (start == TRIVIAL)
-        return PyLong_FromLong(trivial);
-    if (start == PINS_INCONSISTENT)
+    if (start == NO_COPY)
         return PyLong_FromLong(0);
     return count_from(&ctx, start, used);
 }
@@ -399,27 +398,15 @@ enumerate_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t n
 {
     Ctx ctx;
     u64 used;
-    int trivial;
     if (check_nargs(nargs, 4, "enumerate_ordered") < 0)
         return NULL;
-    int start = prepare(&ctx, args[0], args[1], args[2], args[3], &used, &trivial);
+    int start = prepare(&ctx, args[0], args[1], args[2], args[3], &used);
     if (start == PREPARE_ERROR)
         return NULL;
     ctx.out = PyList_New(0);
-    if (ctx.out == NULL)
-        return NULL;
-    int rc = 0;
-    if (start == TRIVIAL) {
-        if (trivial) {
-            PyObject *empty = PyTuple_New(0);
-            rc = empty == NULL ? -1 : PyList_Append(ctx.out, empty);
-            Py_XDECREF(empty);
-        }
-    }
-    else if (start == ctx.k)
-        rc = emit(&ctx);
-    else if (start != PINS_INCONSISTENT)
-        rc = enumerate_rec(&ctx, start, used);
+    if (ctx.out == NULL || start == NO_COPY)
+        return ctx.out;
+    int rc = start == ctx.k ? emit(&ctx) : enumerate_rec(&ctx, start, used);
     if (rc < 0) {
         Py_DECREF(ctx.out);
         return NULL;

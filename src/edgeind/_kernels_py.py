@@ -16,9 +16,25 @@ from .graph import WORD_VERTICES, encode_graph6, parse_graph6
 BACKEND = "pure"
 
 
-def _prepare(g_adj, h_adj, order, pin_hosts):
+def _setup(g_adj, h_adj, order, pin_hosts):
+    """The search state ``(used, placed, comp, prev_nbr, prev_non, deg_ok)``
+    with the pins placed, or None when no copy can exist: the host is
+    smaller than the pattern, or the pins repeat a host vertex or
+    contradict the pattern."""
     n = len(g_adj)
-    k = len(h_adj)
+    if n < len(h_adj):
+        return None
+    used = 0
+    placed = [0] * len(h_adj)
+    for i, v in enumerate(pin_hosts):
+        if used >> v & 1:
+            return None
+        p = order[i]
+        for j in range(i):
+            if h_adj[p] >> order[j] & 1 != g_adj[v] >> pin_hosts[j] & 1:
+                return None
+        placed[i] = v
+        used |= 1 << v
     g_deg = [row.bit_count() for row in g_adj]
     full = (1 << n) - 1
     comp = [full & ~row for row in g_adj]
@@ -35,41 +51,18 @@ def _prepare(g_adj, h_adj, order, pin_hosts):
         prev_non.append(non)
         need = row.bit_count()
         deg_ok.append(sum(1 << v for v in range(n) if g_deg[v] >= need))
-    return n, k, comp, prev_nbr, prev_non, deg_ok
-
-
-def _pin_state(g_adj, h_adj, order, pin_hosts):
-    """Seed used/placed with the pinned assignment; None if inconsistent."""
-    used = 0
-    placed = [0] * len(h_adj)
-    for i, v in enumerate(pin_hosts):
-        if used >> v & 1:
-            return None
-        p = order[i]
-        for j in range(i):
-            want = h_adj[p] >> order[j] & 1
-            got = g_adj[v] >> pin_hosts[j] & 1
-            if want != got:
-                return None
-        placed[i] = v
-        used |= 1 << v
-    return used, placed
+    return used, placed, comp, prev_nbr, prev_non, deg_ok
 
 
 def count_ordered(g_adj, h_adj, order, pin_hosts):
+    state = _setup(g_adj, h_adj, order, pin_hosts)
+    if state is None:
+        return 0
+    used0, placed, comp, prev_nbr, prev_non, deg_ok = state
     k = len(h_adj)
-    if k == 0:
-        return 1
-    if len(g_adj) < k:
-        return 0
-    seed = _pin_state(g_adj, h_adj, order, pin_hosts)
-    if seed is None:
-        return 0
-    used0, placed = seed
     start = len(pin_hosts)
     if start == k:
         return 1
-    n, k, comp, prev_nbr, prev_non, deg_ok = _prepare(g_adj, h_adj, order, pin_hosts)
 
     def rec(i, used):
         cand = deg_ok[i] & ~used
@@ -104,15 +97,11 @@ def count_ordered_many(labels, h_adj, order):
 
 
 def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
+    state = _setup(g_adj, h_adj, order, pin_hosts)
+    if state is None:
+        return []
+    used0, placed, comp, prev_nbr, prev_non, deg_ok = state
     k = len(h_adj)
-    if k == 0:
-        return [()]
-    if len(g_adj) < k:
-        return []
-    seed = _pin_state(g_adj, h_adj, order, pin_hosts)
-    if seed is None:
-        return []
-    used0, placed = seed
     start = len(pin_hosts)
     out = []
 
@@ -121,11 +110,6 @@ def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
         for i in range(k):
             copy[order[i]] = placed[i]
         out.append(tuple(copy))
-
-    if start == k:
-        emit()
-        return out
-    n, k, comp, prev_nbr, prev_non, deg_ok = _prepare(g_adj, h_adj, order, pin_hosts)
 
     def rec(i, used):
         cand = deg_ok[i] & ~used
@@ -142,7 +126,10 @@ def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
             else:
                 rec(i + 1, used | bit)
 
-    rec(start, used0)
+    if start == k:
+        emit()
+    else:
+        rec(start, used0)
     return out
 
 

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, MAX_VERTICES, WORD_VERTICES, write_graph6
 from .families import family_graph, family_name, parse_family
-from .counting import count_induced
-from .kernels import automorphism_order, visit_order
+from .kernels import automorphism_order, count_induced, visit_order
 from .fracind import alpha_f, optimal_weighting
 
 
@@ -281,6 +280,13 @@ def optimize_part_sizes(family, m: int) -> BlowupSpec:
     under the cap of 200.  Among vectors that score 0, the zero vector
     ranks first.
     """
+    return _optimize(family, m)[0]
+
+
+def _optimize(family, m):
+    """``(spec, pattern, score)``: the spec ``optimize_part_sizes`` returns,
+    the family's pattern and the scorer of the spec's base and that
+    pattern."""
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
     kind, arg = parse_family(family)
@@ -290,13 +296,13 @@ def optimize_part_sizes(family, m: int) -> BlowupSpec:
     k = arg if kind != "H" else None
     seeds = _seed_specs(kind, k, pattern, m)
     base = seeds[0].base  # every template of a family blows up one base graph
+    score = _scorer(base, pattern)
     if pattern.m > m:
-        return BlowupSpec(base, (0,) * base.n)
+        return BlowupSpec(base, (0,) * base.n), pattern, score
     fits = _within(base, m)
     starts = [_clip(s.sizes, fits) for s in seeds]
-    score = _scorer(base, pattern)
     climbed = [_climb(s, score, base, m) for s in starts if fits(s)]
-    return BlowupSpec(base, min(climbed, key=lambda s: (-score(s), s)))
+    return BlowupSpec(base, min(climbed, key=lambda s: (-score(s), s))), pattern, score
 
 
 # The kernel recounts a construction while it holds at most this many
@@ -310,9 +316,8 @@ def construction(family, m: int):
     induced-copy count from the closed form.  While the ordered count
     (count times |Aut H|) is at most ``KERNEL_CHECK_COPIES`` the kernel
     counts the realized graph as well, and a mismatch raises."""
-    spec = optimize_part_sizes(family, m)
-    pattern = family_graph(family)
-    count = _scorer(spec.base, pattern)(spec.sizes)
+    spec, pattern, score = _optimize(family, m)
+    count = score(spec.sizes)
     if count * automorphism_order(pattern) <= KERNEL_CHECK_COPIES:
         kernel = count_induced(blow_up(spec), pattern).unordered
         if kernel != count:

@@ -26,12 +26,11 @@ from functools import lru_cache
 
 from . import __version__
 from .graph import Graph, Graph6Error, parse_graph6, write_graph6
-from .counting import count_induced
 from .families import family_name
 from .fracind import alpha_f, optimal_weighting
 from .blowups import blow_up, bound_eval, construction, effective_upper
 from .search import CeilingError, SandwichError, rho_exact, verify_sandwich
-from .kernels import BACKEND, canonical_form
+from .kernels import BACKEND, canonical_form, count_induced
 
 CACHE_ENV = "EDGEIND_CACHE_DIR"
 

@@ -1,6 +1,8 @@
 """Backend selection and the public kernel interface: ordered induced-copy
-search, canonical labelling, the automorphism-group order and the one-edge
-growth of a search level.
+search, the induced-copy count c(G, H), canonical labelling, the
+automorphism-group order and the one-edge growth of a search level.  The
+tuple statistics of the entropy proofs (well-ordered and characterizing
+edge tuples, the alpha/beta/gamma counts) live in ``edgeind.entropy``.
 
 At import time the compiled C extension ``edgeind._kernels`` (backend
 ``"c"``) is preferred; the pure-Python twin ``edgeind._kernels_py``
@@ -15,6 +17,7 @@ on the compiled backend that stays within 64 vertices never loads it.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -121,27 +124,47 @@ def _visit_order(h: Graph, pinned: tuple) -> tuple:
 
 def _split_pins(g: Graph, h: Graph, pins):
     """Pattern and host vertices of the (pattern, host) pins, read once so
-    that an iterator works; ``(None, None)`` if a host vertex repeats.  A
-    pattern or host vertex out of range raises IndexError on either
-    backend."""
+    that an iterator works.  A pattern or host vertex out of range raises
+    IndexError on either backend; a repeated host vertex leaves no copy
+    there."""
     pins = tuple(pins)
     for p, v in pins:
         if not (0 <= p < h.n and 0 <= v < g.n):
             raise IndexError(f"pin ({p}, {v}) is outside 0..{h.n - 1} x 0..{g.n - 1}")
-    hosts = [v for _, v in pins]
-    if len(set(hosts)) != len(hosts):
-        return None, None
-    return [p for p, _ in pins], hosts
+    return [p for p, _ in pins], [v for _, v in pins]
 
 
 def count_ordered(g: Graph, h: Graph, pins=()) -> int:
     """Number of injective maps V(H) -> V(G) preserving both adjacency and
     non-adjacency, with the optional (pattern, host) pins respected."""
     pats, hosts = _split_pins(g, h, pins)
-    if pats is None:
-        return 0
     order = visit_order(h, pats)
     return _backend_for(g).count_ordered(g.adj, h.adj, order, hosts)
+
+
+@dataclass(frozen=True)
+class CountSummary:
+    ordered: int
+    unordered: int
+    aut: int
+
+
+def count_induced(g: Graph, h: Graph) -> CountSummary:
+    """Induced copies of the pattern ``h`` in the host ``g``.
+
+    ``unordered`` is the number of vertex subsets inducing a copy of h;
+    ``ordered`` counts injective maps preserving adjacency and
+    non-adjacency, so ordered = unordered * |Aut(h)|.  Patterns with
+    isolated vertices are rejected (the maximum over hosts would be
+    unbounded in padding vertices).
+    """
+    if h.n == 0 or h.isolated_vertices():
+        raise ValueError("pattern must have no isolated vertices")
+    aut = automorphism_order(h)
+    ordered = count_ordered(g, h)
+    if ordered % aut:
+        raise AssertionError("ordered copy count not divisible by |Aut|")
+    return CountSummary(ordered, ordered // aut, aut)
 
 
 def count_ordered_many(labels, h: Graph) -> list:
@@ -161,7 +184,5 @@ def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:
     """All ordered induced copies as host-vertex tuples indexed by pattern
     vertex, sorted lexicographically."""
     pats, hosts = _split_pins(g, h, pins)
-    if pats is None:
-        return []
     order = visit_order(h, pats)
     return sorted(_backend_for(g).enumerate_ordered(g.adj, h.adj, order, hosts))

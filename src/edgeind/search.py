@@ -160,13 +160,18 @@ def _grow_sharded(slices):
 _LEVELS = {}
 
 
+def _digest_line(body):
+    """The last line of a level file: ``sha256 <hex digest of body>``."""
+    import hashlib
+
+    return b"sha256 %s\n" % hashlib.sha256(body).hexdigest().encode()
+
+
 def _load_level(path, m):
     """The level stored at path, or None if there is no file there.  A file
     whose sha256 line does not match the labels above it, or whose label
     count differs from CLASS_COUNTS[m], gives one warning on stderr and
     None."""
-    import hashlib
-
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -174,7 +179,7 @@ def _load_level(path, m):
         return None
     cut = data.rfind(b"\n", 0, -1) + 1  # where the last line starts
     body = data[:cut]
-    if data[cut:] == b"sha256 %s\n" % hashlib.sha256(body).hexdigest().encode():
+    if data[cut:] == _digest_line(body):
         level = tuple(body.decode().split("\n")[:-1])
         if m >= len(CLASS_COUNTS) or len(level) == CLASS_COUNTS[m]:
             return level
@@ -187,13 +192,11 @@ def _save_level(path, level):
     <hex digest of the lines above>``.  The file is written whole under a
     per-process temporary name and renamed into place, so a reader never
     sees it half written and concurrent writers never mix."""
-    import hashlib
-
     body = ("\n".join(level) + "\n").encode()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(body + b"sha256 %s\n" % hashlib.sha256(body).hexdigest().encode())
+            fh.write(body + _digest_line(body))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

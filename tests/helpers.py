@@ -530,8 +530,7 @@ def path_decomposition_oracle(host: Graph, family):
     of each prefix memoised by the prefix tuple.  It adds its floats in
     the same order with the same primitives, so its report is the same to
     the byte."""
-    from edgeind.counting import alpha_extension_edges
-    from edgeind.entropy import CopyDistribution, EntropyReport
+    from edgeind.entropy import CopyDistribution, EntropyReport, alpha_extension_edges
     from edgeind.families import parse_family
 
     kind, k = parse_family(family)

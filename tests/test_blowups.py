@@ -296,6 +296,20 @@ def test_construction_recount_catches_a_wrong_closed_form(monkeypatch):
         construction("C5", 20)
 
 
+def test_construction_enumerates_the_maps_once(monkeypatch):
+    # the optimizer's scorer also gives the printed count, so one
+    # construction enumerates the pattern's maps into the base once, above
+    # and below the budget
+    calls = []
+    profile = blowups.map_profile
+    monkeypatch.setattr(blowups, "map_profile",
+                        lambda base, pattern: calls.append(base) or profile(base, pattern))
+    for m in (92, 2):
+        calls.clear()
+        construction("C5", m)
+        assert len(calls) == 1, m
+
+
 def test_optimizer_matches_reference_climb(monkeypatch):
     # the climb that prices moves incrementally, and returns early on a
     # budget below the pattern's edge count, against the climb that checks

@@ -321,8 +321,9 @@ def test_cache_ignores_result_files_of_older_layouts(tmp_path, monkeypatch, caps
 
 def test_cold_searches_import_neither_entropy_nor_the_pool(request):
     # a fresh process per command, on the compiled backend when it can be
-    # built, where nothing within 64 vertices needs the pure twin; the
-    # entropy names still import
+    # built, where nothing within 64 vertices needs the pure twin; count
+    # takes its counts from kernels, not the entropy lab; the entropy
+    # names still import
     probe = (
         "import io, sys\n"
         "from edgeind import kernels\n"
@@ -340,7 +341,8 @@ def test_cold_searches_import_neither_entropy_nor_the_pool(request):
     env = {k: v for k, v in os.environ.items() if k != "EDGEIND_PURE"}
     env["PYTHONPATH"] = path
     for argv in (["rho", "--pattern", "Bw", "-m", "5"], ["sandwich", "--family", "C5", "-m", "6"],
-                 ["--shards", "2", "rho", "--pattern", "Bw", "-m", "6"]):
+                 ["--shards", "2", "rho", "--pattern", "Bw", "-m", "6"],
+                 ["count", "--host", "Dhc", "--pattern", "Bw"]):
         proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

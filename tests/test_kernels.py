@@ -163,7 +163,7 @@ def test_backends_agree_with_pins(compiled):
             listed = _kernels_py.enumerate_ordered(*args)
             assert listed == compiled.enumerate_ordered(*args)
             assert len(listed) == count
-            seen.add((len(pins) == h.n, _kernels_py._pin_state(*args) is None, count))
+            seen.add((len(pins) == h.n, _kernels_py._setup(*args) is None, count))
     # a fully pinned copy, a fully pinned inconsistent set, and an
     # inconsistent partial set all occur
     assert {(True, False, 1), (True, True, 0), (False, True, 0)} <= seen
@@ -304,10 +304,25 @@ def test_pins_force_prefix():
     assert kernels.visit_order(Graph.path(4), [1, 0]) == (1, 0, 2, 3)
 
 
-def test_empty_and_undersized():
+def test_empty_and_undersized(backends):
+    # an empty pattern has one copy, the empty map, and a host smaller than
+    # the pattern has none, on either backend
     g = Graph.cycle(4)
     assert kernels.count_ordered(g, Graph.empty(0)) == 1
+    assert kernels.enumerate_ordered(g, Graph.empty(0)) == [()]
     assert kernels.count_ordered(Graph.empty(2), Graph.cycle(3)) == 0
+    assert kernels.enumerate_ordered(Graph.empty(2), Graph.cycle(3)) == []
+    c3 = Graph.cycle(3)
+    for impl in backends:
+        assert impl.count_ordered(g.adj, (), (), ()) == 1
+        assert impl.enumerate_ordered(g.adj, (), (), ()) == [()]
+        assert impl.count_ordered(Graph.empty(2).adj, c3.adj, kernels.visit_order(c3), ()) == 0
+        assert impl.enumerate_ordered(Graph.empty(2).adj, c3.adj, kernels.visit_order(c3), ()) == []
+    # the compiled twin does not read the host rows for an empty pattern,
+    # so a host one row past its 64-row limit is no error
+    if len(backends) > 1:
+        assert backends[-1].count_ordered([0] * 65, (), (), ()) == 1
+        assert backends[-1].enumerate_ordered([0] * 65, (), (), ()) == [()]
 
 
 def test_full_64_vertex_host():
