@@ -17,23 +17,6 @@ from .kernels import (
     count_ordered,
     enumerate_ordered,
 )
-from .fracind import (
-    ABCDecomposition,
-    HalfIntegralWeighting,
-    WeightingInvariantError,
-    alpha_f,
-    optimal_weighting,
-)
-from .blowups import (
-    BlowupSpec,
-    BoundValue,
-    blow_up,
-    bound_eval,
-    construction,
-    effective_upper,
-    lower_bound_construction,
-    optimize_part_sizes,
-)
 from .search import (
     CeilingError,
     SandwichError,
@@ -42,43 +25,56 @@ from .search import (
     rho_exact,
     verify_sandwich,
 )
-# The entropy lab is imported on first use, since rho and sandwich never
-# need it; its names are served by __getattr__ (PEP 562).
-_ENTROPY_NAMES = frozenset({
-    "C6HypergraphReport",
-    "ClaimLedger",
-    "CopyDistribution",
-    "EmptySupportError",
-    "EntropyReport",
-    "InvalidTupleError",
-    "alpha_extension_edges",
-    "alpha_extensions",
-    "beta_embeddings",
-    "c6_hypergraph_check",
-    "characterizes_cycle",
-    "cycle_extension_ledger",
-    "cycle_path_shearer",
-    "drop_one_covers",
-    "full_tuple_identity",
-    "gamma_table",
-    "induced_cycles",
-    "is_well_ordered",
-    "projection_entropy",
-    "validate_edge_tuple",
-    "verify_chain_shearer",
-    "verify_path_decomposition",
-})
+
+# The modules that rho and count never need are imported on first use: the
+# fractional independence number, the blow-up layer, the family
+# descriptors and the entropy lab.  Their names are served by __getattr__
+# (PEP 562) from this table, name -> defining module; a module's own name
+# maps to itself.
+_LAZY = {
+    **dict.fromkeys(("fracind", "ABCDecomposition", "HalfIntegralWeighting",
+                     "WeightingInvariantError", "alpha_f", "optimal_weighting"), "fracind"),
+    **dict.fromkeys(("blowups", "BlowupSpec", "BoundValue", "blow_up", "bound_eval",
+                     "construction", "effective_upper", "lower_bound_construction",
+                     "optimize_part_sizes"), "blowups"),
+    "families": "families",
+    **dict.fromkeys((
+        "entropy",
+        "C6HypergraphReport",
+        "ClaimLedger",
+        "CopyDistribution",
+        "EmptySupportError",
+        "EntropyReport",
+        "InvalidTupleError",
+        "alpha_extension_edges",
+        "alpha_extensions",
+        "beta_embeddings",
+        "c6_hypergraph_check",
+        "characterizes_cycle",
+        "cycle_extension_ledger",
+        "cycle_path_shearer",
+        "drop_one_covers",
+        "full_tuple_identity",
+        "gamma_table",
+        "induced_cycles",
+        "is_well_ordered",
+        "projection_entropy",
+        "validate_edge_tuple",
+        "verify_chain_shearer",
+        "verify_path_decomposition",
+    ), "entropy"),
+}
 
 
 def __getattr__(name):
-    if name == "entropy" or name in _ENTROPY_NAMES:
-        # not ``from . import entropy``, whose lookup would call this again
-        from importlib import import_module
+    owner = _LAZY.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not ``from . import ...``, whose lookup would call this again
+    from importlib import import_module
 
-        entropy = import_module(".entropy", __name__)
-        return entropy if name == "entropy" else getattr(entropy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module("." + owner, __name__)
+    return module if name == owner else getattr(module, name)
 
 
-__all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + ["entropy", *_ENTROPY_NAMES])
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _LAZY.keys())

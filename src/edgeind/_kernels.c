@@ -9,11 +9,21 @@
  *
  * The labelling follows individualisation-refinement (McKay and Piperno,
  * "Practical graph isomorphism, II", JSC 2014) with the pure module's
- * refinement rule and automorphism pruning.  The growth entry labels the
- * parent for its automorphism generators and then one extension per orbit,
- * where the pure twin labels every extension; a skipped extension is
- * isomorphic to an earlier one, so both return the same list.  The level
- * entries, children() and count_ordered_many(), take graph6 labels.
+ * refinement rule and automorphism pruning: a sibling in the orbit of the
+ * explored ones, under the generators that fix the path, is skipped, and
+ * a leaf whose certificate equals the first or the best leaf's abandons
+ * the subtree where the two paths part, the automorphism's image of an
+ * explored one.  The generators found that way generate the automorphism
+ * group.  Two things are C only and change no output: refine() counts
+ * neighbours only into the cells that changed since the parent's
+ * equitable partition, and each generator keeps the mask of the vertices
+ * it moves, so the test "fixes the path" is one AND.
+ *
+ * The growth entry labels the parent for its automorphism generators and
+ * then one extension per orbit, where the pure twin labels every
+ * extension; a skipped extension is isomorphic to an earlier one, so both
+ * return the same list.  The level entries, children() and
+ * count_ordered_many(), take graph6 labels.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -423,37 +433,49 @@ typedef struct {
     uint8_t start[WORD + 1];
 } Part;
 
-/* A generator is stored as a WORD-byte image array, zero past n, so that
-   memcmp over the whole record orders generators like tuples. */
-typedef uint8_t Gen[WORD];
+/* A generator is a WORD-byte image array, zero past n, so that memcmp
+   over it orders generators like tuples, and the mask of the vertices it
+   moves, so that "fixes every vertex of a set" is one AND. */
+typedef struct {
+    uint8_t img[WORD];
+    u64 moved;
+} Gen;
 
 typedef struct {
     int n;
     u64 adj[WORD];
-    int have_first;
+    int first_depth, best_depth; /* -1 before the first leaf */
     u64 first_cert[WORD], best_cert[WORD];
-    Gen first_perm, best_perm;
-    Gen *gens;          /* sorted, without duplicates */
+    uint8_t first_perm[WORD], best_perm[WORD];
+    uint8_t first_path[WORD], best_path[WORD]; /* the vertices individualised */
+    Gen *gens;          /* sorted by image, without duplicates */
     Py_ssize_t ngens, cap;
 } Canon;
 
 /* Split the first cell whose vertices differ in their neighbour counts
    into the cells of the current partition; subcells go in the order of
    their count signatures and keep the cell's vertex order (a stable sort).
-   Repeat from the first cell until no cell splits. */
+   Repeat from the first cell until no cell splits.  Only the counts into
+   the "dirty" cells of the bitmask ``dirty`` are taken.  The caller
+   promises that every other column either is constant on each cell or,
+   as for the rest of an individualised vertex's old cell, is fixed on a
+   cell by an earlier dirty column; such a column never splits a cell or
+   orders its subcells, so the splits and their order are those of the
+   full count.  The subcells of a split cell become dirty. */
 static void
-refine(const u64 *adj, Part *p)
+refine(const u64 *adj, Part *p, u64 dirty)
 {
     u64 mask[WORD];
     uint8_t key[WORD][WORD];
     uint8_t idx[WORD], seg[WORD], cuts[WORD];
     for (;;) {
-        int nc = p->ncells, ci;
-        for (int c = 0; c < nc; c++) {
+        int nc = p->ncells, nd = 0, ci;
+        for (u64 d = dirty; d; d &= d - 1) {
+            int c = lowest(d);
             u64 m = 0;
             for (int i = p->start[c]; i < p->start[c + 1]; i++)
                 m |= BIT(p->lab[i]);
-            mask[c] = m;
+            mask[nd++] = m;
         }
         for (ci = 0; ci < nc; ci++) {
             int s = p->start[ci], len = p->start[ci + 1] - s, differ = 0;
@@ -461,16 +483,16 @@ refine(const u64 *adj, Part *p)
                 continue;
             for (int i = 0; i < len; i++) {
                 u64 row = adj[p->lab[s + i]];
-                for (int c = 0; c < nc; c++)
+                for (int c = 0; c < nd; c++)
                     key[i][c] = (uint8_t)popcount(row & mask[c]);
                 if (i && !differ)
-                    differ = memcmp(key[i], key[0], nc) != 0;
+                    differ = memcmp(key[i], key[0], nd) != 0;
             }
             if (!differ)
                 continue;
             for (int i = 0; i < len; i++) {
                 int j = i;
-                while (j > 0 && memcmp(key[idx[j - 1]], key[i], nc) > 0) {
+                while (j > 0 && memcmp(key[idx[j - 1]], key[i], nd) > 0) {
                     idx[j] = idx[j - 1];
                     j--;
                 }
@@ -479,13 +501,17 @@ refine(const u64 *adj, Part *p)
             int ncuts = 0;
             for (int i = 0; i < len; i++) {
                 seg[i] = p->lab[s + idx[i]];
-                if (i && memcmp(key[idx[i]], key[idx[i - 1]], nc) != 0)
+                if (i && memcmp(key[idx[i]], key[idx[i - 1]], nd) != 0)
                     cuts[ncuts++] = (uint8_t)(s + i);
             }
             memcpy(p->lab + s, seg, len);
             memmove(p->start + ci + 1 + ncuts, p->start + ci + 1, nc - ci);
             memcpy(p->start + ci + 1, cuts, ncuts);
             p->ncells += ncuts;
+            /* a splittable cell leaves ci <= 62; the cells after it move up */
+            u64 after = dirty & ~(BIT(ci + 1) - 1);
+            u64 split = ncuts + 1 == WORD ? ~(u64)0 : BIT(ncuts + 1) - 1;
+            dirty = (dirty & (BIT(ci) - 1)) | after << ncuts | split << ci;
             break;
         }
         if (ci == nc)
@@ -509,15 +535,18 @@ add_gen(Canon *cs, const uint8_t *ref, const uint8_t *perm)
 {
     uint8_t inv_ref[WORD];
     Gen q;
-    memset(q, 0, WORD);
+    memset(&q, 0, sizeof q);
     for (int v = 0; v < cs->n; v++)
         inv_ref[ref[v]] = (uint8_t)v;
-    for (int x = 0; x < cs->n; x++)
-        q[x] = inv_ref[perm[x]];
+    for (int x = 0; x < cs->n; x++) {
+        q.img[x] = inv_ref[perm[x]];
+        if (q.img[x] != x)
+            q.moved |= BIT(x);
+    }
     Py_ssize_t lo = 0, hi = cs->ngens;
     while (lo < hi) {
         Py_ssize_t mid = (lo + hi) / 2;
-        int c = memcmp(cs->gens[mid], q, WORD);
+        int c = memcmp(cs->gens[mid].img, q.img, WORD);
         if (c == 0)
             return 0;
         if (c < 0)
@@ -536,16 +565,32 @@ add_gen(Canon *cs, const uint8_t *ref, const uint8_t *perm)
         cs->cap = cap;
     }
     memmove(cs->gens + lo + 1, cs->gens + lo, (cs->ngens - lo) * sizeof(Gen));
-    memcpy(cs->gens[lo], q, WORD);
+    cs->gens[lo] = q;
     cs->ngens++;
     return 0;
 }
 
+/* The number of leading vertices that two paths share. */
 static int
-leaf(Canon *cs, const Part *p)
+common_prefix(const uint8_t *a, const uint8_t *b, int len)
+{
+    int d = 0;
+    while (d < len && a[d] == b[d])
+        d++;
+    return d;
+}
+
+/* Take the leaf that individualised path[0 .. depth).  A leaf whose
+   certificate equals the first leaf's or the best leaf's gives an
+   automorphism; the subtree where its path leaves that leaf's path is the
+   automorphism's image of one already explored, so the depth returned is
+   where the two paths part, and the search unwinds to it.  Otherwise the
+   leaf's own depth is returned; -1 with an exception set on failure. */
+static int
+leaf(Canon *cs, const Part *p, const uint8_t *path, int depth)
 {
     int n = cs->n;
-    Gen perm;
+    uint8_t perm[WORD];
     u64 cert[WORD];
     memset(perm, 0, WORD);
     for (int i = 0; i < n; i++)
@@ -556,61 +601,67 @@ leaf(Canon *cs, const Part *p)
             row |= BIT(perm[lowest(r)]);
         cert[i] = row;
     }
-    if (!cs->have_first) {
+    if (cs->first_depth < 0) {
         memcpy(cs->first_cert, cert, n * sizeof(u64));
         memcpy(cs->first_perm, perm, WORD);
+        memcpy(cs->first_path, path, depth);
+        cs->first_depth = depth;
     }
     else if (cert_cmp(cert, cs->first_cert, n) == 0 && memcmp(perm, cs->first_perm, n) != 0) {
         if (add_gen(cs, cs->first_perm, perm) < 0)
             return -1;
+        return common_prefix(path, cs->first_path, cs->first_depth);
     }
-    int c = cs->have_first ? cert_cmp(cert, cs->best_cert, n) : -1;
+    int c = cs->best_depth < 0 ? -1 : cert_cmp(cert, cs->best_cert, n);
     if (c < 0) {
         memcpy(cs->best_cert, cert, n * sizeof(u64));
         memcpy(cs->best_perm, perm, WORD);
+        memcpy(cs->best_path, path, depth);
+        cs->best_depth = depth;
     }
     else if (c == 0 && memcmp(perm, cs->best_perm, n) != 0) {
         if (add_gen(cs, cs->best_perm, perm) < 0)
             return -1;
+        return common_prefix(path, cs->best_path, cs->best_depth);
     }
-    cs->have_first = 1;
-    return 0;
+    return depth;
 }
 
-/* Close ``orbit`` under the generators that fix every vertex of
-   fixed[0 .. depth). */
+/* Close ``orbit`` under the generators that fix every vertex of ``fixed``. */
 static u64
-orbit_closure(const Canon *cs, u64 orbit, const uint8_t *fixed, int depth)
+orbit_closure(const Canon *cs, u64 orbit, u64 fixed)
 {
     u64 frontier = orbit;
     while (frontier) {
         int x = lowest(frontier);
         frontier &= frontier - 1;
         for (Py_ssize_t g = 0; g < cs->ngens; g++) {
-            const uint8_t *img = cs->gens[g];
-            int fixes = 1;
-            for (int f = 0; f < depth && fixes; f++)
-                fixes = img[fixed[f]] == fixed[f];
-            if (fixes && !(orbit >> img[x] & 1)) {
-                orbit |= BIT(img[x]);
-                frontier |= BIT(img[x]);
+            int y = cs->gens[g].img[x];
+            if (!(cs->gens[g].moved & fixed) && !(orbit >> y & 1)) {
+                orbit |= BIT(y);
+                frontier |= BIT(y);
             }
         }
     }
     return orbit;
 }
 
-/* Refine, then individualise each vertex of the first non-singleton cell
-   in increasing order, skipping those in the orbit of the explored ones. */
+/* Refine (``dirty`` as in refine()), then individualise each vertex of
+   the first non-singleton cell in increasing order, skipping those in the
+   orbit of the explored ones under the generators that fix the vertices
+   individualised so far, path[0 .. depth) (mask ``fixed``).  Returns the
+   depth to unwind to: ``depth`` when this node is done, less when a leaf
+   below found an automorphism that maps an explored subtree onto this
+   one (see leaf()), -1 with an exception set on failure. */
 static int
-search(Canon *cs, Part *p, uint8_t *fixed, int depth)
+search(Canon *cs, Part *p, u64 dirty, uint8_t *path, int depth, u64 fixed)
 {
-    refine(cs->adj, p);
+    refine(cs->adj, p, dirty);
     int target = 0;
     while (target < p->ncells && p->start[target + 1] - p->start[target] == 1)
         target++;
     if (target == p->ncells)
-        return leaf(cs, p);
+        return leaf(cs, p, path, depth);
     int s = p->start[target], len = p->start[target + 1] - s;
     u64 cell = 0, orbit = 0;
     for (int i = 0; i < len; i++)
@@ -629,12 +680,15 @@ search(Canon *cs, Part *p, uint8_t *fixed, int depth)
         memcpy(child.start, p->start, target + 1);
         child.start[target + 1] = (uint8_t)(s + 1);
         memcpy(child.start + target + 2, p->start + target + 1, p->ncells - target);
-        fixed[depth] = (uint8_t)v;
-        if (search(cs, &child, fixed, depth + 1) < 0)
-            return -1;
-        orbit = orbit_closure(cs, orbit | BIT(v), fixed, depth);
+        path[depth] = (uint8_t)v;
+        /* the parent is equitable, so only the counts into {v} can split
+           a cell: the count into the rest of the old cell is fixed by it */
+        int back = search(cs, &child, BIT(target), path, depth + 1, fixed | BIT(v));
+        if (back < depth)
+            return back;
+        orbit = orbit_closure(cs, orbit | BIT(v), fixed);
     }
-    return 0;
+    return depth;
 }
 
 /* graph6 text of the rows: N(n), then the upper triangle column by column,
@@ -689,8 +743,8 @@ static int
 label_graph(Canon *cs)
 {
     Part root;
-    uint8_t fixed[WORD];
-    cs->have_first = 0;
+    uint8_t path[WORD];
+    cs->first_depth = cs->best_depth = -1;
     cs->ngens = 0;
     if (cs->n == 0) {
         memset(cs->best_cert, 0, sizeof cs->best_cert);
@@ -702,7 +756,7 @@ label_graph(Canon *cs)
     root.start[1] = (uint8_t)cs->n;
     for (int v = 0; v < cs->n; v++)
         root.lab[v] = (uint8_t)v;
-    return search(cs, &root, fixed, 0);
+    return search(cs, &root, BIT(0), path, 0, 0) < 0 ? -1 : 0;
 }
 
 static PyObject *
@@ -722,7 +776,7 @@ canonical_search(PyObject *Py_UNUSED(self), PyObject *rows)
         (gens = PyTuple_New(cs.ngens)) == NULL)
         goto done;
     for (Py_ssize_t g = 0; g < cs.ngens; g++) {
-        PyObject *img = image_tuple(cs.gens[g], cs.n);
+        PyObject *img = image_tuple(cs.gens[g].img, cs.n);
         if (img == NULL)
             goto done;
         PyTuple_SET_ITEM(gens, g, img);
@@ -770,7 +824,7 @@ mark_pair_orbit(const Canon *parent, u64 *pairs, int u, int v)
     while (head < tail) {
         int a = queue[head++], b = queue[head++];
         for (Py_ssize_t g = 0; g < parent->ngens; g++) {
-            int x = parent->gens[g][a], y = parent->gens[g][b];
+            int x = parent->gens[g].img[a], y = parent->gens[g].img[b];
             if (!(pairs[x] >> y & 1)) {
                 pairs[x] |= BIT(y);
                 pairs[y] |= BIT(x);
@@ -830,7 +884,7 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             rc = offer(&cs, args[1], out);
         }
         if (rc == 0 && !(vertices >> u & 1)) {
-            vertices |= orbit_closure(&parent, BIT(u), NULL, 0);
+            vertices |= orbit_closure(&parent, BIT(u), 0);
             memcpy(cs.adj, parent.adj, size);
             cs.adj[u] |= BIT(n);
             cs.adj[n] = BIT(u);

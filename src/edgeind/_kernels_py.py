@@ -217,29 +217,42 @@ def _canonical(adj):
     n = len(adj)
     if n == 0:
         return (), (), ()
-    best_cert = None
-    best_perm = None
-    first_cert = None
-    first_perm = None
+    first = best = None  # (cert, perm, path) of the first and the best leaf
     gens = set()
 
-    def leaf(cells):
-        nonlocal best_cert, best_perm, first_cert, first_perm
+    def parted(path, other):
+        """The depth where ``path`` leaves the other leaf's path."""
+        d = 0
+        for a, b in zip(path, other):
+            if a != b:
+                break
+            d += 1
+        return d
+
+    def leaf(cells, path):
+        # A leaf with the first or the best leaf's certificate gives an
+        # automorphism, which maps an explored subtree onto the one where
+        # the two paths part; the search unwinds to that depth.
+        nonlocal first, best
         seq = [c[0] for c in cells]
         perm = [0] * n
         for i, v in enumerate(seq):
             perm[v] = i
         cert = _certificate(adj, seq)
-        if first_cert is None:
-            first_cert, first_perm = cert, perm
-        elif cert == first_cert and perm != first_perm:
-            gens.add(_quotient(first_perm, perm))
-        if best_cert is None or cert < best_cert:
-            best_cert, best_perm = cert, perm
-        elif cert == best_cert and perm != best_perm:
-            gens.add(_quotient(best_perm, perm))
+        if first is None:
+            first = best = cert, perm, path
+        elif cert == first[0] and perm != first[1]:
+            gens.add(_quotient(first[1], perm))
+            return parted(path, first[2])
+        elif cert < best[0]:
+            best = cert, perm, path
+        elif cert == best[0] and perm != best[1]:
+            gens.add(_quotient(best[1], perm))
+            return parted(path, best[2])
+        return len(path)
 
-    def rec(cells, fixed):
+    def rec(cells, path):
+        """The depth to unwind to: ``len(path)`` once this node is done."""
         cells = _refine(adj, cells)
         target = None
         for i, c in enumerate(cells):
@@ -247,11 +260,11 @@ def _canonical(adj):
                 target = i
                 break
         if target is None:
-            leaf(cells)
-            return
+            return leaf(cells, path)
         cell = cells[target]
+        depth = len(path)
         # Siblings inside the orbit of the explored ones, under the
-        # generators fixing ``fixed``, would only repeat certificates.  The
+        # generators fixing ``path``, would only repeat certificates.  The
         # generators change only inside a subtree, so the orbit is closed
         # once per explored child.
         orbit = set()
@@ -259,12 +272,15 @@ def _canonical(adj):
             if v in orbit:
                 continue
             rest = [u for u in cell if u != v]
-            rec(cells[:target] + [[v], rest] + cells[target + 1:], fixed + (v,))
+            back = rec(cells[:target] + [[v], rest] + cells[target + 1:], path + (v,))
+            if back < depth:
+                return back
             orbit.add(v)
-            orbit = orbit_closure(orbit, [p for p in gens if all(p[f] == f for f in fixed)])
+            orbit = orbit_closure(orbit, [p for p in gens if all(p[f] == f for f in path)])
+        return depth
 
     rec([list(range(n))], ())
-    return best_cert, tuple(best_perm), tuple(sorted(gens))
+    return best[0], tuple(best[1]), tuple(sorted(gens))
 
 
 # -- level growth --------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, MAX_VERTICES, WORD_VERTICES, write_graph6
 from .families import family_graph, family_name, parse_family
@@ -37,8 +37,7 @@ from .kernels import automorphism_order, count_induced, visit_order
 from .fracind import alpha_f, optimal_weighting
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
+class BlowupSpec(NamedTuple):
     base: Graph
     sizes: tuple
 
@@ -387,8 +386,7 @@ def _climb(start, score, base, m):
 # -- closed-form bounds --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     family: str
     m: int
     provenance: str

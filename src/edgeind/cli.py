@@ -26,9 +26,6 @@ from functools import lru_cache
 
 from . import __version__
 from .graph import Graph, Graph6Error, parse_graph6, write_graph6
-from .families import family_name
-from .fracind import alpha_f, optimal_weighting
-from .blowups import blow_up, bound_eval, construction, effective_upper
 from .search import CeilingError, SandwichError, rho_exact, verify_sandwich
 from .kernels import BACKEND, canonical_form, count_induced
 
@@ -208,7 +205,13 @@ def _cache(args):
     return args.cache_dir or os.environ.get(CACHE_ENV) or None
 
 
+# Each command imports the modules that only it needs (fracind, blowups,
+# families, entropy), so a cold ``rho`` or ``count`` loads none of them.
+
+
 def _cmd_alphaf(args):
+    from .fracind import alpha_f, optimal_weighting
+
     g = args.graph
     weighting, decomposition = optimal_weighting(g)
     value = alpha_f(g)
@@ -247,6 +250,9 @@ def _cmd_rho(args):
 
 
 def _cmd_bound(args):
+    from .blowups import bound_eval, effective_upper
+    from .families import family_name
+
     rows = bound_eval(args.family, args.m)
     outputs = {
         "bounds": [r.to_json() for r in rows],
@@ -256,6 +262,9 @@ def _cmd_bound(args):
 
 
 def _cmd_construct(args):
+    from .blowups import blow_up, construction
+    from .families import family_name
+
     spec, count = construction(args.family, args.m)
     realized = blow_up(spec)
     outputs = {
@@ -274,7 +283,7 @@ def _is_shape(pattern, shape):
 
 
 def _entropy_verify(args):
-    from . import entropy as ent  # imported here: no other command needs it
+    from . import entropy as ent
 
     host, pattern = args.host, args.pattern
     k = pattern.n

@@ -43,8 +43,8 @@ assignments is exponential in n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -53,8 +53,7 @@ class WeightingInvariantError(RuntimeError):
     """The computed optimum violates a structural guarantee: solver bug."""
 
 
-@dataclass(frozen=True)
-class HalfIntegralWeighting:
+class HalfIntegralWeighting(NamedTuple):
     half_units: tuple  # per-vertex weight in half units: 0, 1 or 2
 
     @property
@@ -62,8 +61,7 @@ class HalfIntegralWeighting:
         return Fraction(sum(self.half_units), 2)
 
 
-@dataclass(frozen=True)
-class ABCDecomposition:
+class ABCDecomposition(NamedTuple):
     """Split by weight: A carries 1, B carries 0, C carries 1/2, plus a
     matching in H[A, B] saturating B."""
 

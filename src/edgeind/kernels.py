@@ -17,7 +17,6 @@ on the compiled backend that stays within 64 vertices never loads it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,13 +57,17 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """The canonical graph6 label of g, the relabeling that produces it and
     sorted automorphism generators.  The backend refines equitably, with
     individualization and backtracking; discovered automorphisms prune
-    branches that would only revisit certificates already seen, and the
-    label is the graph6 text of the relabeling that minimizes the adjacency
-    certificate over the (pruned) search tree.  The label, not the
-    traversal, is the contract: equal labels if and only if isomorphic.
-    The automorphisms found on the way generate the whole automorphism
-    group (every pruned branch is the image of an explored one under
-    them)."""
+    branches that would only revisit certificates already seen: a sibling
+    in the orbit of the explored ones is skipped, and a leaf that repeats
+    the first or the best leaf's certificate abandons the subtree where the
+    two paths part (McKay and Piperno, "Practical graph isomorphism, II",
+    2014).  The label is the graph6 text of the relabeling that minimizes
+    the adjacency certificate over the search tree, which no pruning
+    changes.  The label, not the traversal, is the contract: equal labels
+    if and only if isomorphic.  The automorphisms found on the way
+    generate the whole automorphism group (every pruned branch is the
+    image of an explored one under them), and both backends return the
+    same ones: K_{1,61} gets 60 generators, 31K2 61."""
     return CanonicalForm(*_backend_for(g).canonical_search(g.adj))
 
 
@@ -142,8 +145,7 @@ def count_ordered(g: Graph, h: Graph, pins=()) -> int:
     return _backend_for(g).count_ordered(g.adj, h.adj, order, hosts)
 
 
-@dataclass(frozen=True)
-class CountSummary:
+class CountSummary(NamedTuple):
     ordered: int
     unordered: int
     aut: int

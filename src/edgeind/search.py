@@ -13,6 +13,10 @@ labels its extensions and returns the new labels.  The compiled kernel
 labels the parent first and then only one extension per orbit of its
 automorphism group (McKay, "Isomorph-free exhaustive generation", 1998);
 the pure twin labels every extension.  Both return the same classes.
+Labelling is nearly all of a cold search.  The labeller abandons a
+subtree as soon as an automorphism maps it onto an explored one, so its
+generating set stays small, and the C refinement counts only into the
+cells that changed (``kernels.canonical_form``).
 
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value the closed-form bounds are
@@ -33,13 +37,11 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .graph import Graph, parse_graph6, write_graph6
 from .kernels import automorphism_order, canonical_form
-from .families import family_graph, family_name
-from .blowups import bound_eval, construction, effective_upper
 from . import kernels
 
 DEFAULT_CEILING = 14
@@ -253,8 +255,7 @@ def enumerate_m_edge_graphs(m, ceiling=DEFAULT_CEILING):
     return map(parse_graph6, _level(m))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     pattern: str  # canonical graph6 of the pattern
     m: int
     rho: int
@@ -302,7 +303,11 @@ def verify_sandwich(family, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
                     max_certificates=1000, cache_dir=None) -> dict:
     """Check construction lower bound <= exact value <= tightest closed-form
     upper bound.  A violation raises SandwichError naming the bound: this
-    is the regression alarm for the whole package."""
+    is the regression alarm for the whole package.  The families and the
+    blow-up layer are imported here, so a ``rho`` never loads them."""
+    from .blowups import bound_eval, construction, effective_upper
+    from .families import family_graph, family_name
+
     pattern = family_graph(family)
     name = family_name(family)
     rows = bound_eval(family, m, include_construction=False)

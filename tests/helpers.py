@@ -197,7 +197,7 @@ def permutation_group_order(gens, n):
     identity = tuple(range(n))
 
     def then(a, b):
-        return tuple(b[a[x]] for x in range(n))
+        return tuple(map(b.__getitem__, a))  # x -> b[a[x]]
 
     def inverse(a):
         out = [0] * n
@@ -222,20 +222,29 @@ def permutation_group_order(gens, n):
 
     def strip(h, i):
         for j in range(i, n):
+            if h[j] == j:  # the transversal element is the identity
+                continue
             if h[j] not in trans[j]:
                 return h, j
-            h = then(h, inverse(trans[j][h[j]]))
+            h = then(h, inverses[j][h[j]])
         return h, n
 
     def residue(i):  # a Schreier generator at level i that does not strip
+        level = level_gens(i)
         for x, u in trans[i].items():
-            for p in level_gens(i):
-                h, j = strip(then(then(u, p), inverse(trans[i][p[x]])), i + 1)
+            for p in level:
+                h, j = strip(then(then(u, p), inverses[i][p[x]]), i + 1)
                 if h != identity:
                     return h, j
         return None
 
-    trans = [transversal(i) for i in range(n)]
+    def refresh(k):
+        trans[k] = transversal(k)
+        inverses[k] = {x: inverse(u) for x, u in trans[k].items()}
+
+    trans, inverses = [None] * n, [None] * n
+    for k in range(n):
+        refresh(k)
     i = n - 1
     while i >= 0:
         found = residue(i)
@@ -245,7 +254,7 @@ def permutation_group_order(gens, n):
         h, j = found
         strong.append(h)
         for k in range(i + 1, j + 1):
-            trans[k] = transversal(k)
+            refresh(k)
         i = j
     order = 1
     for reps in trans:

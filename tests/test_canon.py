@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import factorial
 
 from edgeind import (
     Graph,
@@ -11,7 +12,8 @@ from edgeind import (
     write_graph6,
 )
 
-from helpers import brute_min_code, classes_on, permutation_group_order, random_graph
+from helpers import (brute_min_code, classes_on, complete_bipartite, disjoint_union,
+                     permutation_group_order, random_graph)
 
 
 def test_relabelings_share_one_label():
@@ -90,3 +92,20 @@ def test_generators_generate_the_automorphism_group():
             assert list(gens) == sorted(set(gens))
             assert all(g.relabel(p) == g for p in gens)
             assert permutation_group_order(gens, g.n) == automorphism_order(g)
+
+
+def test_generators_of_stars_and_matchings_on_both_twins(backends):
+    # |Aut| is k! for K_{1,k} and 2^k k! for kK2, far beyond counting the
+    # self-maps; the subtree abandonment keeps the generating set small
+    # (one label of K_{1,61} used to find 1,830 generators)
+    cases = [(complete_bipartite(1, k), factorial(k)) for k in (29, 40, 61)]
+    cases += [(disjoint_union(*[Graph.complete(2)] * k), 2 ** k * factorial(k))
+              for k in (12, 31)]
+    for g, order in cases:
+        results = {backend.canonical_search(g.adj) for backend in backends}
+        assert len(results) == 1
+        label, perm, gens = results.pop()
+        assert write_graph6(g.relabel(perm)) == label
+        assert len(gens) <= g.n - 1
+        assert all(g.relabel(p) == g for p in gens)
+        assert permutation_group_order(gens, g.n) == order

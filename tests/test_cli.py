@@ -151,7 +151,7 @@ def test_sandwich_pass_and_exit_codes(monkeypatch):
     def unreachable(family, m):
         raise AssertionError("the optimizer ran above the search ceiling")
 
-    monkeypatch.setattr(search, "construction", unreachable)
+    monkeypatch.setattr(blowups, "construction", unreachable)
     assert run(["sandwich", "--family", "C3", "-m", "15"])[0] == 2
     assert run(["sandwich", "--family", "C5", "-m", "15"])[0] == 3
 
@@ -322,17 +322,20 @@ def test_cache_ignores_result_files_of_older_layouts(tmp_path, monkeypatch, caps
 def test_cold_searches_import_neither_entropy_nor_the_pool(request):
     # a fresh process per command, on the compiled backend when it can be
     # built, where nothing within 64 vertices needs the pure twin; count
-    # takes its counts from kernels, not the entropy lab; the entropy
-    # names still import
+    # takes its counts from kernels, not the entropy lab.  rho and count
+    # load no module of the blow-up layer and no dataclasses, sandwich no
+    # dataclasses; the lazily served names still import
     probe = (
         "import io, sys\n"
         "from edgeind import kernels\n"
         "from edgeind.cli import dispatch\n"
         "code = dispatch(sys.argv[1:], io.StringIO(), io.StringIO())\n"
         "print(code, kernels.BACKEND, *[name for name in ('edgeind.entropy',"
-        " 'concurrent.futures', 'edgeind._kernels_py') if name in sys.modules])\n"
-        "from edgeind import ClaimLedger\n"
-        "print(ClaimLedger.__module__)\n"
+        " 'concurrent.futures', 'edgeind._kernels_py', 'dataclasses') if name in sys.modules])\n"
+        "print(*[name for name in ('edgeind.blowups', 'edgeind.fracind', 'edgeind.families')"
+        " if name in sys.modules])\n"
+        "from edgeind import ClaimLedger, BlowupSpec, alpha_f\n"
+        "print(ClaimLedger.__module__, BlowupSpec.__module__, alpha_f.__module__)\n"
     )
     try:
         path = str(request.getfixturevalue("built_lib"))
@@ -346,10 +349,14 @@ def test_cold_searches_import_neither_entropy_nor_the_pool(request):
         proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        code, backend, *loaded = proc.stdout.split("\n")[0].split()
+        lines = proc.stdout.split("\n")
+        code, backend, *loaded = lines[0].split()
         assert code == "0"
         assert loaded == ([] if backend == "c" else ["edgeind._kernels_py"]), argv
-        assert proc.stdout.split("\n")[1:] == ["edgeind.entropy", ""], argv
+        sandwich = argv[0] == "sandwich"
+        assert lines[1].split() == (["edgeind.blowups", "edgeind.fracind", "edgeind.families"]
+                                    if sandwich else []), argv
+        assert lines[2:] == ["edgeind.entropy edgeind.blowups edgeind.fracind", ""], argv
 
 
 def test_closed_stdout_is_an_error():

@@ -52,15 +52,19 @@ from helpers import (
 
 
 def test_every_export_resolves():
-    # the lazy entropy names too, so a name deleted from ``entropy`` cannot
-    # stay exported
+    # the lazily imported names too, so a name deleted from its module
+    # cannot stay exported; a module's own name serves the module
+    import importlib
+
     import edgeind
 
-    assert edgeind._ENTROPY_NAMES <= set(edgeind.__all__)
+    assert edgeind._LAZY.keys() <= set(edgeind.__all__)
     for name in edgeind.__all__:
         getattr(edgeind, name)  # AttributeError on a stale name
-    for name in edgeind._ENTROPY_NAMES:
-        assert getattr(edgeind, name) is getattr(ent, name)
+    for name, owner in edgeind._LAZY.items():
+        module = importlib.import_module(f"edgeind.{owner}")
+        assert getattr(edgeind, name) is (module if name == owner else getattr(module, name))
+    assert edgeind.entropy is ent
 
 
 def test_projection_entropy_c4_in_k22():

@@ -228,17 +228,15 @@ def test_growth_of_symmetric_parents(compiled):
 
 
 def test_growth_of_symmetric_62_vertex_parents(compiled):
-    # the whole word, the disjoint edge's 64 vertices included.  C50 + 3C4
-    # against a compiled label of every one-edge extension; 31K2, where one
-    # label takes about 0.5 s, against a label of each of the three classes
-    # its extensions fall into: P4 + 29K2, P3 + 30K2 and 32K2
-    k2, p3, p4 = Graph.complete(2), Graph.path(3), Graph.path(4)
-    c50 = disjoint_union(Graph.cycle(50), *[Graph.cycle(4)] * 3)
-    cases = [(c50, one_edge_extensions(c50)),
-             (disjoint_union(*[k2] * 31), [disjoint_union(p4, *[k2] * 29),
-                                           disjoint_union(p3, *[k2] * 30),
-                                           disjoint_union(*[k2] * 32)])]
-    for parent, extensions in cases:
+    # the whole word, the disjoint edge's 64 vertices included: each parent
+    # against a compiled label of every one-edge extension.  31K2 and
+    # K_{1,61} are the most symmetric parents; a subtree that an
+    # automorphism maps onto an explored one is abandoned, so their labels
+    # take milliseconds
+    parents = [disjoint_union(Graph.cycle(50), *[Graph.cycle(4)] * 3),
+               disjoint_union(*[Graph.complete(2)] * 31), complete_bipartite(1, 61)]
+    for parent in parents:
+        extensions = one_edge_extensions(parent)
         labels = {compiled.canonical_search(child.adj)[0] for child in extensions}
         new = compiled.children(write_graph6(parent), set())
         assert len(new) == len(labels)
