@@ -17,27 +17,20 @@ from .kernels import (
     count_ordered,
     enumerate_ordered,
 )
-from .search import (
-    CeilingError,
-    SandwichError,
-    SearchResult,
-    enumerate_m_edge_graphs,
-    rho_exact,
-    verify_sandwich,
-)
+from .search import CeilingError, SearchResult, enumerate_m_edge_graphs, rho_exact
 
 # The modules that rho and count never need are imported on first use: the
-# fractional independence number, the blow-up layer, the family
-# descriptors and the entropy lab.  Their names are served by __getattr__
+# fractional independence number, the blow-up layer with the sandwich
+# check, and the entropy lab.  Their names are served by __getattr__
 # (PEP 562) from this table, name -> defining module; a module's own name
 # maps to itself.
 _LAZY = {
     **dict.fromkeys(("fracind", "ABCDecomposition", "HalfIntegralWeighting",
                      "WeightingInvariantError", "alpha_f", "optimal_weighting"), "fracind"),
-    **dict.fromkeys(("blowups", "BlowupSpec", "BoundValue", "blow_up", "bound_eval",
-                     "construction", "effective_upper", "lower_bound_construction",
-                     "optimize_part_sizes"), "blowups"),
-    "families": "families",
+    **dict.fromkeys(("blowups", "BlowupSpec", "BoundValue", "SandwichError", "blow_up",
+                     "bound_eval", "construction", "effective_upper",
+                     "lower_bound_construction", "optimize_part_sizes", "verify_sandwich"),
+                    "blowups"),
     **dict.fromkeys((
         "entropy",
         "C6HypergraphReport",

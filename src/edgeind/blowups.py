@@ -1,4 +1,5 @@
-"""Blow-up constructions, part-size optimization and closed-form bounds.
+"""Blow-up constructions, part-size optimization, closed-form bounds and
+the sandwich check that holds each exact value between them.
 
 A blow-up replaces each base vertex by an independent set, joining two
 parts completely exactly when the base vertices are adjacent.  The
@@ -23,6 +24,9 @@ enumerated once per optimizer run.  The printed counts (the construction
 row of ``bound_eval``, ``construct`` and the sandwich's lower bound) are
 this closed form too, all from ``construction``, which recounts the
 realized graph on the kernel as a check while that stays cheap.
+
+The sandwich (``verify_sandwich``) checks construction count <= exact
+value from ``search.rho_exact`` <= tightest closed-form upper bound.
 """
 
 from __future__ import annotations
@@ -31,10 +35,17 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .graph import Graph, MAX_VERTICES, WORD_VERTICES, write_graph6
-from .families import family_graph, family_name, parse_family
-from .kernels import automorphism_order, count_induced, visit_order
+from .graph import Graph, MAX_VERTICES, WORD_VERTICES, family_graph, parse_family, write_graph6
+from .kernels import automorphism_order, canonical_label, count_induced, visit_order
 from .fracind import alpha_f, optimal_weighting
+from . import search
+
+
+def family_name(family) -> str:
+    """The name of a path or cycle family ("P5", "C6"), or the canonical
+    graph6 label of any other pattern."""
+    kind, arg = parse_family(family)
+    return canonical_label(arg) if kind == "H" else f"{kind}{arg}"
 
 
 class BlowupSpec(NamedTuple):
@@ -394,13 +405,7 @@ class BoundValue(NamedTuple):
     kind: str  # "upper" | "exact" | "conjectured" | "lower"
 
     def to_json(self):
-        return {
-            "family": self.family,
-            "m": self.m,
-            "provenance": self.provenance,
-            "value": self.value,
-            "kind": self.kind,
-        }
+        return self._asdict()
 
 
 def _path_bounds(k, m, name):
@@ -445,13 +450,14 @@ def _cycle_bounds(k, m, name):
     return rows
 
 
-def bound_eval(family, m: int, include_construction=True):
-    """Every applicable closed-form bound plus the count of the best blow-up
-    found (``construction``); the effective upper bound is the minimum over
-    rows of kind "upper"/"exact"."""
+def _closed_form(family, m):
+    """``(name, pattern, rows)``: the family's name and pattern and every
+    applicable closed-form bound row.  The pattern is labelled once, for
+    its name."""
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
-    kind, arg = parse_family(family)
+    family = parse_family(family)
+    kind, arg = family
     name = family_name(family)
     rows = []
     if kind == "P":
@@ -469,12 +475,70 @@ def bound_eval(family, m: int, include_construction=True):
     rows.append(BoundValue(
         name, m, "fractional_independence_upper",
         2 ** (pattern.n / 2) / aut * m ** float(alpha_f(pattern)), "upper"))
-    if include_construction:
-        _, count = construction(family, m)
-        rows.append(BoundValue(name, m, "construction_lower", float(count), "lower"))
+    return name, pattern, rows
+
+
+def bound_eval(family, m: int):
+    """Every applicable closed-form bound plus the count of the best blow-up
+    found (``construction``); the effective upper bound is the minimum over
+    rows of kind "upper"/"exact"."""
+    name, _, rows = _closed_form(family, m)
+    _, count = construction(family, m)
+    rows.append(BoundValue(name, m, "construction_lower", float(count), "lower"))
     return rows
 
 
 def effective_upper(rows) -> BoundValue:
     uppers = [r for r in rows if r.kind in ("upper", "exact")]
     return min(uppers, key=lambda r: r.value)
+
+
+# -- the sandwich --------------------------------------------------------
+
+FLOAT_SLACK = 1e-9
+
+
+class SandwichError(RuntimeError):
+    def __init__(self, report, violated):
+        super().__init__(f"bound {violated} violated: {report}")
+        self.report = report
+        self.violated = violated
+
+
+def verify_sandwich(family, m: int, *, ceiling=search.DEFAULT_CEILING, shards=1,
+                    max_certificates=1000, cache_dir=None) -> dict:
+    """Check construction lower bound <= exact value <= tightest closed-form
+    upper bound.  A violation raises SandwichError naming the bound: this
+    is the regression alarm for the whole package."""
+    name, pattern, rows = _closed_form(family, m)
+    # rho_exact first: above the ceiling it raises before doing any work.
+    # It is looked up on the module at call time, so a wrapper set there
+    # sees the call.
+    exact = search.rho_exact(pattern, m, ceiling=ceiling, shards=shards,
+                             max_certificates=max_certificates, cache_dir=cache_dir)
+    spec, lower = construction(family, m)
+    upper_row = effective_upper(rows)
+    report = {
+        "family": name,
+        "m": m,
+        "lower": lower,
+        "exact": exact.rho,
+        "upper": upper_row.value,
+        "upper_provenance": upper_row.provenance,
+        "construction": spec.to_json(),
+        "bounds": [r.to_json() for r in rows],
+        "classes_scanned": exact.classes_scanned,
+        "extremal": list(exact.extremal[:10]),
+        "ratios": {
+            "exact_over_lower": exact.rho / lower if lower else None,
+            "upper_over_exact": upper_row.value / exact.rho if exact.rho else None,
+        },
+        "pass": True,
+    }
+    if lower > exact.rho:
+        report["pass"] = False
+        raise SandwichError(report, "construction_lower")
+    if exact.rho > upper_row.value + FLOAT_SLACK:
+        report["pass"] = False
+        raise SandwichError(report, upper_row.provenance)
+    return report

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 from . import __version__
 from .graph import Graph, Graph6Error, parse_graph6, write_graph6
-from .search import CeilingError, SandwichError, rho_exact, verify_sandwich
-from .kernels import BACKEND, canonical_form, count_induced
+from .search import CeilingError, rho_exact
+from .kernels import BACKEND, canonical_form, count_induced, enumerate_ordered
 
 CACHE_ENV = "EDGEIND_CACHE_DIR"
 
@@ -206,7 +206,7 @@ def _cache(args):
 
 
 # Each command imports the modules that only it needs (fracind, blowups,
-# families, entropy), so a cold ``rho`` or ``count`` loads none of them.
+# entropy), so a cold ``rho`` or ``count`` loads none of them.
 
 
 def _cmd_alphaf(args):
@@ -231,8 +231,6 @@ def _cmd_count(args):
     outputs = {"ordered": summary.ordered, "unordered": summary.unordered,
                "aut": summary.aut}
     if args.copies:
-        from .kernels import enumerate_ordered
-
         outputs["copies"] = [list(c) for c in enumerate_ordered(args.host, args.pattern)]
     return {"host": write_graph6(args.host), "pattern": write_graph6(args.pattern)}, outputs, 0
 
@@ -250,8 +248,7 @@ def _cmd_rho(args):
 
 
 def _cmd_bound(args):
-    from .blowups import bound_eval, effective_upper
-    from .families import family_name
+    from .blowups import bound_eval, effective_upper, family_name
 
     rows = bound_eval(args.family, args.m)
     outputs = {
@@ -262,8 +259,7 @@ def _cmd_bound(args):
 
 
 def _cmd_construct(args):
-    from .blowups import blow_up, construction
-    from .families import family_name
+    from .blowups import blow_up, construction, family_name
 
     spec, count = construction(args.family, args.m)
     realized = blow_up(spec)
@@ -341,6 +337,8 @@ def _cmd_entropy(args):
 
 
 def _cmd_sandwich(args):
+    from .blowups import SandwichError, verify_sandwich
+
     try:
         report = verify_sandwich(args.family, args.m, shards=args.shards,
                                  max_certificates=args.max_certificates,

@@ -45,8 +45,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import add, itemgetter
 
-from .graph import Graph
-from .families import parse_family
+from .graph import Graph, parse_family
 from .kernels import automorphism_order
 from . import kernels
 

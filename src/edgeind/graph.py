@@ -1,4 +1,5 @@
-"""Simple undirected graphs with bitmask adjacency and graph6 text I/O.
+"""Simple undirected graphs with bitmask adjacency, graph6 text I/O and
+the pattern-family descriptors ("P5", "C6", graph6 text or a Graph).
 
 Adjacency is stored as one bitmask per vertex so that neighborhood
 intersection is a single integer AND.  Graphs up to 64 vertices ride the
@@ -270,3 +271,37 @@ _SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 def parse_graph6_file(lines):
     """Parse an iterable of graph6 lines, skipping blank ones."""
     return [parse_graph6(line) for line in lines if line.strip()]
+
+
+# -- pattern families ----------------------------------------------------
+
+
+def parse_family(desc):
+    """Return ("P", k), ("C", k) or ("H", Graph).
+
+    Accepts "P5"/"C6"-style names, a graph6 string, a Graph, or a tuple
+    this function returned.
+    """
+    if isinstance(desc, Graph):
+        return ("H", desc)
+    if isinstance(desc, tuple) and len(desc) == 2 and desc[0] in ("P", "C", "H"):
+        return desc
+    if isinstance(desc, str):
+        if len(desc) >= 2 and desc[0] in "PC" and desc[1:].isdigit():
+            kind, k = desc[0], int(desc[1:])
+            if kind == "P" and k < 2:
+                raise ValueError(f"paths need at least 2 vertices, got {desc}")
+            if kind == "C" and k < 3:
+                raise ValueError(f"cycles need at least 3 vertices, got {desc}")
+            return (kind, k)
+        return ("H", parse_graph6(desc))
+    raise ValueError(f"unrecognized family descriptor {desc!r}")
+
+
+def family_graph(family) -> Graph:
+    kind, arg = parse_family(family)
+    if kind == "P":
+        return Graph.path(arg)
+    if kind == "C":
+        return Graph.cycle(arg)
+    return arg

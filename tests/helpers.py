@@ -540,7 +540,7 @@ def path_decomposition_oracle(host: Graph, family):
     the same order with the same primitives, so its report is the same to
     the byte."""
     from edgeind.entropy import CopyDistribution, EntropyReport, alpha_extension_edges
-    from edgeind.families import parse_family
+    from edgeind.graph import parse_family
 
     kind, k = parse_family(family)
     if kind != "P" or k < 4:
@@ -720,7 +720,7 @@ def reference_optimize(family, m):
     budget, with every candidate checked by ``fits`` on its whole size
     vector."""
     from edgeind import blowups
-    from edgeind.families import family_graph, parse_family
+    from edgeind.graph import family_graph, parse_family
 
     kind, arg = parse_family(family)
     pattern = family_graph(family)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -16,6 +17,7 @@ from edgeind import (
     blow_up,
     blowups,
     bound_eval,
+    canonical_label,
     construction,
     count_induced,
     effective_upper,
@@ -23,9 +25,10 @@ from edgeind import (
     lower_bound_construction,
     optimize_part_sizes,
     parse_graph6,
+    verify_sandwich,
 )
 from edgeind.blowups import map_profile
-from edgeind.families import family_graph
+from edgeind.graph import family_graph
 
 from helpers import complete_bipartite, reference_optimize, without_isolated
 
@@ -117,8 +120,6 @@ def test_optimizer_matches_exhaustive_on_small_budgets():
     cases = [("C5", 10, 4), ("C5", 14, 5), ("C6", 14, 4), ("C4", 12, 6),
              ("P4", 9, 4), ("P5", 12, 5), ("P3", 7, 7)]
     for fam, m, cap in cases:
-        from edgeind.families import family_graph
-
         pattern = family_graph(fam)
         spec = optimize_part_sizes(fam, m)
         got = count_induced(blow_up(spec), pattern).unordered
@@ -132,32 +133,32 @@ def test_optimizer_matches_exhaustive_on_small_budgets():
 
 
 def test_bound_examples():
-    rows = bound_eval("C6", 36, include_construction=False)
+    rows = bound_eval("C6", 36)
     assert effective_upper(rows).value == pytest.approx(648.0)
-    rows = bound_eval("P4", 10, include_construction=False)
+    rows = bound_eval("P4", 10)
     assert effective_upper(rows).value == pytest.approx(50.0)
-    rows = bound_eval("P3", 9, include_construction=False)
+    rows = bound_eval("P3", 9)
     assert effective_upper(rows).value == pytest.approx(36.0)
-    rows = bound_eval("C4", 16, include_construction=False)
+    rows = bound_eval("C4", 16)
     assert effective_upper(rows).value == pytest.approx(64.0)
 
 
 def test_bound_rational_crosschecks():
     # closed forms with integer exponents, recomputed in exact arithmetic
     for l, m in [(2, 10), (3, 9), (4, 20)]:
-        rows = {r.provenance: r for r in bound_eval(f"P{2 * l}", m, include_construction=False)}
+        rows = {r.provenance: r for r in bound_eval(f"P{2 * l}", m)}
         exact = Fraction(m ** l, 2 * (l - 1) ** (l - 1))
         assert rows["even_path_upper"].value == pytest.approx(float(exact), rel=1e-12)
-        rows = {r.provenance: r for r in bound_eval(f"P{2 * l + 1}", m, include_construction=False)}
+        rows = {r.provenance: r for r in bound_eval(f"P{2 * l + 1}", m)}
         exact = Fraction(m ** (l + 1), 4 * l ** l)
         assert rows["odd_path_upper"].value == pytest.approx(float(exact), rel=1e-12)
-    rows = {r.provenance: r for r in bound_eval("C6", 12, include_construction=False)}
+    rows = {r.provenance: r for r in bound_eval("C6", 12)}
     assert rows["c6_upper"].value == pytest.approx(float(Fraction(3 * 12 ** 3, 6 ** 3)), rel=1e-12)
 
 
 def test_generic_upper_uses_aut_and_alpha_f():
     h = Graph.path(4)
-    rows = {r.provenance: r for r in bound_eval(h, 10, include_construction=False)}
+    rows = {r.provenance: r for r in bound_eval(h, 10)}
     expected = 2 ** (4 / 2) / automorphism_order(h) * 10 ** float(alpha_f(h))
     assert rows["fractional_independence_upper"].value == pytest.approx(expected)
 
@@ -165,7 +166,7 @@ def test_generic_upper_uses_aut_and_alpha_f():
 def test_even_cycle_factor_below_e():
     for l in range(4, 12):
         assert (1 + 1 / (l - 1)) ** (l - 1) <= math.e + 1e-12
-        rows = {r.provenance: r for r in bound_eval(f"C{2 * l}", 2 * l, include_construction=False)}
+        rows = {r.provenance: r for r in bound_eval(f"C{2 * l}", 2 * l)}
         assert rows["long_even_cycle_upper"].value <= math.e * (1.0) ** l + 1e-9
 
 
@@ -322,3 +323,24 @@ def test_optimizer_matches_reference_climb(monkeypatch):
         for family in families:
             for m in [*range(61), 90, 95, 130]:
                 assert optimize_part_sizes(family, m) == reference_optimize(family, m), (family, m)
+
+
+def test_sandwich_labels_a_graph6_pattern_twice(monkeypatch):
+    # once for the family name, shared by the report and the bound rows,
+    # and once in rho_exact; every module that holds canonical_form is
+    # patched, so a call from any layer is counted
+    label = canonical_label(parse_graph6("Dhc"))
+    calls = []
+    form = kernels.canonical_form
+
+    def counting_form(g):
+        calls.append(g)
+        return form(g)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("edgeind") and \
+                getattr(module, "canonical_form", None) is form:
+            monkeypatch.setattr(module, "canonical_form", counting_form)
+    report = verify_sandwich("Dhc", 6)
+    assert report["pass"] and report["family"] == label
+    assert len(calls) <= 2, len(calls)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, blowups, canonical_label,
                      cli, kernels, search, write_graph6)
-from edgeind.families import family_graph
+from edgeind.graph import family_graph
 from edgeind import entropy as ent
 from edgeind.cli import dispatch
 
@@ -332,7 +332,7 @@ def test_cold_searches_import_neither_entropy_nor_the_pool(request):
         "code = dispatch(sys.argv[1:], io.StringIO(), io.StringIO())\n"
         "print(code, kernels.BACKEND, *[name for name in ('edgeind.entropy',"
         " 'concurrent.futures', 'edgeind._kernels_py', 'dataclasses') if name in sys.modules])\n"
-        "print(*[name for name in ('edgeind.blowups', 'edgeind.fracind', 'edgeind.families')"
+        "print(*[name for name in ('edgeind.blowups', 'edgeind.fracind')"
         " if name in sys.modules])\n"
         "from edgeind import ClaimLedger, BlowupSpec, alpha_f\n"
         "print(ClaimLedger.__module__, BlowupSpec.__module__, alpha_f.__module__)\n"
@@ -354,7 +354,7 @@ def test_cold_searches_import_neither_entropy_nor_the_pool(request):
         assert code == "0"
         assert loaded == ([] if backend == "c" else ["edgeind._kernels_py"]), argv
         sandwich = argv[0] == "sandwich"
-        assert lines[1].split() == (["edgeind.blowups", "edgeind.fracind", "edgeind.families"]
+        assert lines[1].split() == (["edgeind.blowups", "edgeind.fracind"]
                                     if sandwich else []), argv
         assert lines[2:] == ["edgeind.entropy edgeind.blowups edgeind.fracind", ""], argv
 

@@ -1,0 +1,48 @@
+"""The import layering of the package, read from its source with ast:
+every import of a package module counts, function-level ones included."""
+
+import ast
+import os
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "edgeind")
+MODULES = {os.path.splitext(name)[0] for name in os.listdir(PACKAGE)
+           if name.endswith((".py", ".c"))}
+
+
+def _imported(node):
+    """Names of the package modules an import node can load."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("edgeind.")}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    parts = (node.module or "").split(".")
+    if node.level == 0:
+        if parts[0] != "edgeind":
+            return set()
+        parts = parts[1:]
+    if parts and parts[0]:
+        return {parts[0]}
+    return {alias.name for alias in node.names}  # from . import kernels
+
+
+def package_imports(module):
+    with open(os.path.join(PACKAGE, module + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        found |= _imported(node)
+    return found & MODULES
+
+
+def test_import_layers():
+    assert package_imports("graph") == set()
+    assert package_imports("search") <= {"graph", "kernels"}
+    assert package_imports("blowups") <= {"graph", "kernels", "fracind", "search"}
+    assert package_imports("entropy") <= {"graph", "kernels"}
+
+
+def test_import_scan_sees_function_level_imports():
+    assert {"fracind", "blowups", "entropy"} <= package_imports("cli")
+    assert "families" not in MODULES

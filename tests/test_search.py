@@ -509,6 +509,18 @@ def test_sandwich_examples():
     assert rep["lower"] == 2 and rep["pass"]
 
 
+def test_scan_skips_aut_when_no_host_holds_a_copy(monkeypatch):
+    # |Aut| of a star is factorial to count; at m = 5 no host holds K_{1,13},
+    # so the scan must not ask for it
+    def refuse(g):
+        raise AssertionError("automorphism_order called")
+
+    monkeypatch.setattr(search, "automorphism_order", refuse)
+    r = rho_exact(complete_bipartite(1, 13), 5)
+    assert r.rho == 0 and r.classes_scanned == 26
+    assert r.extremal == search._level(5) and not r.truncated
+
+
 def test_star_law():
     star_labels = {m: canonical_label(complete_bipartite(1, m)) for m in range(1, 7)}
     for m in range(1, 7):
