@@ -20,7 +20,8 @@ cells that changed (``kernels.canonical_form``).
 
 The maximum induced-copy count over a level, with all maximizers kept as
 canonical certificates, is the exact value that ``blowups.verify_sandwich``
-holds between the construction and the closed-form bounds.  A scan is one kernel call over the level's labels.
+holds between the construction and the closed-form bounds.  A scan is one
+kernel call over the level's labels.
 
 A store directory (the CLI's ``--cache-dir``) keeps levels, not results:
 level m is the file ``level-<m>-v<GENERATOR_VERSION>.g6``, its sorted
@@ -290,4 +291,3 @@ def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
     rho, maximizers, scanned = _scan(_level(m, shards, cache_dir), parse_graph6(pattern_label))
     return SearchResult(pattern_label, m, rho, tuple(maximizers[:max_certificates]),
                         len(maximizers) > max_certificates, scanned)
-
