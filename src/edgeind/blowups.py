@@ -117,53 +117,48 @@ def lower_bound_construction(h: Graph, m: int) -> BlowupSpec:
 # -- part-size optimizer ------------------------------------------------
 
 
-def _seed_specs(kind, k, pattern, m):
-    seeds = []
+def _family(family, m):
+    """``(kind, arg, pattern)``: the parsed family and its pattern.  A
+    negative budget, a malformed family and a pattern with no vertices or
+    an isolated vertex raise ValueError here, before any other work."""
+    if m < 0:
+        raise ValueError("edge budget must be nonnegative")
+    kind, arg = parse_family(family)
+    pattern = family_graph((kind, arg))
+    if pattern.n == 0 or pattern.isolated_vertices():
+        raise ValueError("pattern must have no isolated vertices")
+    return kind, arg, pattern
+
+
+def _templates(kind, k, pattern, m):
+    """``(base, starts)``: the one graph every seed template of the family
+    blows up, and the templates' part sizes before clipping to the budget."""
     if kind == "C" and k == 4:
-        base = Graph.complete(2)
         r = math.isqrt(m)
-        seeds.append(BlowupSpec(base, (r, r)))
-        for a in range(1, math.isqrt(m) + 1):
-            seeds.append(BlowupSpec(base, (a, m // a)))
-    elif kind == "C":
-        base = Graph.cycle(k)
-        t = math.isqrt(m // k) if m >= k else 0
-        seeds.append(BlowupSpec(base, (t,) * k))
-        seeds.append(BlowupSpec(base, (t + 1,) * k))
-        seeds.append(BlowupSpec(base, (1,) * k))
+        return Graph.complete(2), [(r, r)] + [(a, m // a) for a in range(1, r + 1)]
+    if kind == "C":
+        t = math.isqrt(m // k)
+        starts = [(t,) * k, (t + 1,) * k, (1,) * k]
         if k % 2 == 0:
-            for lam in range(1, math.isqrt(max(m // k, 0)) + 1):
+            for lam in range(1, t + 1):
                 mu = m // (k * lam)
-                sizes = tuple(lam if i % 2 == 0 else mu for i in range(k))
-                seeds.append(BlowupSpec(base, sizes))
-    elif kind == "P" and k == 3:
-        base = Graph.path(3)
-        seeds.append(BlowupSpec(base, (m - m // 2, 1, m // 2)))
-        seeds.append(BlowupSpec(base, (m, 1, 0)))
-    elif kind == "P" and k % 2 == 0:
-        base = Graph.cycle(k + 1)
-        t = math.isqrt(m // (k + 1)) if m >= k + 1 else 0
-        seeds.append(BlowupSpec(base, (t,) * (k + 1)))
-        seeds.append(BlowupSpec(base, (t + 1,) * (k + 1)))
-        seeds.append(BlowupSpec(base, (1,) * (k + 1)))
-    elif kind == "P":
-        base = Graph.path(k)
+                starts.append(tuple(lam if i % 2 == 0 else mu for i in range(k)))
+        return Graph.cycle(k), starts
+    if kind == "P" and k == 3:
+        return Graph.path(3), [(m - m // 2, 1, m // 2), (m, 1, 0)]
+    if kind == "P" and k % 2 == 0:
+        t = math.isqrt(m // (k + 1))
+        return Graph.cycle(k + 1), [(t,) * (k + 1), (t + 1,) * (k + 1), (1,) * (k + 1)]
+    if kind == "P":
+        starts = [(1,) * k]
         for c in (m // (k + 1), m // (k + 1) + 1):
-            sizes = []
-            for i in range(k):
-                if i % 2 == 1:
-                    sizes.append(1)
-                elif i == 0 or i == k - 1:
-                    sizes.append(2 * c)
-                else:
-                    sizes.append(c)
-            seeds.append(BlowupSpec(base, tuple(sizes)))
-        seeds.append(BlowupSpec(base, tuple(1 for _ in range(k))))
-    elif pattern.m > m:  # no copy fits, so no weighting (and no warning) is needed
-        seeds.append(BlowupSpec(pattern, (0,) * pattern.n))
-    else:
-        seeds.append(lower_bound_construction(pattern, m))
-    return seeds
+            sizes = [1 if i % 2 else c for i in range(k)]
+            sizes[0] = sizes[-1] = 2 * c
+            starts.append(tuple(sizes))
+        return Graph.path(k), starts
+    if pattern.m > m:  # no copy fits, so no weighting (and no warning) is needed
+        return pattern, [(0,) * pattern.n]
+    return pattern, [lower_bound_construction(pattern, m).sizes]
 
 
 def _within(base, m):
@@ -180,12 +175,12 @@ def _within(base, m):
 
 
 def _clip(sizes, fits):
-    """Shrink parts (largest first) until the sizes fit."""
+    """Shrink parts (largest first) until the sizes fit.  The zero vector
+    fits every budget m >= 0, so a vector that does not fit has a positive
+    largest part."""
     sizes = list(sizes)
-    while sizes and not fits(sizes):
+    while not fits(sizes):
         i = max(range(len(sizes)), key=lambda j: (sizes[j], j))
-        if sizes[i] == 0:
-            break
         sizes[i] -= 1
     return tuple(sizes)
 
@@ -297,21 +292,13 @@ def _optimize(family, m):
     """``(spec, pattern, score)``: the spec ``optimize_part_sizes`` returns,
     the family's pattern and the scorer of the spec's base and that
     pattern."""
-    if m < 0:
-        raise ValueError("edge budget must be nonnegative")
-    kind, arg = parse_family(family)
-    pattern = family_graph(family)
-    if pattern.isolated_vertices():
-        raise ValueError("pattern must have no isolated vertices")
-    k = arg if kind != "H" else None
-    seeds = _seed_specs(kind, k, pattern, m)
-    base = seeds[0].base  # every template of a family blows up one base graph
+    kind, arg, pattern = _family(family, m)
+    base, starts = _templates(kind, arg, pattern, m)
     score = _scorer(base, pattern)
     if pattern.m > m:
         return BlowupSpec(base, (0,) * base.n), pattern, score
     fits = _within(base, m)
-    starts = [_clip(s.sizes, fits) for s in seeds]
-    climbed = [_climb(s, score, base, m) for s in starts if fits(s)]
+    climbed = [_climb(_clip(s, fits), score, base, m) for s in starts]
     return BlowupSpec(base, min(climbed, key=lambda s: (-score(s), s))), pattern, score
 
 
@@ -454,11 +441,8 @@ def _closed_form(family, m):
     """``(name, pattern, rows)``: the family's name and pattern and every
     applicable closed-form bound row.  The pattern is labelled once, for
     its name."""
-    if m < 0:
-        raise ValueError("edge budget must be nonnegative")
-    family = parse_family(family)
-    kind, arg = family
-    name = family_name(family)
+    kind, arg, pattern = _family(family, m)
+    name = family_name((kind, arg))
     rows = []
     if kind == "P":
         if arg < 3:
@@ -468,9 +452,6 @@ def _closed_form(family, m):
         if arg < 4:
             raise ValueError("cycle bounds start at C4; triangles are clique counting")
         rows.extend(_cycle_bounds(arg, m, name))
-    pattern = family_graph(family)
-    if pattern.isolated_vertices():
-        raise ValueError("pattern must have no isolated vertices")
     aut = automorphism_order(pattern)
     rows.append(BoundValue(
         name, m, "fractional_independence_upper",

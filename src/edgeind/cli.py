@@ -27,7 +27,7 @@ from functools import lru_cache
 from . import __version__
 from .graph import Graph, Graph6Error, parse_graph6, write_graph6
 from .search import CeilingError, rho_exact
-from .kernels import BACKEND, canonical_form, count_induced, enumerate_ordered
+from .kernels import BACKEND, count_induced, count_ordered, enumerate_ordered
 
 CACHE_ENV = "EDGEIND_CACHE_DIR"
 
@@ -248,14 +248,14 @@ def _cmd_rho(args):
 
 
 def _cmd_bound(args):
-    from .blowups import bound_eval, effective_upper, family_name
+    from .blowups import bound_eval, effective_upper
 
     rows = bound_eval(args.family, args.m)
     outputs = {
         "bounds": [r.to_json() for r in rows],
         "effective_upper": effective_upper(rows).to_json(),
     }
-    return {"family": family_name(args.family), "m": args.m}, outputs, 0
+    return {"family": rows[0].family, "m": args.m}, outputs, 0
 
 
 def _cmd_construct(args):
@@ -274,8 +274,9 @@ def _cmd_construct(args):
 
 
 def _is_shape(pattern, shape):
-    """Whether the pattern is the shape up to relabelling."""
-    return canonical_form(pattern).label == canonical_form(shape).label
+    """Whether the pattern is the shape up to relabelling: on as many
+    vertices, an induced copy of the shape is an isomorphism."""
+    return pattern.n == shape.n and count_ordered(pattern, shape) > 0
 
 
 def _entropy_verify(args):

@@ -204,10 +204,10 @@ def _level(m, shards=1, store=None):
     their canonical labels.  A level is taken once per process: from the
     store directory, if one is given and holds it as
     ``level-<m>-v<GENERATOR_VERSION>.g6``, or else grown from level m-1
-    (level 0 holds the empty graph) and then saved there.  With shards > 1
-    the parents of a grown level are cut into k = min(shards, CPUs,
-    parents) interleaved slices; this process grows the first and a forked
-    child each of the others, so sharding needs ``os.fork`` (ValueError
+    (level 0 holds the empty graph) and then saved there.  The parents of
+    a grown level are cut into k = min(shards, CPUs, parents) interleaved
+    slices, at least one; this process grows the first and a forked child
+    each of the others, so shards > 1 needs ``os.fork`` (ValueError
     without it).  A grown level within CLASS_COUNTS that does not have
     exactly that many classes raises RuntimeError and is not saved."""
     if m < 0:
@@ -223,11 +223,8 @@ def _level(m, shards=1, store=None):
             found = {write_graph6(Graph.empty(0))}
         else:
             parents = _level(m - 1, store=store)
-            k = min(shards, os.cpu_count() or 1, len(parents))
-            if k <= 1:
-                found = _grow(parents)
-            else:
-                found = _grow_sharded([parents[i::k] for i in range(k)])
+            k = min(max(shards, 1), os.cpu_count() or 1, len(parents))
+            found = _grow_sharded([parents[i::k] for i in range(k)])
         if m < len(CLASS_COUNTS) and len(found) != CLASS_COUNTS[m]:
             raise RuntimeError(f"level {m} has {len(found)} classes, expected "
                                f"{CLASS_COUNTS[m]} (OEIS A000664)")

@@ -724,10 +724,9 @@ def reference_optimize(family, m):
 
     kind, arg = parse_family(family)
     pattern = family_graph(family)
-    seeds = blowups._seed_specs(kind, arg if kind != "H" else None, pattern, m)
-    base = seeds[0].base
+    base, seeds = blowups._templates(kind, arg, pattern, m)
     fits = blowups._within(base, m)
-    starts = [blowups._clip(s.sizes, fits) for s in seeds]
+    starts = [blowups._clip(s, fits) for s in seeds]
     score = blowups._scorer(base, pattern)
     climbed = [reference_climb(s, score, fits) for s in starts if fits(s)]
     return blowups.BlowupSpec(base, max(climbed, key=lambda s: _rank(s, score)))

@@ -325,6 +325,43 @@ def test_optimizer_matches_reference_climb(monkeypatch):
                 assert optimize_part_sizes(family, m) == reference_optimize(family, m), (family, m)
 
 
+def test_empty_pattern_is_rejected_before_any_work(monkeypatch):
+    def no_work(base, pattern):
+        raise AssertionError("map_profile reached")
+
+    monkeypatch.setattr(blowups, "map_profile", no_work)
+    for run in (optimize_part_sizes, construction, bound_eval, verify_sandwich):
+        with pytest.raises(ValueError, match="^pattern must have no isolated vertices$"):
+            run("?", 5)
+
+
+def clebsch():
+    """The Clebsch graph as the folded 5-cube: vertices 0..15, adjacent
+    when they differ in 1 or 4 bits."""
+    return Graph.from_edges(16, [(u, v) for u, v in combinations(range(16), 2)
+                                 if (u ^ v).bit_count() in (1, 4)])
+
+
+def test_clebsch_blowups_beat_the_c5_blowup(backends, monkeypatch):
+    # the balanced blow-up with parts of t has m = 40 t^2 edges and holds
+    # 192 t^5 = (3 sqrt(2) / 4) (m / 5) ** (5 / 2) induced C5, above the
+    # conjectured cycle_blowup_value (m / 5) ** (5 / 2), and 0.3 m^2 P4
+    g = clebsch()
+    assert g.m == 40 and {g.degree(v) for v in range(16)} == {5}
+    doubled = blow_up(BlowupSpec(g, (2,) * 16))
+    assert doubled.m == 160
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        for host, c5, p4 in ((g, 192, 480), (doubled, 6144, 7680)):
+            assert count_induced(host, Graph.cycle(5)).unordered == c5
+            assert count_induced(host, Graph.path(4)).unordered == p4
+    assert 192 ** 2 * 5 ** 5 == 115_200_000 > 40 ** 5 == 102_400_000
+    for t in range(1, 5):
+        assert closed_form(BlowupSpec(g, (t,) * 16), Graph.cycle(5)) == 192 * t ** 5
+    row, = [r for r in bound_eval("C5", 40) if r.provenance == "cycle_blowup_value"]
+    assert row.kind == "conjectured" and row.value < 192
+
+
 def test_sandwich_labels_a_graph6_pattern_twice(monkeypatch):
     # once for the family name, shared by the report and the bound rows,
     # and once in rho_exact; every module that holds canonical_form is

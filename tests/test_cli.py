@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, blowups, canonical_label,
-                     cli, kernels, search, write_graph6)
+                     cli, kernels, parse_graph6, search, write_graph6)
 from edgeind.graph import family_graph
 from edgeind import entropy as ent
 from edgeind.cli import dispatch
@@ -204,6 +204,50 @@ def test_entropy_modes(tmp_path):
     assert csv_path.read_text().startswith("edge,")
     code, out, _ = run(["entropy", "--host", C6, "--pattern", C6, "--verify", "c6"])
     assert code == 0
+
+
+def count_labellings(monkeypatch):
+    """Wrap every loaded edgeind module's ``canonical_form`` so that each
+    call, from any layer, is recorded; returns the list of graphs labelled."""
+    calls = []
+    form = kernels.canonical_form
+
+    def counting_form(g):
+        calls.append(g)
+        return form(g)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("edgeind") and \
+                getattr(module, "canonical_form", None) is form:
+            monkeypatch.setattr(module, "canonical_form", counting_form)
+    return calls
+
+
+def test_shape_checks_label_nothing(monkeypatch):
+    # a pattern is the path or cycle when it has as many vertices and holds
+    # an induced copy of it; the claw has P4's counts, 2C3 C6's
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    cases = [(Graph.path(5), "path", 0), (Graph.cycle(6), "claim1", 0), (Graph.cycle(6), "c6", 0),
+             (complete_bipartite(1, 3), "path", 2), (Graph.cycle(5), "path", 2),
+             (two_triangles, "claim1", 2), (Graph.path(6), "claim1", 2),
+             (Graph.path(6), "c6", 2), (two_triangles, "c6", 2)]
+    calls = count_labellings(monkeypatch)
+    for pattern, mode, expected in cases:
+        code, _, err = run(["entropy", "--host", C6, "--pattern", write_graph6(pattern),
+                            "--verify", mode])
+        assert code == expected, (mode, err)
+        assert bool(err.startswith("error:")) == bool(expected), err
+    assert calls == []
+
+
+def test_bound_labels_a_graph6_pattern_once(monkeypatch):
+    # bound_eval names the family for its rows, and the report's inputs
+    # read that name back from them
+    label = canonical_label(parse_graph6("Dhc"))
+    calls = count_labellings(monkeypatch)
+    code, out, _ = run(["bound", "--family", "Dhc", "-m", "6"])
+    assert code == 0 and json.loads(out)["inputs"]["family"] == label
+    assert len(calls) == 1, len(calls)
 
 
 def with_a_flagged_row(ledger):
