@@ -7,13 +7,14 @@ generation, and every {0, 1/2, 1} assignment instead of a matching."""
 import io
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial, gcd
 
-from edgeind import Graph, canonical_label
+from edgeind import Graph, canonical_label, kernels
 
 
 def naive_count_ordered(g: Graph, h: Graph) -> int:
@@ -730,3 +731,20 @@ def reference_optimize(family, m):
     score = blowups._scorer(base, pattern)
     climbed = [reference_climb(s, score, fits) for s in starts if fits(s)]
     return blowups.BlowupSpec(base, max(climbed, key=lambda s: _rank(s, score)))
+
+
+def count_labellings(monkeypatch):
+    """Wrap every loaded edgeind module's ``canonical_form`` so that each
+    call, from any layer, is recorded; returns the list of graphs labelled."""
+    calls = []
+    form = kernels.canonical_form
+
+    def counting_form(g):
+        calls.append(g)
+        return form(g)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("edgeind") and \
+                getattr(module, "canonical_form", None) is form:
+            monkeypatch.setattr(module, "canonical_form", counting_form)
+    return calls

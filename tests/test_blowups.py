@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +29,7 @@ from edgeind import (
 from edgeind.blowups import map_profile
 from edgeind.graph import family_graph
 
-from helpers import complete_bipartite, reference_optimize, without_isolated
+from helpers import complete_bipartite, count_labellings, reference_optimize, without_isolated
 
 
 def test_blowup_examples():
@@ -367,17 +366,7 @@ def test_sandwich_labels_a_graph6_pattern_twice(monkeypatch):
     # and once in rho_exact; every module that holds canonical_form is
     # patched, so a call from any layer is counted
     label = canonical_label(parse_graph6("Dhc"))
-    calls = []
-    form = kernels.canonical_form
-
-    def counting_form(g):
-        calls.append(g)
-        return form(g)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("edgeind") and \
-                getattr(module, "canonical_form", None) is form:
-            monkeypatch.setattr(module, "canonical_form", counting_form)
+    calls = count_labellings(monkeypatch)
     report = verify_sandwich("Dhc", 6)
     assert report["pass"] and report["family"] == label
     assert len(calls) <= 2, len(calls)

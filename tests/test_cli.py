@@ -19,7 +19,7 @@ from edgeind.graph import family_graph
 from edgeind import entropy as ent
 from edgeind.cli import dispatch
 
-from helpers import complete_bipartite, json_report_oracle
+from helpers import complete_bipartite, count_labellings, json_report_oracle
 
 C5 = write_graph6(Graph.cycle(5))
 C6 = write_graph6(Graph.cycle(6))
@@ -206,26 +206,9 @@ def test_entropy_modes(tmp_path):
     assert code == 0
 
 
-def count_labellings(monkeypatch):
-    """Wrap every loaded edgeind module's ``canonical_form`` so that each
-    call, from any layer, is recorded; returns the list of graphs labelled."""
-    calls = []
-    form = kernels.canonical_form
-
-    def counting_form(g):
-        calls.append(g)
-        return form(g)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("edgeind") and \
-                getattr(module, "canonical_form", None) is form:
-            monkeypatch.setattr(module, "canonical_form", counting_form)
-    return calls
-
-
 def test_shape_checks_label_nothing(monkeypatch):
     # a pattern is the path or cycle when it has as many vertices and holds
-    # an induced copy of it; the claw has P4's counts, 2C3 C6's
+    # an induced copy of it; the claw has P4's vertex and edge counts, 2C3 C6's
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     cases = [(Graph.path(5), "path", 0), (Graph.cycle(6), "claim1", 0), (Graph.cycle(6), "c6", 0),
              (complete_bipartite(1, 3), "path", 2), (Graph.cycle(5), "path", 2),
