@@ -309,17 +309,19 @@ KERNEL_CHECK_COPIES = 10 ** 7
 
 
 def construction(family, m: int):
-    """``(spec, count)``: the blow-up ``optimize_part_sizes`` finds and its
-    induced-copy count from the closed form.  While the ordered count
-    (count times |Aut H|) is at most ``KERNEL_CHECK_COPIES`` the kernel
-    counts the realized graph as well, and a mismatch raises."""
+    """``(spec, count, graph)``: the blow-up ``optimize_part_sizes`` finds,
+    its induced-copy count from the closed form and the realized graph (at
+    most 64 vertices).  While the ordered count (count times |Aut H|) is at
+    most ``KERNEL_CHECK_COPIES`` the kernel counts that graph as well, and
+    a mismatch raises."""
     spec, pattern, score = _optimize(family, m)
     count = score(spec.sizes)
+    graph = blow_up(spec)
     if count * automorphism_order(pattern) <= KERNEL_CHECK_COPIES:
-        kernel = count_induced(blow_up(spec), pattern).unordered
+        kernel = count_induced(graph, pattern).unordered
         if kernel != count:
             raise AssertionError(f"closed form {count} != kernel count {kernel} for {spec}")
-    return spec, count
+    return spec, count, graph
 
 
 def _priced_moves(sizes, total, edges, nsum, adj, m):
@@ -464,7 +466,7 @@ def bound_eval(family, m: int):
     found (``construction``); the effective upper bound is the minimum over
     rows of kind "upper"/"exact"."""
     name, _, rows = _closed_form(family, m)
-    _, count = construction(family, m)
+    count = construction(family, m)[1]
     rows.append(BoundValue(name, m, "construction_lower", float(count), "lower"))
     return rows
 
@@ -486,8 +488,8 @@ class SandwichError(RuntimeError):
         self.violated = violated
 
 
-def verify_sandwich(family, m: int, *, ceiling=search.DEFAULT_CEILING, shards=1,
-                    max_certificates=1000, cache_dir=None) -> dict:
+def verify_sandwich(family, m: int, *, shards=1, max_certificates=1000,
+                    cache_dir=None) -> dict:
     """Check construction lower bound <= exact value <= tightest closed-form
     upper bound.  A violation raises SandwichError naming the bound: this
     is the regression alarm for the whole package."""
@@ -495,9 +497,9 @@ def verify_sandwich(family, m: int, *, ceiling=search.DEFAULT_CEILING, shards=1,
     # rho_exact first: above the ceiling it raises before doing any work.
     # It is looked up on the module at call time, so a wrapper set there
     # sees the call.
-    exact = search.rho_exact(pattern, m, ceiling=ceiling, shards=shards,
+    exact = search.rho_exact(pattern, m, shards=shards,
                              max_certificates=max_certificates, cache_dir=cache_dir)
-    spec, lower = construction(family, m)
+    spec, lower, _ = construction(family, m)
     upper_row = effective_upper(rows)
     report = {
         "family": name,

@@ -210,13 +210,12 @@ def _cache(args):
 
 
 def _cmd_alphaf(args):
-    from .fracind import alpha_f, optimal_weighting
+    from .fracind import optimal_weighting
 
     g = args.graph
     weighting, decomposition = optimal_weighting(g)
-    value = alpha_f(g)
     outputs = {
-        "alpha_f": str(value),
+        "alpha_f": str(weighting.total),
         "weights": {str(v): h / 2 for v, h in enumerate(weighting.half_units)},
         "weight_one": list(decomposition.A),
         "weight_zero": list(decomposition.B),
@@ -259,10 +258,9 @@ def _cmd_bound(args):
 
 
 def _cmd_construct(args):
-    from .blowups import blow_up, construction, family_name
+    from .blowups import construction, family_name
 
-    spec, count = construction(args.family, args.m)
-    realized = blow_up(spec)
+    spec, count, realized = construction(args.family, args.m)
     outputs = {
         "spec": spec.to_json(),
         "vertices": realized.n,

@@ -4,19 +4,18 @@ automorphism-group order and the one-edge growth of a search level.  The
 tuple statistics of the entropy proofs (well-ordered and characterizing
 edge tuples, the alpha/beta/gamma counts) live in ``edgeind.entropy``.
 
-At import time the compiled C extension ``edgeind._kernels`` (backend
-``"c"``) is preferred; the pure-Python twin ``edgeind._kernels_py``
-(backend ``"pure"``) is used when the extension was not built or when the
-environment variable ``EDGEIND_PURE`` is set.  Graphs above 64 vertices,
-and parents whose extensions could exceed 64 vertices, always take the
-pure twin, because the C code packs a neighborhood into one machine word.
-The pure twin is imported only when one of these needs it, so a process
-on the compiled backend that stays within 64 vertices never loads it.
+The twin is chosen only from what the process observes.  The compiled C
+extension ``edgeind._kernels`` (backend ``"c"``) is used when it imports;
+the pure-Python twin ``edgeind._kernels_py`` (backend ``"pure"``) is used
+when the extension was not built.  Graphs above 64 vertices, and parents
+whose extensions could exceed 64 vertices, always take the pure twin,
+because the C code packs a neighborhood into one machine word.  The pure
+twin is imported only when one of these needs it, so a process on the
+compiled backend that stays within 64 vertices never loads it.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -29,13 +28,10 @@ def _pure():
     return _kernels_py
 
 
-if os.environ.get("EDGEIND_PURE"):
+try:
+    from . import _kernels as _impl  # type: ignore[attr-defined]
+except ImportError:
     _impl = _pure()
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _pure()
 
 BACKEND = _impl.BACKEND
 

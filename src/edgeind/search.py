@@ -45,7 +45,7 @@ from .graph import Graph, parse_graph6, write_graph6
 from .kernels import automorphism_order, canonical_form
 from . import kernels
 
-DEFAULT_CEILING = 14
+DEFAULT_CEILING = 14  # the largest search budget, read at each call
 GENERATOR_VERSION = "1"
 
 
@@ -235,13 +235,13 @@ def _level(m, shards=1, store=None):
     return level
 
 
-def enumerate_m_edge_graphs(m, ceiling=DEFAULT_CEILING):
+def enumerate_m_edge_graphs(m):
     """An iterator over one canonical representative per isomorphism class
     of graphs with m edges and no isolated vertices, each decoded from its
     label as it is reached.  A bad budget raises here, not on first
     iteration."""
-    if m > ceiling:
-        raise CeilingError(m, ceiling, estimated_class_count(m))
+    if m > DEFAULT_CEILING:
+        raise CeilingError(m, DEFAULT_CEILING, estimated_class_count(m))
     return map(parse_graph6, _level(m))
 
 
@@ -267,8 +267,8 @@ def _scan(level, pattern: Graph):
     return top // aut, list(compress(level, map(top.__eq__, counts))), len(counts)
 
 
-def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
-              max_certificates=1000, cache_dir=None) -> SearchResult:
+def rho_exact(pattern: Graph, m: int, *, shards=1, max_certificates=1000,
+              cache_dir=None) -> SearchResult:
     """Exact maximum induced-copy count of the pattern over all hosts with
     exactly m edges, with every maximizer retained as a certificate
     (capped, sorted by canonical label).  Deterministic: the result is
@@ -280,8 +280,8 @@ def rho_exact(pattern: Graph, m: int, *, ceiling=DEFAULT_CEILING, shards=1,
         raise ValueError("edge budget must be nonnegative")
     if max_certificates < 0:
         raise ValueError("certificate cap must be nonnegative")
-    if m > ceiling:
-        raise CeilingError(m, ceiling, estimated_class_count(m))
+    if m > DEFAULT_CEILING:
+        raise CeilingError(m, DEFAULT_CEILING, estimated_class_count(m))
     pattern_label = canonical_form(pattern).label
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)  # an unusable path fails before the search

@@ -176,6 +176,19 @@ def test_range_errors():
         bound_eval("P2", 5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: blow_up(BlowupSpec(Graph.path(2), (1,))), "one size per base vertex"),
+    (lambda: blow_up(BlowupSpec(Graph.path(2), (1, -1))), "part sizes must be nonnegative"),
+    (lambda: blow_up(BlowupSpec(Graph.path(2), (65, 64))),
+     "blow-up on 129 vertices exceeds the 128-vertex limit"),
+    (lambda: lower_bound_construction(Graph.from_edges(3, [(0, 1)]), 5),
+     "pattern must have no isolated vertices"),
+])
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_construction_lower_row_included():
     rows = {r.provenance: r for r in bound_eval("C5", 20)}
     assert rows["construction_lower"].kind == "lower"
@@ -287,8 +300,9 @@ def test_construction_recount_catches_a_wrong_closed_form(monkeypatch):
     for (family, _), (_, _, count) in PINNED_SPECS.items():
         aut = automorphism_order(family_graph(family))
         assert count * aut <= blowups.KERNEL_CHECK_COPIES, family
-    spec, count = construction("C5", 20)
-    assert count == count_induced(blow_up(spec), Graph.cycle(5)).unordered
+    spec, count, graph = construction("C5", 20)
+    assert graph == blow_up(spec)
+    assert count == count_induced(graph, Graph.cycle(5)).unordered
     scorer = blowups._scorer
     monkeypatch.setattr(blowups, "_scorer",
                         lambda base, pattern: lambda sizes: scorer(base, pattern)(sizes) + 1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, blowups, canonical_label,
-                     cli, kernels, parse_graph6, search, write_graph6)
+                     cli, fracind, kernels, parse_graph6, rho_exact, search, write_graph6)
 from edgeind.graph import family_graph
 from edgeind import entropy as ent
 from edgeind.cli import dispatch
@@ -182,7 +182,7 @@ def test_pinned_constructions_keep_their_kernel_recount():
                for argv in pinned if "--family" in argv}
     assert len(budgets) == 9
     for family, m in budgets:
-        _, count = blowups.construction(family, m)
+        _, count, _ = blowups.construction(family, m)
         aut = automorphism_order(family_graph(family))
         assert count * aut <= blowups.KERNEL_CHECK_COPIES, (family, m)
 
@@ -231,6 +231,88 @@ def test_bound_labels_a_graph6_pattern_once(monkeypatch):
     code, out, _ = run(["bound", "--family", "Dhc", "-m", "6"])
     assert code == 0 and json.loads(out)["inputs"]["family"] == label
     assert len(calls) == 1, len(calls)
+
+
+def counted(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call's arguments are recorded;
+    returns the list of recorded argument tuples."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_construct_builds_its_blow_up_once(monkeypatch):
+    # construction builds the graph it recounts, and construct prints it
+    calls = counted(monkeypatch, blowups, "blow_up")
+    code, out, _ = run(["construct", "--family", "C5", "-m", "20"])
+    assert code == 0 and len(calls) == 1, len(calls)
+    outputs = json.loads(out)["outputs"]
+    realized = blow_up(*calls[0])
+    assert outputs["realized"] == write_graph6(realized)
+    assert (outputs["vertices"], outputs["edges"]) == (realized.n, realized.m)
+
+
+def test_alphaf_computes_alpha_f_once(monkeypatch):
+    # the weighting's total is alpha_f: optimal_weighting raises otherwise.
+    # Dhc (C5) has 5 vertices: one call for the whole graph and one per
+    # vertex tried
+    calls = counted(monkeypatch, fracind, "_twice_alpha_f")
+    code, out, _ = run(["alphaf", "Dhc"])
+    assert code == 0 and len(calls) == 6, len(calls)
+    assert json.loads(out)["outputs"]["alpha_f"] == str(fracind.alpha_f(parse_graph6("Dhc")))
+
+
+def test_a_violated_sandwich_exits_1(monkeypatch):
+    # the sandwich is the package's regression alarm: force each side to
+    # fail and check the exit code, the verdict and the rest of the report
+    code, out, _ = run(["sandwich", "--family", "C5", "-m", "8"])
+    assert code == 0
+    passing = json.loads(out)["outputs"]
+    exact = rho_exact(Graph.cycle(5), 8).rho
+    assert passing["exact"] == exact > 0
+
+    def printed(x):
+        return float(f"{x:.12g}")  # report floats keep 12 significant digits
+
+    def forced(**changed):
+        code, out, _ = run(["sandwich", "--family", "C5", "-m", "8"])
+        assert code == 1
+        report = json.loads(out)["outputs"]
+        assert report["pass"] is False
+        assert report.pop("violated") == changed.pop("violated")
+        assert report == {**passing, "pass": False, **changed}
+
+    real_construction = blowups.construction
+
+    def inflated(family, m):
+        spec, _, graph = real_construction(family, m)
+        return spec, exact + 1, graph
+
+    with monkeypatch.context() as patch:
+        patch.setattr(blowups, "construction", inflated)
+        ratios = {**passing["ratios"], "exact_over_lower": printed(exact / (exact + 1))}
+        forced(violated="construction_lower", lower=exact + 1, ratios=ratios)
+
+    real_bounds = blowups._cycle_bounds
+
+    def lowered(k, m, name):
+        return [r._replace(value=float(exact - 1)) if r.kind == "upper" else r
+                for r in real_bounds(k, m, name)]
+
+    monkeypatch.setattr(blowups, "_cycle_bounds", lowered)
+    provenance = "odd_cycle_upper"
+    bounds = [{**r, "value": exact - 1} if r["provenance"] == provenance else r
+              for r in passing["bounds"]]
+    assert bounds != passing["bounds"]
+    ratios = {**passing["ratios"], "upper_over_exact": printed((exact - 1) / exact)}
+    forced(violated=provenance, upper=exact - 1, upper_provenance=provenance,
+           bounds=bounds, ratios=ratios)
 
 
 def with_a_flagged_row(ledger):
@@ -368,8 +450,7 @@ def test_cold_searches_import_neither_entropy_nor_the_pool(request):
         path = str(request.getfixturevalue("built_lib"))
     except pytest.skip.Exception:
         path = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {k: v for k, v in os.environ.items() if k != "EDGEIND_PURE"}
-    env["PYTHONPATH"] = path
+    env = dict(os.environ, PYTHONPATH=path)
     for argv in (["rho", "--pattern", "Bw", "-m", "5"], ["sandwich", "--family", "C5", "-m", "6"],
                  ["--shards", "2", "rho", "--pattern", "Bw", "-m", "6"],
                  ["count", "--host", "Dhc", "--pattern", "Bw"]):
@@ -456,6 +537,10 @@ def test_entropy_empty_support_is_usage_error():
     code, _, err = run(["entropy", "--host", k33, "--pattern", write_graph6(Graph.path(5)), "--verify", "path"])
     assert code == 2
     assert "no induced copy" in err
+    # K_{3,3} has six vertices but no induced C6, so claim1 has no ledger
+    code, out, err = run(["entropy", "--host", k33, "--pattern", C6, "--verify", "claim1"])
+    assert (code, out) == (2, "")
+    assert err == "error: host contains no induced copy of the pattern\n"
 
 
 def test_table_mode():

@@ -67,6 +67,14 @@ def test_every_export_resolves():
     assert edgeind.entropy is ent
 
 
+@pytest.mark.parametrize("name", ["canon", "counting", "families", "ResultCache"])
+def test_removed_names_are_not_served(name):
+    import edgeind
+
+    with pytest.raises(AttributeError, match=f"module 'edgeind' has no attribute '{name}'"):
+        getattr(edgeind, name)
+
+
 def test_projection_entropy_c4_in_k22():
     k22 = complete_bipartite(2, 2)
     dist = CopyDistribution.collect(k22, Graph.cycle(4))
@@ -183,6 +191,44 @@ def test_shearer_cover_validation():
         verify_chain_shearer(dist, covers=[(1, 2), (2, 3)], r=2)
     rep = verify_chain_shearer(dist, covers=drop_one_covers(5), r=4)
     assert rep.passed
+
+
+C5_COPIES = CopyDistribution.collect(Graph.cycle(5), Graph.cycle(5))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ent.EntropyReport()["chain_rule"], KeyError, "chain_rule"),
+    (lambda: verify_chain_shearer(C5_COPIES, ordering=(1, 1, 2, 3, 4)), ValueError,
+     "ordering must permute the coordinates"),
+    (lambda: verify_chain_shearer(C5_COPIES, covers=drop_one_covers(5)), ValueError,
+     "cover family needs the covering multiplicity r"),
+    (lambda: cycle_path_shearer(Graph.cycle(6), 6), ValueError,
+     "odd cycles with at least 5 vertices only"),
+    (lambda: cycle_path_shearer(Graph.cycle(3), 3), ValueError,
+     "odd cycles with at least 5 vertices only"),
+    (lambda: ent.beta_embeddings(Graph.cycle(6), ((0, 1),), Graph.path(3)), ValueError,
+     "beta embeddings are defined for path/cycle families"),
+    (lambda: ent.beta_embeddings(Graph.path(6), ((0, 1), (2, 3), (4, 5)), "P4"), ValueError,
+     "tuple of 3 edges too long for P4"),
+    (lambda: ent.beta_embeddings(Graph.cycle(6), ((0, 1), (3, 2)), "P6"), ValueError,
+     "tuple is neither well-ordered nor cycle-characterizing"),
+    (lambda: verify_path_decomposition(Graph.cycle(5), "C5"), ValueError,
+     "decomposition applies to paths on at least 4 vertices"),
+    (lambda: verify_path_decomposition(Graph.cycle(5), "P3"), ValueError,
+     "decomposition applies to paths on at least 4 vertices"),
+])
+def test_argument_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_cycle_close_defaults_k_to_the_closing_cycle():
+    # two entries of a well-ordered tuple close a C6 with one more edge
+    host, t = Graph.cycle(6), ((0, 1), (2, 3))
+    assert alpha_extension_edges(host, t, "cycle-close") == [(4, 5)]
+    assert alpha_extension_edges(host, t, "cycle-close", 6) == [(4, 5)]
+    with pytest.raises(ValueError, match="cycle-close needs 3 tuple entries for C_8"):
+        alpha_extension_edges(host, t, "cycle-close", 8)
 
 
 def test_cycle_path_shearer_on_blowup():

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from edgeind import Graph, Graph6Error, parse_graph6, write_graph6
+from edgeind.graph import MAX_VERTICES, encode_graph6, parse_family
 
 from helpers import complete_bipartite, random_graph, without_isolated
 
@@ -95,12 +96,32 @@ def test_header_is_stripped():
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(2, (0b10, 0))  # 0 sees 1, 1 does not see 0
     with pytest.raises(ValueError):
         Graph(1, (1,))  # loop
     with pytest.raises(ValueError):
         Graph(129, (0,) * 129)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Graph(2, (0,)), ValueError, "adjacency length does not match"),
+    (lambda: Graph(2, (0b100, 0)), ValueError, "mentions vertices >= 2"),
+    (lambda: Graph.from_edges(2, [(1, 1)]), ValueError, "loop at vertex 1"),
+    (lambda: Graph.cycle(2), ValueError, "cycles need at least 3 vertices"),
+    (lambda: Graph.path(3).induced_subgraph([0, 0]), ValueError, "repeated vertex"),
+    (lambda: encode_graph6([0] * (MAX_VERTICES + 1)), ValueError, "beyond 128 vertices"),
+    (lambda: parse_graph6(""), Graph6Error, "byte 0: empty graph6 string"),
+    (lambda: parse_graph6(">>graph6<<\n"), Graph6Error, "byte 10: empty graph6 string"),
+    (lambda: parse_graph6("~??"), Graph6Error, "byte 3: truncated vertex count"),
+    (lambda: parse_graph6("~~???"), Graph6Error, "byte 1: vertex counts beyond 258047"),
+    (lambda: parse_family("P1"), ValueError, "paths need at least 2 vertices, got P1"),
+    (lambda: parse_family("C2"), ValueError, "cycles need at least 3 vertices, got C2"),
+    (lambda: parse_family(5), ValueError, "unrecognized family descriptor 5"),
+])
+def test_argument_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_relabel_and_induced_subgraph():

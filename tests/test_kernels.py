@@ -256,8 +256,9 @@ def test_kernel_source_compiles_without_warnings(built_lib):
 
 def test_setup_build_compiles_the_extension(built_lib):
     # a compiled extension that silently failed to build would leave the
-    # package on the pure backend; EDGEIND_PURE=1 must select the pure twin
-    # for labelling as well as for counting
+    # package on the pure backend.  No environment variable selects the
+    # twin, so EDGEIND_PURE=1 leaves labelling and counting on the
+    # compiled kernel
     probe = (
         "from edgeind import Graph, canonical_form, kernels, _kernels, _kernels_py\n"
         "g = Graph.cycle(5)\n"
@@ -271,18 +272,11 @@ def test_setup_build_compiles_the_extension(built_lib):
         "kernels.count_ordered(g, Graph.path(3))\n"
         "print(_kernels.BACKEND, kernels.BACKEND, ','.join(calls))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "EDGEIND_PURE"}
-    env["PYTHONPATH"] = str(built_lib)
-    outputs = []
-    for pure in ("", "1"):
-        if pure:
-            env["EDGEIND_PURE"] = pure
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=built_lib,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.split())
-    assert outputs[0] == ["c", "c"]
-    assert outputs[1] == ["c", "pure", "canonical_search,count_ordered"]
+    env = dict(os.environ, PYTHONPATH=str(built_lib), EDGEIND_PURE="1")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=built_lib,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["c", "c"]
 
 
 def test_enumerate_is_sorted_and_injective():
@@ -290,6 +284,17 @@ def test_enumerate_is_sorted_and_injective():
     copies = kernels.enumerate_ordered(g, Graph.path(3))
     assert copies == sorted(copies)
     assert all(len(set(c)) == 3 for c in copies)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kernels.visit_order(Graph.path(3), (1, 1)),
+    lambda: kernels.count_ordered(Graph.cycle(5), Graph.path(3), pins=[(0, 0), (0, 1)]),
+    lambda: kernels.enumerate_ordered(Graph.cycle(5), Graph.path(3), pins=[(2, 0), (2, 3)]),
+])
+def test_argument_errors(call):
+    # a pattern vertex pinned twice, reached from each entry that takes pins
+    with pytest.raises(ValueError, match="repeated pattern vertex in pins"):
+        call()
 
 
 def test_pins_force_prefix():

@@ -27,13 +27,32 @@ def _imported(node):
     return {alias.name for alias in node.names}  # from . import kernels
 
 
-def package_imports(module):
+def _tree(module):
     with open(os.path.join(PACKAGE, module + ".py")) as fh:
-        tree = ast.parse(fh.read())
+        return ast.parse(fh.read())
+
+
+def package_imports(module):
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         found |= _imported(node)
     return found & MODULES
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def reads_environment(module):
+    """Whether the module names ``os.environ`` or ``os.getenv`` (or their
+    bytes forms), as an attribute or a ``from os import``."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT and \
+                isinstance(node.value, ast.Name) and node.value.id == "os":
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and \
+                ENVIRONMENT & {alias.name for alias in node.names}:
+            return True
+    return False
 
 
 def test_import_layers():
@@ -46,3 +65,12 @@ def test_import_layers():
 def test_import_scan_sees_function_level_imports():
     assert {"fracind", "blowups", "entropy"} <= package_imports("cli")
     assert "families" not in MODULES
+
+
+def test_only_the_cli_reads_the_environment():
+    # the kernel twin and the search ceiling follow only what the process
+    # observes and the code says; the store path is the one setting read
+    # from the environment
+    py = sorted(name for name in MODULES
+                if os.path.exists(os.path.join(PACKAGE, name + ".py")))
+    assert [name for name in py if reads_environment(name)] == ["cli"]

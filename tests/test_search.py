@@ -70,12 +70,14 @@ def test_no_duplicates_and_no_isolated():
         assert all(not g.isolated_vertices() and g.m == m for g in reps)
 
 
-def test_ceiling():
+def test_ceiling(monkeypatch):
     with pytest.raises(CeilingError):
         list(enumerate_m_edge_graphs(15))
     assert estimated_class_count(15) > 1476
+    # the ceiling is read at call time, so raising it is one edit of the constant
+    monkeypatch.setattr(search, "DEFAULT_CEILING", 5)
     with pytest.raises(CeilingError, match="roughly 177 isomorphism classes") as exc:
-        list(enumerate_m_edge_graphs(7, ceiling=5))
+        list(enumerate_m_edge_graphs(7))
     assert exc.value.estimate == 177
 
 
@@ -544,3 +546,57 @@ def test_rho_matches_exhaustive_labeled_maximum():
                 best[i] = c
     for i, h in enumerate(patterns):
         assert rho_exact(h, m).rho == best[i]
+
+
+# The exact-value atlas: rho(H, m) and the number of maximizing classes for
+# each of the 51 connected patterns with 2..6 edges, at m <= 10 on the
+# compiled kernel and m <= 7 on the pure twin.  ATLAS_SHA256[top] is the
+# sha256 of the lines "<pattern> <m> <rho> <maximizers>" for m = 1..top,
+# patterns in level order.
+ATLAS_SHA256 = {
+    7: "72bbab058b7c4de9ff0fed27411d91263f95b902c09f62d37e4c1be13991a970",
+    10: "a669f9cc2f1bab3b22ebd333ed12fabe5f2006eab6f6bd570dcfa2894ea43c60",
+}
+
+
+def atlas_digest(patterns, table, top):
+    digest = hashlib.sha256()
+    for label in patterns:
+        for m in range(1, top + 1):
+            digest.update(f"{label} {m} {' '.join(map(str, table[label, m]))}\n".encode())
+    return digest.hexdigest()
+
+
+def test_exact_value_atlas(backends, monkeypatch):
+    patterns = [label for m in range(2, 7) for label in search._level(m)
+                if connected(parse_graph6(label))]
+    assert len(patterns) == 51
+    tables = {}
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        monkeypatch.setattr(search, "_LEVELS", {})
+        top = 7 if backend is _kernels_py else 10
+        table = {(label, 0): (0, 1) for label in patterns}  # the empty host
+        for label in patterns:
+            h = parse_graph6(label)
+            for m in range(1, top + 1):
+                r = rho_exact(h, m, max_certificates=search.CLASS_COUNTS[m])
+                table[label, m] = (r.rho, len(r.extremal))
+        # the oracles that hold for every connected pattern with h.m edges:
+        # one more edge never hurts, disjoint hosts add, and deleting one of
+        # the m edges keeps each copy in all but h.m of the m ways
+        for label in patterns:
+            h = parse_graph6(label)
+            rho = [table[label, m][0] for m in range(top + 1)]
+            for m in range(1, top + 1):
+                assert rho[m] >= rho[m - 1], (label, m)
+                for a in range(1, m):
+                    assert rho[m] >= rho[a] + rho[m - a], (label, a, m - a)
+                if m > h.m:
+                    assert rho[m] * (m - h.m) <= m * rho[m - 1], (label, m)
+        for pinned, digest in ATLAS_SHA256.items():
+            if pinned <= top:
+                assert atlas_digest(patterns, table, pinned) == digest, (backend.BACKEND, pinned)
+        tables[backend.BACKEND] = table
+    if len(tables) == 2:
+        assert tables["pure"].items() <= tables["c"].items()
