@@ -36,7 +36,7 @@ import warnings
 from typing import NamedTuple
 
 from .graph import Graph, MAX_VERTICES, WORD_VERTICES, family_graph, parse_family, write_graph6
-from .kernels import automorphism_order, canonical_label, count_induced, visit_order
+from .kernels import automorphism_order, canonical_label, check_pattern, count_induced, visit_order
 from .fracind import alpha_f, optimal_weighting
 from . import search
 
@@ -101,8 +101,7 @@ def _floor_power(m, e, half_units):
 def lower_bound_construction(h: Graph, m: int) -> BlowupSpec:
     """Blow-up of the pattern with part sizes floor((m/|E|)^w(v)) for an
     optimal half-integral weighting w; realized edge count never exceeds m."""
-    if h.isolated_vertices():
-        raise ValueError("pattern must have no isolated vertices")
+    check_pattern(h)
     e = h.m
     if m < e:
         warnings.warn("edge budget below one edge per pattern edge; construction is empty")
@@ -125,14 +124,16 @@ def _family(family, m):
         raise ValueError("edge budget must be nonnegative")
     kind, arg = parse_family(family)
     pattern = family_graph((kind, arg))
-    if pattern.n == 0 or pattern.isolated_vertices():
-        raise ValueError("pattern must have no isolated vertices")
+    check_pattern(pattern)
     return kind, arg, pattern
 
 
-def _templates(kind, k, pattern, m):
+def _templates(kind, arg, m):
     """``(base, starts)``: the one graph every seed template of the family
-    blows up, and the templates' part sizes before clipping to the budget."""
+    ``(kind, arg)`` blows up, and their part sizes before clipping to m."""
+    if kind == "H":  # when no copy fits, no weighting (and no warning) is needed
+        return arg, [lower_bound_construction(arg, m).sizes if arg.m <= m else (0,) * arg.n]
+    k = arg
     if kind == "C" and k == 4:
         r = math.isqrt(m)
         return Graph.complete(2), [(r, r)] + [(a, m // a) for a in range(1, r + 1)]
@@ -149,16 +150,12 @@ def _templates(kind, k, pattern, m):
     if kind == "P" and k % 2 == 0:
         t = math.isqrt(m // (k + 1))
         return Graph.cycle(k + 1), [(t,) * (k + 1), (t + 1,) * (k + 1), (1,) * (k + 1)]
-    if kind == "P":
-        starts = [(1,) * k]
-        for c in (m // (k + 1), m // (k + 1) + 1):
-            sizes = [1 if i % 2 else c for i in range(k)]
-            sizes[0] = sizes[-1] = 2 * c
-            starts.append(tuple(sizes))
-        return Graph.path(k), starts
-    if pattern.m > m:  # no copy fits, so no weighting (and no warning) is needed
-        return pattern, [(0,) * pattern.n]
-    return pattern, [lower_bound_construction(pattern, m).sizes]
+    starts = [(1,) * k]
+    for c in (m // (k + 1), m // (k + 1) + 1):
+        sizes = [1 if i % 2 else c for i in range(k)]
+        sizes[0] = sizes[-1] = 2 * c
+        starts.append(tuple(sizes))
+    return Graph.path(k), starts
 
 
 def _within(base, m):
@@ -293,7 +290,7 @@ def _optimize(family, m):
     the family's pattern and the scorer of the spec's base and that
     pattern."""
     kind, arg, pattern = _family(family, m)
-    base, starts = _templates(kind, arg, pattern, m)
+    base, starts = _templates(kind, arg, m)
     score = _scorer(base, pattern)
     if pattern.m > m:
         return BlowupSpec(base, (0,) * base.n), pattern, score

@@ -293,7 +293,7 @@ def _entropy_verify(args):
         return report.to_json(), 0 if report.passed else 1
     if args.verify == "shearer":
         dist = ent.CopyDistribution.collect(host, pattern)
-        report = ent.verify_chain_shearer(dist, covers=ent.drop_one_covers(k), r=k - 1)
+        report = ent.verify_chain_shearer(dist, covers=ent.drop_one_covers(k))
         return report.to_json(), 0 if report.passed else 1
     if args.verify == "path":
         if not _is_shape(pattern, Graph.path(k)):

@@ -226,9 +226,10 @@ def full_tuple_identity(dist: CopyDistribution) -> EntropyReport:
     return report
 
 
-def verify_chain_shearer(dist, ordering=None, covers=None, r=None) -> EntropyReport:
+def verify_chain_shearer(dist, ordering=None, covers=None) -> EntropyReport:
     """Chain-rule identity along an ordering (with per-step conditioning
-    drop slacks) and/or the subadditivity inequality for an r-fold cover."""
+    drop slacks) and/or Shearer's inequality for the cover family: r-fold
+    for r the fewest sets covering a coordinate, which must be at least 1."""
     tuples = _support(dist)
     k = len(tuples[0])
     coords = tuple(range(1, k + 1))
@@ -249,12 +250,10 @@ def verify_chain_shearer(dist, ordering=None, covers=None, r=None) -> EntropyRep
         report.add("chain_rule", "identity", h_full, total)
     if covers is not None:
         covers = [tuple(a) for a in covers]
-        if r is None:
-            raise ValueError("cover family needs the covering multiplicity r")
-        for c in coords:
-            if sum(c in a for a in covers) < r:
-                raise ValueError(f"coordinate {c} is covered fewer than {r} times")
-        rhs = sum(projection_entropy(tuples, a) for a in covers) / r
+        multiplicity = [sum(c in a for a in covers) for c in coords]
+        if 0 in multiplicity:
+            raise ValueError(f"coordinate {multiplicity.index(0) + 1} is not covered")
+        rhs = sum(projection_entropy(tuples, a) for a in covers) / min(multiplicity)
         report.add("subadditive_cover", "inequality", h_full, rhs)
     return report
 
@@ -272,7 +271,7 @@ def cycle_path_shearer(host: Graph, k: int) -> EntropyReport:
     if k < 5 or k % 2 == 0:
         raise ValueError("odd cycles with at least 5 vertices only")
     dist = CopyDistribution.collect(host, Graph.cycle(k))
-    report = verify_chain_shearer(dist, covers=drop_one_covers(k), r=k - 1)
+    report = verify_chain_shearer(dist, covers=drop_one_covers(k))
     n_paths = kernels.count_ordered(host, Graph.path(k - 1))
     for omit in range(1, k + 1):
         sub = projection_entropy(dist, tuple(c for c in range(1, k + 1) if c != omit))
@@ -328,20 +327,15 @@ def characterizes_cycle(g: Graph, t) -> bool:
     return _induces(g, [v for e in t for v in e], "C")
 
 
-def alpha_extension_edges(g: Graph, t, mode="path-extend", k=None):
+def alpha_extension_edges(g: Graph, t, mode="path-extend"):
     """Edges e admitting an orientation such that appending e to the tuple
-    is well-ordered ("path-extend") or characterizes an induced C_k
+    is well-ordered ("path-extend") or characterizes an induced C_{2|t|+2}
     ("cycle-close").  At most one orientation can work per edge, so these
     are plain edge sets.  Returns sorted (u, v) pairs with u < v."""
     t = tuple(tuple(e) for e in t)
     if not is_well_ordered(g, t):
         raise ValueError("tuple is not well-ordered")
-    if mode == "cycle-close":
-        if k is None:
-            k = 2 * (len(t) + 1)
-        if k % 2 or len(t) != k // 2 - 1:
-            raise ValueError(f"cycle-close needs {k // 2 - 1} tuple entries for C_{k}")
-    elif mode != "path-extend":
+    if mode not in ("path-extend", "cycle-close"):
         raise ValueError(f"unknown mode {mode!r}")
     return _extension_edges(g.adj, t, mode == "cycle-close")
 
@@ -376,8 +370,8 @@ def _extension_edges(adj, t, close):
     return out
 
 
-def alpha_extensions(g: Graph, t, mode="path-extend", k=None) -> int:
-    return len(alpha_extension_edges(g, t, mode, k))
+def alpha_extensions(g: Graph, t, mode="path-extend") -> int:
+    return len(alpha_extension_edges(g, t, mode))
 
 
 def beta_embeddings(g: Graph, t, family) -> int:
@@ -465,7 +459,8 @@ class _PathColumns:
     holds the i-entry prefix, packed from the one before) and the alpha
     count of each copy's prefix for every prefix but the longest."""
 
-    def __init__(self, host, copies, k):
+    def __init__(self, host, copies):
+        k = len(copies[0])
         self.size = size = host.n
         self.n = len(copies)
         self.base = size * size + 1
@@ -511,7 +506,7 @@ def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     if kind != "P" or k < 4:
         raise ValueError("decomposition applies to paths on at least 4 vertices")
     copies = CopyDistribution.collect(host, Graph.path(k)).copies
-    cols = _PathColumns(host, copies, k)
+    cols = _PathColumns(host, copies)
     m = host.m
     n = len(copies)
     h_full = _h(copies)  # the copies and their edge tuples correspond one to one
@@ -619,9 +614,10 @@ def _distinct_per_key(pairs):
 #
 # The ledgers of one host share their work.  The weights at a cycle
 # position depend only on the host and the 2l-2 cycle vertices read from
-# that position (its window), and the fields of a row only on k, the row's
-# adjacency mask and its plus and minus vectors; each is derived once per
-# distinct window or pattern, in a memo that holds the last host only.
+# that position (its window), and the fields of a row only on the row's
+# adjacency mask and its plus and minus vectors, whose length is k; each
+# is derived once per distinct window or pattern, in a memo that holds
+# the last host only.
 # Rows with one pattern share its tuples, and a ledger's JSON gives each
 # shared tuple one list.
 
@@ -803,11 +799,13 @@ def _reverse_bits(mask, k):
     return int(format(mask, f"0{k}b")[::-1], 2)
 
 
-def _row_fields(k, adjacent, plus, minus):
+def _row_fields(adjacent, plus, minus):
     """The fields of a ledger row after its edge, from the adjacency mask
-    and the half-unit plus and minus vectors: the adjacent positions, the
-    contributions and caps as Fractions, and the flags of every
-    contribution over its case cap and of a total over the per-edge cap."""
+    and the half-unit plus and minus vectors (one entry per cycle position):
+    the adjacent positions, the contributions and caps as Fractions, and
+    the flags of every contribution over its case cap and of a total over
+    the per-edge cap."""
+    k = len(plus)
     l = k // 2
     # the minus caps come from the reversed sequence, read at position
     # k-2-j, as the minus weights are
@@ -834,7 +832,7 @@ def _row_fields(k, adjacent, plus, minus):
 def _host_memo(host):
     """The ledger work shared across the cycles of one host, held for the
     last host asked only: its edges, a memo of (weights, their sum) per
-    window, and a memo of the row fields per (k, adjacency mask, plus,
+    window, and a memo of the row fields per (adjacency mask, plus,
     minus)."""
 
     def window_weights(window):
@@ -875,7 +873,7 @@ def cycle_extension_ledger(host: Graph, cycle) -> ClaimLedger:
     flagged = []
     for edge, p, q in zip(edges, zip(*plus_cols), zip(*minus_cols)):
         x, y = edge
-        *fields, flags = patterns[k, position_masks[x] | position_masks[y], p, q]
+        *fields, flags = patterns[position_masks[x] | position_masks[y], p, q]
         rows.append(LedgerRow(edge, *fields, flags))
         if flags:
             flagged.append((edge, flags))

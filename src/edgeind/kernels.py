@@ -147,17 +147,21 @@ class CountSummary(NamedTuple):
     aut: int
 
 
+def check_pattern(h: Graph) -> None:
+    """ValueError for a pattern with no vertex or an isolated vertex, whose
+    maximum over hosts would be unbounded in padding vertices."""
+    if h.n == 0 or h.isolated_vertices():
+        raise ValueError("pattern must have no isolated vertices")
+
+
 def count_induced(g: Graph, h: Graph) -> CountSummary:
     """Induced copies of the pattern ``h`` in the host ``g``.
 
     ``unordered`` is the number of vertex subsets inducing a copy of h;
     ``ordered`` counts injective maps preserving adjacency and
-    non-adjacency, so ordered = unordered * |Aut(h)|.  Patterns with
-    isolated vertices are rejected (the maximum over hosts would be
-    unbounded in padding vertices).
+    non-adjacency, so ordered = unordered * |Aut(h)|.
     """
-    if h.n == 0 or h.isolated_vertices():
-        raise ValueError("pattern must have no isolated vertices")
+    check_pattern(h)
     aut = automorphism_order(h)
     ordered = count_ordered(g, h)
     if ordered % aut:

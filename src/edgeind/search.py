@@ -50,12 +50,14 @@ GENERATOR_VERSION = "1"
 
 
 class CeilingError(RuntimeError):
-    def __init__(self, m, ceiling, estimate):
+    """An edge budget m above DEFAULT_CEILING, with its class count estimate."""
+
+    def __init__(self, m):
+        self.estimate = estimated_class_count(m)
         super().__init__(
-            f"{m} edges exceeds the search ceiling {ceiling}; "
-            f"roughly {estimate} isomorphism classes would be scanned"
+            f"{m} edges exceeds the search ceiling {DEFAULT_CEILING}; "
+            f"roughly {self.estimate} isomorphism classes would be scanned"
         )
-        self.estimate = estimate
 
 
 # Isomorphism classes of graphs with m edges and no isolated vertices, for
@@ -241,7 +243,7 @@ def enumerate_m_edge_graphs(m):
     label as it is reached.  A bad budget raises here, not on first
     iteration."""
     if m > DEFAULT_CEILING:
-        raise CeilingError(m, DEFAULT_CEILING, estimated_class_count(m))
+        raise CeilingError(m)
     return map(parse_graph6, _level(m))
 
 
@@ -274,14 +276,13 @@ def rho_exact(pattern: Graph, m: int, *, shards=1, max_certificates=1000,
     (capped, sorted by canonical label).  Deterministic: the result is
     identical for any shard count.  With a cache_dir the levels are taken
     from and saved to that store directory (``_level``)."""
-    if pattern.n == 0 or pattern.isolated_vertices():
-        raise ValueError("pattern must have no isolated vertices")
+    kernels.check_pattern(pattern)
     if m < 0:
         raise ValueError("edge budget must be nonnegative")
     if max_certificates < 0:
         raise ValueError("certificate cap must be nonnegative")
     if m > DEFAULT_CEILING:
-        raise CeilingError(m, DEFAULT_CEILING, estimated_class_count(m))
+        raise CeilingError(m)
     pattern_label = canonical_form(pattern).label
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)  # an unusable path fails before the search

@@ -725,7 +725,7 @@ def reference_optimize(family, m):
 
     kind, arg = parse_family(family)
     pattern = family_graph(family)
-    base, seeds = blowups._templates(kind, arg, pattern, m)
+    base, seeds = blowups._templates(kind, arg, m)
     fits = blowups._within(base, m)
     starts = [blowups._clip(s, fits) for s in seeds]
     score = blowups._scorer(base, pattern)
@@ -748,3 +748,36 @@ def count_labellings(monkeypatch):
                 getattr(module, "canonical_form", None) is form:
             monkeypatch.setattr(module, "canonical_form", counting_form)
     return calls
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as Python 3.12 and later compute it, for running on
+    older versions: ints exactly; once the total is a float, Neumaier's
+    compensated summation over float items, with int items added plainly;
+    any other item falls back to ``+``.  Matches the builtin of 3.13 bit
+    for bit on random mixed int and float lists."""
+    it = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in it:
+            total = total + item
+            if type(item) not in (int, bool):
+                break
+    if type(total) is not float:
+        for item in it:
+            total = total + item
+        return total
+    f, c = total, 0.0
+    for item in it:
+        if type(item) is float:
+            t = f + item
+            c += (f - t) + item if abs(f) >= abs(item) else (item - t) + f
+            f = t
+        elif type(item) in (int, bool) and -2 ** 63 <= item < 2 ** 63:
+            f += float(item)
+        else:
+            total = f + c if c and math.isfinite(c) else f
+            for rest in (item, *it):
+                total = total + rest
+            return total
+    return f + c if c and math.isfinite(c) else f

@@ -211,7 +211,7 @@ def test_criterion_08_entropy_identities():
             residual = h_all - projection_entropy(dist, left) - projection_entropy(dist, right, left)
             assert abs(residual) < TOL
             split_budget -= 1
-        shearer = verify_chain_shearer(dist, covers=drop_one_covers(k), r=k - 1)
+        shearer = verify_chain_shearer(dist, covers=drop_one_covers(k))
         assert shearer["subadditive_cover"].slack >= -TOL
     assert split_budget <= 0
     # odd-cycle versus path inequality wherever both families live

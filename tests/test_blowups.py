@@ -348,6 +348,11 @@ def test_empty_pattern_is_rejected_before_any_work(monkeypatch):
             run("?", 5)
 
 
+def test_lower_bound_construction_rejects_the_empty_pattern():
+    with pytest.raises(ValueError, match="^pattern must have no isolated vertices$"):
+        lower_bound_construction(Graph.empty(0), 3)
+
+
 def clebsch():
     """The Clebsch graph as the folded 5-cube: vertices 0..15, adjacent
     when they differ in 1 or 4 bits."""

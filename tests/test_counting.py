@@ -96,7 +96,7 @@ def test_tuple_validation_errors():
 def test_alpha_examples():
     c6 = Graph.cycle(6)
     assert alpha_extensions(c6, [(0, 1)]) == 1
-    assert alpha_extensions(c6, [(0, 1), (2, 3)], "cycle-close", 6) == 1
+    assert alpha_extensions(c6, [(0, 1), (2, 3)], "cycle-close") == 1
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert alpha_extensions(star, [(1, 0)]) == 0
     with pytest.raises(ValueError):
@@ -259,22 +259,20 @@ def hosts_with_path_tuples(draw, max_n=12):
 def test_extension_sets_match_tuple_predicates(case):
     g, t = case
     for mode, k in (("path-extend", None), ("cycle-close", 2 * (len(t) + 1))):
-        got = alpha_extension_edges(g, t, mode, k)
+        got = alpha_extension_edges(g, t, mode)
         assert got == predicate_extension_edges(g, t, mode, k)
         assert got == sorted(got) and all(u < v for u, v in got)
 
 
 def test_extension_sets_close_c4_from_one_entry():
     c4 = Graph.cycle(4)
-    assert alpha_extension_edges(c4, [(0, 1)], "cycle-close", 4) == [(2, 3)]
-    assert alpha_extension_edges(c4, [(1, 0)], "cycle-close", 4) == [(2, 3)]
+    assert alpha_extension_edges(c4, [(0, 1)], "cycle-close") == [(2, 3)]
+    assert alpha_extension_edges(c4, [(1, 0)], "cycle-close") == [(2, 3)]
     k33 = complete_bipartite(3, 3)
     for t in ([(0, 3)], [(3, 0)]):
-        got = alpha_extension_edges(k33, t, "cycle-close", 4)
+        got = alpha_extension_edges(k33, t, "cycle-close")
         assert got == predicate_extension_edges(k33, t, "cycle-close", 4)
         assert len(got) == 4
-    with pytest.raises(ValueError):
-        alpha_extension_edges(c4, [(0, 1)], "cycle-close", 6)
     with pytest.raises(ValueError):
         alpha_extension_edges(c4, [(0, 1)], "cycle-open")
 

@@ -46,6 +46,7 @@ from helpers import (
     links_ok,
     odd_prefix,
     path_decomposition_oracle,
+    predicate_extension_edges,
     projection_entropy_oracle,
     random_graph,
 )
@@ -186,11 +187,18 @@ def test_chain_rule_random_orderings():
 
 
 def test_shearer_cover_validation():
-    dist = CopyDistribution.collect(Graph.cycle(5), Graph.cycle(5))
-    with pytest.raises(ValueError):
-        verify_chain_shearer(dist, covers=[(1, 2), (2, 3)], r=2)
-    rep = verify_chain_shearer(dist, covers=drop_one_covers(5), r=4)
-    assert rep.passed
+    # the multiplicity r is the fewest sets covering a coordinate: 4 for
+    # the drop-one family of C5, 2 for the three pairs of P3's coordinates
+    c5 = CopyDistribution.collect(Graph.cycle(5), Graph.cycle(5))
+    p3 = CopyDistribution.collect(Graph.cycle(6), Graph.path(3))
+    for dist, covers, r in ((c5, drop_one_covers(5), 4), (p3, [(1, 2), (2, 3), (1, 3)], 2)):
+        h = projection_entropy(dist, range(1, dist.arity + 1))
+        rhs = sum(projection_entropy(dist, a) for a in covers) / r
+        rep = verify_chain_shearer(dist, covers=covers)
+        assert rep.terms == [ent.Term("full_entropy", "value", h),
+                             ent.Term("uniform_support", "identity", h, math.log(len(dist))),
+                             ent.Term("subadditive_cover", "inequality", h, rhs)]
+        assert rep.passed
 
 
 C5_COPIES = CopyDistribution.collect(Graph.cycle(5), Graph.cycle(5))
@@ -200,8 +208,8 @@ C5_COPIES = CopyDistribution.collect(Graph.cycle(5), Graph.cycle(5))
     (lambda: ent.EntropyReport()["chain_rule"], KeyError, "chain_rule"),
     (lambda: verify_chain_shearer(C5_COPIES, ordering=(1, 1, 2, 3, 4)), ValueError,
      "ordering must permute the coordinates"),
-    (lambda: verify_chain_shearer(C5_COPIES, covers=drop_one_covers(5)), ValueError,
-     "cover family needs the covering multiplicity r"),
+    (lambda: verify_chain_shearer(C5_COPIES, covers=[(1, 2), (2, 3)]), ValueError,
+     "coordinate 4 is not covered"),
     (lambda: cycle_path_shearer(Graph.cycle(6), 6), ValueError,
      "odd cycles with at least 5 vertices only"),
     (lambda: cycle_path_shearer(Graph.cycle(3), 3), ValueError,
@@ -223,12 +231,17 @@ def test_argument_errors(call, error, message):
 
 
 def test_cycle_close_defaults_k_to_the_closing_cycle():
-    # two entries of a well-ordered tuple close a C6 with one more edge
-    host, t = Graph.cycle(6), ((0, 1), (2, 3))
-    assert alpha_extension_edges(host, t, "cycle-close") == [(4, 5)]
-    assert alpha_extension_edges(host, t, "cycle-close", 6) == [(4, 5)]
-    with pytest.raises(ValueError, match="cycle-close needs 3 tuple entries for C_8"):
-        alpha_extension_edges(host, t, "cycle-close", 8)
+    # a tuple of k/2 - 1 entries closes C_k: on C_k[2], entries on the
+    # first k - 2 parts (the edge sets pinned when k was an argument)
+    assert alpha_extension_edges(Graph.cycle(6), ((0, 1), (2, 3)), "cycle-close") == [(4, 5)]
+    closing = {4: [(1, 3), (1, 6), (1, 7), (3, 4), (3, 5), (4, 6), (4, 7), (5, 6), (5, 7)],
+               6: [(8, 10), (8, 11), (9, 10), (9, 11)],
+               8: [(12, 14), (12, 15), (13, 14), (13, 15)]}
+    for k, expected in closing.items():
+        host = blow_up(BlowupSpec(Graph.cycle(k), (2,) * k))
+        t = tuple((4 * i, 4 * i + 2) for i in range(k // 2 - 1))
+        assert alpha_extension_edges(host, t, "cycle-close") == expected
+        assert predicate_extension_edges(host, t, "cycle-close", k) == expected
 
 
 def test_cycle_path_shearer_on_blowup():
@@ -454,7 +467,7 @@ def test_row_fields_match_the_oracle_on_over_cap_vectors():
                 adjacent_rev = {k - 1 - j for j in adjacent}  # rev[j] is seq[k-1-j]
                 halves = [Fraction(h, 2) for h in plus], [Fraction(h, 2) for h in minus]
                 pcaps, mcaps, flags = fraction_caps_and_flags(k, adjacent, adjacent_rev, *halves)
-                fields = _row_fields(k, mask, plus, minus)
+                fields = _row_fields(mask, plus, minus)
                 assert fields == (adjacent, *map(tuple, halves), pcaps, mcaps, flags), \
                     (k, mask, plus, minus)
                 for values in fields[1:5]:
@@ -725,8 +738,8 @@ def test_finished_path_check_leaves_no_cycle(monkeypatch):
     made = []
 
     class Watched(ent._PathColumns):
-        def __init__(self, host, copies, k):
-            super().__init__(host, copies, k)
+        def __init__(self, host, copies):
+            super().__init__(host, copies)
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(ent, "_PathColumns", Watched)

@@ -1,5 +1,6 @@
-"""The import layering of the package, read from its source with ast:
-every import of a package module counts, function-level ones included."""
+"""The import layering of the package and the rules each stated in one
+place, read from its source with ast: every import of a package module
+counts, function-level ones included."""
 
 import ast
 import os
@@ -8,6 +9,8 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "src", "edgeind")
 MODULES = {os.path.splitext(name)[0] for name in os.listdir(PACKAGE)
            if name.endswith((".py", ".c"))}
+PY_MODULES = sorted(name for name in MODULES
+                    if os.path.exists(os.path.join(PACKAGE, name + ".py")))
 
 
 def _imported(node):
@@ -71,6 +74,25 @@ def test_only_the_cli_reads_the_environment():
     # the kernel twin and the search ceiling follow only what the process
     # observes and the code says; the store path is the one setting read
     # from the environment
-    py = sorted(name for name in MODULES
-                if os.path.exists(os.path.join(PACKAGE, name + ".py")))
-    assert [name for name in py if reads_environment(name)] == ["cli"]
+    assert [name for name in PY_MODULES if reads_environment(name)] == ["cli"]
+
+
+PATTERN_RULE = "pattern must have no isolated vertices"
+
+
+def test_the_pattern_rule_is_stated_once():
+    # kernels.check_pattern holds the rule's one message; every entry point
+    # that takes a pattern calls it
+    sites = [name for name in PY_MODULES for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and PATTERN_RULE in node.value]
+    assert sites == ["kernels"]
+
+
+def test_ceiling_error_is_raised_with_the_budget_only():
+    # the ceiling and the class estimate are the exception's to derive
+    calls = [node.exc for name in PY_MODULES for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "CeilingError"]
+    assert len(calls) == 2
+    assert all(len(call.args) == 1 and not call.keywords for call in calls)

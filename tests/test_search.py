@@ -81,6 +81,13 @@ def test_ceiling(monkeypatch):
     assert exc.value.estimate == 177
 
 
+def test_ceiling_error_derives_its_ceiling_and_estimate():
+    exc = CeilingError(15)
+    assert str(exc) == ("15 edges exceeds the search ceiling 14; "
+                        "roughly 2960520 isomorphism classes would be scanned")
+    assert exc.estimate == 2960520
+
+
 def test_estimated_class_count_is_the_exact_table():
     for m in range(len(search.CLASS_COUNTS)):
         assert estimated_class_count(m) == polya_edge_class_count(m)
@@ -549,13 +556,14 @@ def test_rho_matches_exhaustive_labeled_maximum():
 
 
 # The exact-value atlas: rho(H, m) and the number of maximizing classes for
-# each of the 51 connected patterns with 2..6 edges, at m <= 10 on the
+# each of the 51 connected patterns with 2..6 edges, at m <= 12 on the
 # compiled kernel and m <= 7 on the pure twin.  ATLAS_SHA256[top] is the
 # sha256 of the lines "<pattern> <m> <rho> <maximizers>" for m = 1..top,
 # patterns in level order.
 ATLAS_SHA256 = {
     7: "72bbab058b7c4de9ff0fed27411d91263f95b902c09f62d37e4c1be13991a970",
     10: "a669f9cc2f1bab3b22ebd333ed12fabe5f2006eab6f6bd570dcfa2894ea43c60",
+    12: "c9ba3d40338c865db9a875aeb284193699af99db3ce1f58f330f3a2b06a888b2",
 }
 
 
@@ -575,7 +583,7 @@ def test_exact_value_atlas(backends, monkeypatch):
     for backend in backends:
         monkeypatch.setattr(kernels, "_impl", backend)
         monkeypatch.setattr(search, "_LEVELS", {})
-        top = 7 if backend is _kernels_py else 10
+        top = 7 if backend is _kernels_py else 12
         table = {(label, 0): (0, 1) for label in patterns}  # the empty host
         for label in patterns:
             h = parse_graph6(label)
@@ -584,7 +592,9 @@ def test_exact_value_atlas(backends, monkeypatch):
                 table[label, m] = (r.rho, len(r.extremal))
         # the oracles that hold for every connected pattern with h.m edges:
         # one more edge never hurts, disjoint hosts add, and deleting one of
-        # the m edges keeps each copy in all but h.m of the m ways
+        # the m edges keeps each copy in all but h.m of the m ways; count the
+        # (pattern, m) pairs of the last and those where its floor is rho
+        averaged = tight = 0
         for label in patterns:
             h = parse_graph6(label)
             rho = [table[label, m][0] for m in range(top + 1)]
@@ -594,6 +604,12 @@ def test_exact_value_atlas(backends, monkeypatch):
                     assert rho[m] >= rho[a] + rho[m - a], (label, a, m - a)
                 if m > h.m:
                     assert rho[m] * (m - h.m) <= m * rho[m - 1], (label, m)
+                    averaged += 1
+                    tight += m * rho[m - 1] // (m - h.m) == rho[m]
+        if top == 12:
+            assert (averaged, tight) == (341, 57)
+            families = (Graph.path(4), Graph.path(5), Graph.path(6), Graph.cycle(5), Graph.cycle(6))
+            assert [table[canonical_form(h).label, 12][0] for h in families] == [36, 36, 32, 8, 8]
         for pinned, digest in ATLAS_SHA256.items():
             if pinned <= top:
                 assert atlas_digest(patterns, table, pinned) == digest, (backend.BACKEND, pinned)
