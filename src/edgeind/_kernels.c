@@ -24,10 +24,16 @@
  * extension; a skipped extension is isomorphic to an earlier one, so both
  * return the same list.  The level entries, children() and
  * count_ordered_many(), take graph6 labels.
+ *
+ * The entropy entries, entropy(), cond_entropy(), mean_log() and
+ * distinct_counts(), take columns of keys, each an int or a tuple of ints,
+ * held as signed 64-bit words.  A column with any other key gets
+ * NotImplemented, and edgeind.kernels asks the pure twin instead.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -908,6 +914,316 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
+/* -- entropy sums ----------------------------------------------------------- */
+
+/* A key is an int or a tuple of ints (a bool is an int), each int in the
+   signed 64-bit range.  These entries hold no other key: for a column with
+   one they return NotImplemented. */
+
+enum { KEY_ERROR = -1, KEY_HELD = 0, KEY_NOT_HELD = 1 };
+
+static int
+key_word(PyObject *x, int64_t *out)
+{
+    int overflow = 0;
+    if (!PyLong_CheckExact(x) && !PyBool_Check(x))
+        return KEY_NOT_HELD;
+    long long v = PyLong_AsLongLongAndOverflow(x, &overflow);
+    if (overflow)
+        return KEY_NOT_HELD;
+    if (v == -1 && PyErr_Occurred())
+        return KEY_ERROR;
+    *out = v;
+    return KEY_HELD;
+}
+
+static inline u64
+mix(u64 h, u64 w)
+{
+    h = (h ^ w) * 0xff51afd7ed558ccdu;
+    return h ^ h >> 29;
+}
+
+#define HASH_SEED 0x9e3779b97f4a7c15u
+
+/* A hash of a held key from its ints, so that keys Python holds equal
+   hash alike. */
+static int
+key_hash(PyObject *x, u64 *out)
+{
+    int64_t w = 0;
+    if (!PyTuple_CheckExact(x)) {
+        int rc = key_word(x, &w);
+        *out = mix(HASH_SEED, (u64)w);
+        return rc;
+    }
+    u64 h = mix(HASH_SEED + 1, (u64)PyTuple_GET_SIZE(x));
+    for (Py_ssize_t j = 0; j < PyTuple_GET_SIZE(x); j++) {
+        int rc = key_word(PyTuple_GET_ITEM(x, j), &w);
+        if (rc != KEY_HELD)
+            return rc;
+        h = mix(h, (u64)w);
+    }
+    *out = h;
+    return KEY_HELD;
+}
+
+/* The rows to number: the keys items[0..n), or, when items is NULL, the
+   pairs (a[i], b[i]) of two columns of key numbers. */
+typedef struct {
+    Py_ssize_t n;
+    PyObject **items;
+    const Py_ssize_t *a, *b;
+} Rows;
+
+/* Number the distinct keys in the order of their first row, the order in
+   which a dict, and so a Counter, meets them: ids[i] is the number of
+   row i's key.  Keys are equal as Python compares them.  Returns the
+   number of distinct keys; 0 when a key is not held; -1 with an exception
+   set. */
+static Py_ssize_t
+number_rows(const Rows *r, Py_ssize_t *ids)
+{
+    Py_ssize_t size = 8, count = 0;
+    int rc = KEY_HELD;
+    while (size < 2 * r->n)
+        size *= 2;
+    Py_ssize_t *first = PyMem_New(Py_ssize_t, size); /* the first row of a slot's key */
+    u64 *hashes = PyMem_New(u64, r->n);
+    if (first == NULL || hashes == NULL) {
+        PyErr_NoMemory();
+        rc = KEY_ERROR;
+    }
+    else
+        for (Py_ssize_t s = 0; s < size; s++)
+            first[s] = -1;
+    for (Py_ssize_t i = 0; i < r->n && rc == KEY_HELD; i++) {
+        u64 h = 0;
+        if (r->items == NULL)
+            h = mix(mix(HASH_SEED, (u64)r->a[i]), (u64)r->b[i]);
+        else if ((rc = key_hash(r->items[i], &h)) != KEY_HELD)
+            break;
+        hashes[i] = h;
+        for (Py_ssize_t s = (Py_ssize_t)(h & (u64)(size - 1));; s = (s + 1) & (size - 1)) {
+            Py_ssize_t j = first[s];
+            if (j < 0) {
+                first[s] = i;
+                ids[i] = count++;
+                break;
+            }
+            if (hashes[j] != h)
+                continue;
+            int equal = r->items == NULL ? r->a[i] == r->a[j] && r->b[i] == r->b[j]
+                                         : PyObject_RichCompareBool(r->items[i], r->items[j], Py_EQ);
+            if (equal < 0) {
+                rc = KEY_ERROR;
+                break;
+            }
+            if (equal) {
+                ids[i] = ids[j];
+                break;
+            }
+        }
+    }
+    PyMem_Free(first);
+    PyMem_Free(hashes);
+    return rc == KEY_HELD ? count : rc == KEY_NOT_HELD ? 0 : -1;
+}
+
+/* Number the keys of the column ``obj`` into a new array *ids of *n
+   entries, as number_rows does, and return what it returns; an empty
+   column raises ValueError. */
+static Py_ssize_t
+column_ids(PyObject *obj, Py_ssize_t **ids, Py_ssize_t *n)
+{
+    Py_ssize_t count = -1;
+    *ids = NULL;
+    *n = 0;
+    PyObject *fast = PySequence_Fast(obj, "a column must be a sequence");
+    if (fast == NULL)
+        return -1;
+    Rows rows = {PySequence_Fast_GET_SIZE(fast), PySequence_Fast_ITEMS(fast), NULL, NULL};
+    *n = rows.n;
+    if (rows.n == 0)
+        PyErr_SetString(PyExc_ValueError, "empty column");
+    else if ((*ids = PyMem_New(Py_ssize_t, rows.n)) == NULL)
+        PyErr_NoMemory();
+    else
+        count = number_rows(&rows, *ids);
+    if (count <= 0) {
+        PyMem_Free(*ids);
+        *ids = NULL;
+    }
+    Py_DECREF(fast);
+    return count;
+}
+
+/* The key numbers of two columns of one length into *a and *b, and the
+   numbers of their distinct pairs (a[i], b[i]) into *pairs, all n long.
+   Returns the number of distinct pairs, or column_ids' 0 or -1 with every
+   array freed; ValueError when the lengths differ. */
+static Py_ssize_t
+pair_ids(PyObject *const *args, Py_ssize_t **a, Py_ssize_t **b, Py_ssize_t **pairs,
+         Py_ssize_t *n)
+{
+    Py_ssize_t nb = 0, count = column_ids(args[0], a, n);
+    *b = *pairs = NULL;
+    if (count > 0)
+        count = column_ids(args[1], b, &nb);
+    if (count > 0 && nb != *n) {
+        PyErr_SetString(PyExc_ValueError, "columns of different lengths");
+        count = -1;
+    }
+    if (count > 0) {
+        Rows rows = {*n, NULL, *a, *b};
+        if ((*pairs = PyMem_New(Py_ssize_t, *n)) == NULL) {
+            PyErr_NoMemory();
+            count = -1;
+        }
+        else
+            count = number_rows(&rows, *pairs);
+    }
+    if (count <= 0) {
+        PyMem_Free(*a);
+        PyMem_Free(*b);
+        PyMem_Free(*pairs);
+        *a = *b = *pairs = NULL;
+    }
+    return count;
+}
+
+/* The sums below add their terms left to right from 0.0 in doubles, over
+   the keys in order of first occurrence, and take libm's log, as the pure
+   twin's reduce(add, ..., 0.0) over math.log does; setup.py turns off
+   floating-point contraction, so no product is fused into its sum. */
+
+static PyObject *
+entropy(PyObject *Py_UNUSED(self), PyObject *keys)
+{
+    Py_ssize_t n, *ids, *counts;
+    Py_ssize_t nkeys = column_ids(keys, &ids, &n);
+    if (nkeys <= 0)
+        return nkeys == 0 ? Py_NewRef(Py_NotImplemented) : NULL;
+    counts = PyMem_Calloc(nkeys, sizeof(Py_ssize_t));
+    if (counts == NULL) {
+        PyMem_Free(ids);
+        return PyErr_NoMemory();
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        counts[ids[i]]++;
+    double s = 0.0;
+    for (Py_ssize_t j = 0; j < nkeys; j++)
+        s += (double)counts[j] * log((double)counts[j]);
+    PyMem_Free(ids);
+    PyMem_Free(counts);
+    return PyFloat_FromDouble(log((double)n) - s / (double)n);
+}
+
+static PyObject *
+cond_entropy(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t n = 0, *targets, *givens, *joint;
+    if (check_nargs(nargs, 2, "cond_entropy") < 0)
+        return NULL;
+    Py_ssize_t njoint = pair_ids(args, &targets, &givens, &joint, &n);
+    if (njoint <= 0)
+        return njoint == 0 ? Py_NewRef(Py_NotImplemented) : NULL;
+    /* joint[i] and givens[i] are below n, and a pair's given is that of
+       its first row */
+    Py_ssize_t *counts = PyMem_Calloc(2 * n, sizeof(Py_ssize_t));
+    Py_ssize_t *given_of = PyMem_Calloc(njoint, sizeof(Py_ssize_t));
+    PyObject *out = NULL;
+    if (counts == NULL || given_of == NULL)
+        PyErr_NoMemory();
+    else {
+        Py_ssize_t *marginal = counts + n, seen = 0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            if (joint[i] == seen)
+                given_of[seen++] = givens[i];
+            counts[joint[i]]++;
+            marginal[givens[i]]++;
+        }
+        double s = 0.0;
+        for (Py_ssize_t j = 0; j < njoint; j++)
+            s += (double)counts[j] *
+                 (log((double)marginal[given_of[j]]) - log((double)counts[j]));
+        out = PyFloat_FromDouble(s / (double)n);
+    }
+    PyMem_Free(counts);
+    PyMem_Free(given_of);
+    PyMem_Free(targets);
+    PyMem_Free(givens);
+    PyMem_Free(joint);
+    return out;
+}
+
+static PyObject *
+mean_log(PyObject *Py_UNUSED(self), PyObject *values)
+{
+    PyObject *fast = PySequence_Fast(values, "values must be a sequence");
+    if (fast == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    PyObject *out = NULL;
+    double s = 0.0;
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "empty column");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t v = 0;
+        int rc = key_word(items[i], &v);
+        if (rc == KEY_NOT_HELD)
+            out = Py_NewRef(Py_NotImplemented);
+        if (rc != KEY_HELD)
+            goto done;
+        if (v <= 0) {
+            PyErr_SetString(PyExc_ValueError, "math domain error");
+            goto done;
+        }
+        s += log((double)v);
+    }
+    out = PyFloat_FromDouble(s / (double)n);
+done:
+    Py_DECREF(fast);
+    return out;
+}
+
+static PyObject *
+distinct_counts(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t n = 0, *values, *keys, *pairs;
+    if (check_nargs(nargs, 2, "distinct_counts") < 0)
+        return NULL;
+    Py_ssize_t npairs = pair_ids(args, &values, &keys, &pairs, &n);
+    if (npairs <= 0)
+        return npairs == 0 ? Py_NewRef(Py_NotImplemented) : NULL;
+    Py_ssize_t *distinct = PyMem_Calloc(n, sizeof(Py_ssize_t)); /* per key number */
+    PyObject *out = distinct == NULL ? PyErr_NoMemory() : PyList_New(n);
+    if (out != NULL) {
+        Py_ssize_t seen = 0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            if (pairs[i] == seen) {
+                seen++;
+                distinct[keys[i]]++;
+            }
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *c = PyLong_FromSsize_t(distinct[keys[i]]);
+            if (c == NULL) {
+                Py_CLEAR(out);
+                break;
+            }
+            PyList_SET_ITEM(out, i, c);
+        }
+    }
+    PyMem_Free(distinct);
+    PyMem_Free(values);
+    PyMem_Free(keys);
+    PyMem_Free(pairs);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"count_ordered", (PyCFunction)(void (*)(void))count_ordered, METH_FASTCALL,
      "count_ordered(g_adj, h_adj, order, pin_hosts) -> int"},
@@ -919,13 +1235,20 @@ static PyMethodDef methods[] = {
      "canonical_search(rows) -> (label, perm, gens)"},
     {"children", (PyCFunction)(void (*)(void))children, METH_FASTCALL,
      "children(label, seen) -> list of new labels"},
+    {"entropy", entropy, METH_O, "entropy(keys) -> float, nats"},
+    {"cond_entropy", (PyCFunction)(void (*)(void))cond_entropy, METH_FASTCALL,
+     "cond_entropy(targets, givens) -> float, nats"},
+    {"mean_log", mean_log, METH_O, "mean_log(values) -> float"},
+    {"distinct_counts", (PyCFunction)(void (*)(void))distinct_counts, METH_FASTCALL,
+     "distinct_counts(values, keys) -> list of int, one per row"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "edgeind._kernels",
-    .m_doc = "Compiled twin of edgeind._kernels_py (graphs of at most 64 vertices).",
+    .m_doc = "Compiled twin of edgeind._kernels_py (graphs of at most 64 vertices, "
+             "keys of 64 bits).",
     .m_size = -1,
     .m_methods = methods,
 };

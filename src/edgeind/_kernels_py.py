@@ -1,5 +1,6 @@
 """Pure-Python kernels: ordered induced-copy search, the canonical
-labelling search core and the one-edge growth of a search level.
+labelling search core, the one-edge growth of a search level and the
+entropy sums.
 
 Twin of the compiled module ``edgeind._kernels``; both expose the same
 functions and must produce identical results.  Adjacency rows are integer
@@ -9,7 +10,23 @@ labels instead.
 For the copy search, ``order`` is the sequence in which pattern vertices
 are assigned; the first ``len(pin_hosts)`` of them are forced to the given
 host vertices.
+
+The entropy entries ``entropy``, ``cond_entropy``, ``mean_log`` and
+``distinct_counts`` take non-empty columns, one entry per row, and raise
+ValueError for an empty column or two columns of different lengths.  A key
+is an int or a tuple of ints (this module takes any hashable key).  Every
+float sum adds its terms left to right from 0.0, over the distinct keys in
+order of first occurrence, so the result does not depend on the Python
+version (builtin ``sum`` compensates float rounding from 3.12 on).  The
+compiled twin reads each int of a key as a signed 64-bit word; for a
+column with any other key it returns NotImplemented, and
+``edgeind.kernels`` asks this module instead.
 """
+
+import math
+from collections import Counter
+from functools import reduce
+from operator import add
 
 from .graph import WORD_VERTICES, encode_graph6, parse_graph6
 
@@ -318,3 +335,47 @@ def children(label, seen):
     if n + 2 <= WORD_VERTICES:
         offer([*adj, bit << 1, bit])
     return out
+
+
+# -- entropy sums --------------------------------------------------------
+
+
+def _length(*columns):
+    """The common length of the columns, which must be non-empty."""
+    n = len(columns[0])
+    if not n:
+        raise ValueError("empty column")
+    if any(len(c) != n for c in columns):
+        raise ValueError("columns of different lengths")
+    return n
+
+
+def entropy(keys):
+    """Entropy (nats) of the uniform distribution over the rows' keys."""
+    n = _length(keys)
+    return math.log(n) - reduce(add, (c * math.log(c) for c in Counter(keys).values()), 0.0) / n
+
+
+def cond_entropy(targets, givens):
+    """Conditional entropy (nats) of the target key given the given key,
+    under the uniform distribution over the rows of two columns."""
+    n = _length(targets, givens)
+    joint = Counter(zip(targets, givens))
+    marginal = Counter(givens)
+    log = math.log
+    return reduce(add, (c * (log(marginal[g]) - log(c)) for (_, g), c in joint.items()),
+                  0.0) / n
+
+
+def mean_log(values):
+    """The mean of the values' logs, in row order."""
+    n = _length(values)
+    return reduce(add, map(math.log, values), 0.0) / n
+
+
+def distinct_counts(values, keys):
+    """Per row, the number of distinct values among the rows that share its
+    key."""
+    _length(values, keys)
+    per_key = Counter(key for _, key in set(zip(values, keys)))
+    return list(map(per_key.__getitem__, keys))

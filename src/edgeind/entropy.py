@@ -4,7 +4,11 @@ the edge-tuple statistics they rest on.
 Every check works on the uniform distribution over ordered induced copies
 of a pattern in a host.  Entropies are computed from exact integer counts
 (counts over counts) and converted to floats once, so the 1e-9 identity
-and slack tolerances are honest.  Natural logarithm throughout.
+and slack tolerances are honest.  Natural logarithm throughout.  The
+entropy sums themselves (entropies, conditional entropies, mean logs and
+distinct counts per key) are kernel entries, ``kernels.entropy`` and its
+siblings; every float sum, there and here, adds left to right from 0.0,
+so a report's bytes do not depend on the twin or the Python version.
 
 An *oriented edge tuple* is a sequence of host edges written as ordered
 endpoint pairs (u_i, v_i), pairwise vertex-disjoint.  The tuple is
@@ -30,8 +34,8 @@ the last host asked only.
 
 The path check works on integer edge columns, one entry per ordered copy:
 edges, odd-edge prefixes and conditioning keys are coded as ints, so every
-count is keyed by ints.  Each column is built once, and each log and alpha
-count is taken once per distinct value or prefix.
+count is keyed by ints.  Each column is built once, and each alpha count is
+taken once per distinct prefix.
 """
 
 from __future__ import annotations
@@ -121,23 +125,6 @@ class _Memo(dict):
         return value
 
 
-def _h(values) -> float:
-    """Entropy of the uniform distribution over the values of an iterable."""
-    counts = Counter(values)
-    n = counts.total()
-    log = _Memo(math.log)
-    return math.log(n) - sum(c * log[c] for c in counts.values()) / n
-
-
-def _h_cond(targets, givens) -> float:
-    """Conditional entropy of the target value given the given value, under
-    the uniform distribution over the rows of two equal-length lists."""
-    joint = Counter(zip(targets, givens))
-    marginal = Counter(givens)
-    log = _Memo(math.log)
-    return sum(c * (log[marginal[g]] - log[c]) for (_, g), c in joint.items()) / len(givens)
-
-
 def _projector(coords):
     """The projection onto 1-based coordinates.  One coordinate projects to
     the bare value, not a 1-tuple; the value counts, and so the entropies,
@@ -153,8 +140,8 @@ def projection_entropy(dist, target, given=()) -> float:
     tuples = _support(dist)
     target, given = _check_coords(len(tuples[0]), target, given)
     if not given:
-        return _h(map(_projector(target), tuples))
-    return _h_cond(list(map(_projector(target), tuples)), list(map(_projector(given), tuples)))
+        return kernels.entropy(map(_projector(target), tuples))
+    return kernels.cond_entropy(map(_projector(target), tuples), map(_projector(given), tuples))
 
 
 # -- reports --------------------------------------------------------------
@@ -253,7 +240,7 @@ def verify_chain_shearer(dist, ordering=None, covers=None) -> EntropyReport:
         multiplicity = [sum(c in a for a in covers) for c in coords]
         if 0 in multiplicity:
             raise ValueError(f"coordinate {multiplicity.index(0) + 1} is not covered")
-        rhs = sum(projection_entropy(tuples, a) for a in covers) / min(multiplicity)
+        rhs = reduce(add, (projection_entropy(tuples, a) for a in covers), 0.0) / min(multiplicity)
         report.add("subadditive_cover", "inequality", h_full, rhs)
     return report
 
@@ -437,9 +424,9 @@ def _norm(u, v):
 # (an odd-edge prefix: edges 0, 2, ..., 2i-2; or the key a term
 # conditions on) packs into one int in base N*N + 1 with every digit
 # offset by 1, so keys with different numbers of entries never collide.
-# Each coding is a bijection, so every Counter meets its keys in the order
-# tuples of (u, v) pairs would give, and every sum adds the same floats in
-# the same order.  Each log is taken once per distinct value.
+# Each coding is a bijection, so every entropy sum meets its keys in the
+# order tuples of (u, v) pairs would give, and adds the same floats in the
+# same order.
 
 
 def _pack(base, columns, packed=None):
@@ -464,7 +451,6 @@ class _PathColumns:
         self.size = size = host.n
         self.n = len(copies)
         self.base = size * size + 1
-        self.logs = _Memo(math.log)
         self._vertices = vertices = list(zip(*copies))
         self.oriented = [[u * size + v for u, v in zip(vertices[j], vertices[j + 1])]
                          for j in range(k - 1 if k % 2 == 0 else k - 4)]
@@ -479,10 +465,6 @@ class _PathColumns:
         size = self.size
         return [u * size + v if u < v else v * size + u
                 for u, v in zip(self._vertices[j], self._vertices[j + 1])]
-
-    def mean_log(self, values):
-        """Builtin ``sum`` of the values' logs in copy order, over n."""
-        return sum(map(self.logs.__getitem__, values)) / self.n
 
 
 def _prefix_alpha(adj, copies, codes, i):
@@ -509,14 +491,14 @@ def verify_path_decomposition(host: Graph, family) -> EntropyReport:
     cols = _PathColumns(host, copies)
     m = host.m
     n = len(copies)
-    h_full = _h(copies)  # the copies and their edge tuples correspond one to one
+    h_full = kernels.entropy(copies)  # the copies and their edge tuples correspond one to one
     report = EntropyReport()
     report.value("ordered_copies", n)
     report.add("uniform_support", "identity", h_full, math.log(n))
     first_u = cols.unordered(0)
-    report.add("first_edge_support", "inequality", _h(first_u), math.log(m))
+    report.add("first_edge_support", "inequality", kernels.entropy(first_u), math.log(m))
     report.add("orientation_reveal", "inequality",
-               _h_cond(cols.oriented[0], first_u), math.log(2))
+               kernels.cond_entropy(cols.oriented[0], first_u), math.log(2))
     if k % 2 == 0:
         _even_path_terms(cols, k // 2, m, h_full, report)
     else:
@@ -528,12 +510,12 @@ def _odd_edge_chain(cols, report):
     """H(edge 0) plus, for each prefix but the longest, the conditional
     entropy of edge 2i given its i entries, edges 0, 2, ..., 2i-2; each
     conditional is reported against its log-average extension bound."""
-    chain = _h(cols.oriented[0])
+    chain = kernels.entropy(cols.oriented[0])
     for i, (prefix, alpha) in enumerate(zip(cols.prefix, cols.alpha), 1):
-        cond = _h_cond(cols.oriented[2 * i], prefix)
+        cond = kernels.cond_entropy(cols.oriented[2 * i], prefix)
         chain += cond
         report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality",
-                   cond, cols.mean_log(alpha))
+                   cond, kernels.mean_log(alpha))
     return chain
 
 
@@ -541,7 +523,7 @@ def _even_path_terms(cols, l, m, h_full, report):
     n = cols.n
     chain = _odd_edge_chain(cols, report)
     evens = _pack(cols.base, cols.oriented[1::2])
-    h_evens = _h_cond(evens, cols.prefix[-1])
+    h_evens = kernels.cond_entropy(evens, cols.prefix[-1])
     report.add("evens_determined", "identity", h_evens, 0.0)
     chain += h_evens
     report.add("chain_rule", "identity", h_full, chain)
@@ -554,7 +536,6 @@ def _even_path_terms(cols, l, m, h_full, report):
 
 def _odd_path_terms(cols, l, m, h_full, report):
     n = cols.n
-    logs = cols.logs
     chain = _odd_edge_chain(cols, report)
     # The copies sharing an odd-edge prefix are its completions, so the
     # gamma statistics of a prefix and final edge count distinct edges
@@ -562,52 +543,41 @@ def _odd_path_terms(cols, l, m, h_full, report):
     # gamma2 the edges at positions 2l-2 and 2l-1 per (prefix, final edge).
     prefixes = cols.prefix[-1]
     last_u = cols.unordered(2 * l - 1)
-    h_last = _h_cond(last_u, prefixes)
-    gamma0 = _distinct_per_key(zip(last_u, prefixes))
-    g0 = list(map(gamma0.__getitem__, prefixes))
-    report.add("conditional_final_vs_gamma0", "inequality", h_last, cols.mean_log(g0))
+    h_last = kernels.cond_entropy(last_u, prefixes)
+    g0 = kernels.distinct_counts(last_u, prefixes)
+    report.add("conditional_final_vs_gamma0", "inequality", h_last, kernels.mean_log(g0))
     chain += h_last
     if l >= 3:
         middle = _pack(cols.base, cols.oriented[1::2])
-        report.add("middle_evens_determined", "identity", _h_cond(middle, prefixes), 0.0)
+        report.add("middle_evens_determined", "identity",
+                   kernels.cond_entropy(middle, prefixes), 0.0)
     given = _pack(cols.base, [last_u], prefixes)  # (prefix, final edge)
     g1_u = cols.unordered(2 * l - 3)
     g2_u = cols.unordered(2 * l - 2)
-    h_pair = _h_cond(_pack(cols.base, (g1_u, g2_u)), given)
-    h_g1 = _h_cond(g1_u, given)
-    h_g2 = _h_cond(g2_u, given)
-    gamma1 = _distinct_per_key(zip(g1_u, given))
-    gamma2 = _distinct_per_key(zip(g2_u, given))
+    h_pair = kernels.cond_entropy(_pack(cols.base, (g1_u, g2_u)), given)
+    h_g1 = kernels.cond_entropy(g1_u, given)
+    h_g2 = kernels.cond_entropy(g2_u, given)
     report.add("pair_equals_first", "identity", h_pair, h_g1)
     report.add("pair_equals_second", "identity", h_pair, h_g2)
-    g1 = list(map(gamma1.__getitem__, given))
-    g2 = list(map(gamma2.__getitem__, given))
-    # Sequential sums from 0.0, not builtin sum: from Python 3.12 builtin
-    # sum compensates float rounding, and these two averages were always
-    # accumulated one copy at a time.
-    avg1 = reduce(add, map(logs.__getitem__, g1), 0.0) / n
-    avg2 = reduce(add, map(logs.__getitem__, g2), 0.0) / n
-    report.add("conditional_secondlast_vs_gamma1", "inequality", h_g1, avg1)
-    report.add("conditional_nexttolast_vs_gamma2", "inequality", h_g2, avg2)
+    g1 = kernels.distinct_counts(g1_u, given)
+    g2 = kernels.distinct_counts(g2_u, given)
+    report.add("conditional_secondlast_vs_gamma1", "inequality", h_g1, kernels.mean_log(g1))
+    report.add("conditional_nexttolast_vs_gamma2", "inequality", h_g2, kernels.mean_log(g2))
     report.add("split_chain", "identity", h_full, chain + (h_g1 + h_g2) / 2)
     # one row (alpha_1, ..., alpha_{l-2}, gamma0, gamma1, gamma2) per copy
     rows = Counter(zip(*cols.alpha, g0, g1, g2))
     report.add("per_copy_budget", "inequality", max(map(sum, rows)), m)
     report.value("budget_equality_copies", sum(c for row, c in rows.items() if sum(row) == m))
+    logs = _Memo(math.log)
 
     def amgm(row):
         *a, x0, x1, x2 = row
-        return 2 * sum(logs[x] for x in a) + 2 * logs[x0] + logs[x1] + logs[x2]
+        return 2 * reduce(add, map(logs.__getitem__, a), 0.0) + 2 * logs[x0] + logs[x1] + logs[x2]
 
     report.add("per_copy_product_bound", "inequality",
                max(map(amgm, rows)), math.log(0.25 * (m / l) ** (2 * l)))
     report.add("closed_form", "inequality",
                math.log(n), math.log(m ** (l + 1) / (2 * l ** l)))
-
-
-def _distinct_per_key(pairs):
-    """For (value, key) pairs: the number of distinct values per key."""
-    return Counter(map(itemgetter(1), set(pairs)))
 
 
 # -- per-cycle extension ledgers -------------------------------------------

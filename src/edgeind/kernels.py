@@ -1,17 +1,22 @@
 """Backend selection and the public kernel interface: ordered induced-copy
 search, the induced-copy count c(G, H), canonical labelling, the
-automorphism-group order and the one-edge growth of a search level.  The
-tuple statistics of the entropy proofs (well-ordered and characterizing
-edge tuples, the alpha/beta/gamma counts) live in ``edgeind.entropy``.
+automorphism-group order, the one-edge growth of a search level and the
+entropy sums (``entropy``, ``cond_entropy``, ``mean_log`` and
+``distinct_counts``).  The tuple statistics of the entropy proofs
+(well-ordered and characterizing edge tuples, the alpha/beta/gamma counts)
+live in ``edgeind.entropy``.
 
 The twin is chosen only from what the process observes.  The compiled C
 extension ``edgeind._kernels`` (backend ``"c"``) is used when it imports;
 the pure-Python twin ``edgeind._kernels_py`` (backend ``"pure"``) is used
 when the extension was not built.  Graphs above 64 vertices, and parents
 whose extensions could exceed 64 vertices, always take the pure twin,
-because the C code packs a neighborhood into one machine word.  The pure
-twin is imported only when one of these needs it, so a process on the
-compiled backend that stays within 64 vertices never loads it.
+because the C code packs a neighborhood into one machine word.  In the
+same way an entropy sum over a column with a key the C code cannot hold in
+a signed 64-bit word (an int outside that range, or anything but an int or
+a tuple of ints) takes the pure twin for the whole call.  The pure twin is
+imported only when one of these needs it, so a process on the compiled
+backend that stays within 64 vertices and 64-bit keys never loads it.
 """
 
 from __future__ import annotations
@@ -188,3 +193,40 @@ def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:
     pats, hosts = _split_pins(g, h, pins)
     order = visit_order(h, pats)
     return sorted(_backend_for(g).enumerate_ordered(g.adj, h.adj, order, hosts))
+
+
+# -- entropy sums --
+#
+# Each entry takes columns, one entry per row, and returns the same bytes
+# on both twins and every Python version: see ``_kernels_py``.
+
+
+def _sums(name, *columns):
+    """The twin entry ``name`` on the columns, read once each; the compiled
+    twin answers NotImplemented for a key it cannot hold."""
+    columns = [c if isinstance(c, (list, tuple)) else list(c) for c in columns]
+    out = getattr(_impl, name)(*columns)
+    return getattr(_pure(), name)(*columns) if out is NotImplemented else out
+
+
+def entropy(keys) -> float:
+    """Entropy (nats) of the uniform distribution over the rows of a key
+    column; a key is an int or a tuple of ints."""
+    return _sums("entropy", keys)
+
+
+def cond_entropy(targets, givens) -> float:
+    """Conditional entropy (nats) of the target key given the given key,
+    under the uniform distribution over the rows of two columns."""
+    return _sums("cond_entropy", targets, givens)
+
+
+def mean_log(values) -> float:
+    """The mean of the logs of positive ints, summed in row order."""
+    return _sums("mean_log", values)
+
+
+def distinct_counts(values, keys) -> list:
+    """Per row, the number of distinct values among the rows that share its
+    key."""
+    return _sums("distinct_counts", values, keys)

@@ -10,9 +10,10 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import factorial, gcd
+from operator import add
 
 from edgeind import Graph, canonical_label, kernels
 
@@ -479,14 +480,15 @@ def gamma_by_filtering(g: Graph, t, e_last):
 def _list_entropy(values):
     n = len(values)
     counts = Counter(values)
-    return math.log(n) - sum(c * math.log(c) for c in counts.values()) / n
+    return math.log(n) - reduce(add, (c * math.log(c) for c in counts.values()), 0.0) / n
 
 
 def _list_cond_entropy(pairs):
     n = len(pairs)
     joint = Counter(pairs)
     marginal = Counter(g for _, g in pairs)
-    return sum(c * (math.log(marginal[g]) - math.log(c)) for (_, g), c in joint.items()) / n
+    return reduce(add, (c * (math.log(marginal[g]) - math.log(c))
+                        for (_, g), c in joint.items()), 0.0) / n
 
 
 def project(t, coords):
@@ -569,7 +571,7 @@ def path_decomposition_oracle(host: Graph, family):
             prefixes = [t[:2 * i:2] for t in edge_tuples]
             cond = _list_cond_entropy([(t[2 * i], p) for t, p in zip(edge_tuples, prefixes)])
             chain += cond
-            avg = sum(math.log(alpha(p)) for p in prefixes) / n
+            avg = reduce(add, (math.log(alpha(p)) for p in prefixes), 0.0) / n
             report.add(f"conditional_{2 * i + 1}_vs_extensions", "inequality", cond, avg)
         return chain
 
@@ -594,7 +596,7 @@ def path_decomposition_oracle(host: Graph, family):
     last_pairs = list(zip(last_u, prefixes))
     h_last = _list_cond_entropy(last_pairs)
     gamma0 = _distinct_per_key(last_pairs)
-    avg0 = sum(math.log(gamma0[p]) for p in prefixes) / n
+    avg0 = reduce(add, (math.log(gamma0[p]) for p in prefixes), 0.0) / n
     report.add("conditional_final_vs_gamma0", "inequality", h_last, avg0)
     chain += h_last
     if l >= 3:
@@ -622,7 +624,8 @@ def path_decomposition_oracle(host: Graph, family):
         avg2 += math.log(g2)
         a = [alpha(t[:2 * i:2]) for i in range(1, l - 1)]
         budgets.append(sum(a) + g0 + g1 + g2)
-        lhs = 2 * sum(math.log(x) for x in a) + 2 * math.log(g0) + math.log(g1) + math.log(g2)
+        lhs = (2 * reduce(add, map(math.log, a), 0.0) + 2 * math.log(g0) + math.log(g1)
+               + math.log(g2))
         if worst_amgm is None or lhs > worst_amgm:
             worst_amgm = lhs
     avg1 /= n

@@ -707,9 +707,9 @@ def _verdicts(node):
 
 
 def test_entropy_verdicts_do_not_depend_on_float_summation(monkeypatch):
-    # From Python 3.12 builtin sum compensates float rounding, which moves
-    # some printed slacks in their last digits, so the pinned digests hold
-    # below 3.12 only.  No exit code, pass or verdict may move.
+    # From Python 3.12 builtin sum compensates float rounding.  entropy
+    # adds its floats with running totals from 0.0 instead, so no printed
+    # byte, exit code, pass or verdict moves when sum compensates.
     commands = [command for command in STDOUT_SHA256 if command.startswith("entropy ")]
     assert len(commands) == 16
     plain = {command: run(command.split())[:2] for command in commands}
@@ -720,7 +720,7 @@ def test_entropy_verdicts_do_not_depend_on_float_summation(monkeypatch):
         assert code == plain[command][0], command
         assert _verdicts(json.loads(out)) == _verdicts(json.loads(plain[command][1])), command
         moved += out != plain[command][1]
-    assert moved == (0 if sys.version_info >= (3, 12) else 8)
+    assert moved == 0
 
 
 def test_csv_digests_are_pinned(backends, monkeypatch, tmp_path):

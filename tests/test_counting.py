@@ -14,6 +14,7 @@ from edgeind import (
     enumerate_ordered,
     gamma_table,
     is_well_ordered,
+    kernels,
 )
 
 from helpers import (
@@ -302,8 +303,6 @@ def test_gamma_sets_grouped_from_the_copies_equal_gamma_table():
     """The odd-path check reads gamma off the ordered copies of P_k: those
     sharing an odd-edge prefix are exactly the completions gamma_table
     enumerates for it."""
-    from edgeind.entropy import _distinct_per_key
-
     rng = random.Random(5791)
     checked = 0
     for _ in range(12):
@@ -323,7 +322,11 @@ def test_gamma_sets_grouped_from_the_copies_equal_gamma_table():
                 table = gamma_table(g, prefix)
                 assert grouped == table and list(grouped) == list(table)
                 checked += 1
-            # the counting the check itself does, on (value, key) pairs
+            # the counting the check itself does, on (value, key) columns
             pairs = [(e, p) for p, by_last in finals.items() for e in by_last] * 2
-            assert _distinct_per_key(pairs) == {p: len(b) for p, b in finals.items()}
+            if pairs:  # the kernel entries take non-empty columns
+                values = [u * g.n + v for (u, v), _ in pairs]
+                keys = [sum(p, ()) for _, p in pairs]
+                counts = kernels.distinct_counts(values, keys)
+                assert counts == [len(finals[p]) for _, p in pairs]
     assert checked > 100

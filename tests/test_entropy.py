@@ -670,10 +670,10 @@ def test_path_check_keeps_its_summation_order(backends, monkeypatch):
     """On this host the per-copy log terms of P4's alpha average and of
     P5's gamma averages have a correctly rounded sum (math.fsum) that
     differs from their left-to-right sum even after dividing by the copy
-    count.  So the report pins the summation primitive: builtin ``sum``
-    for the alpha and gamma0 averages, a running float total for gamma1
-    and gamma2 (they differ from Python 3.12 on, where ``sum`` compensates
-    float rounding)."""
+    count.  So the report pins the summation primitive: a running float
+    total from 0.0, ``reduce(add, terms, 0.0)``, for every average on every
+    Python version (builtin ``sum`` compensates float rounding from 3.12
+    on)."""
     host = random_graph(random.Random(1), 11, 0.35)
 
     def norm(e):
@@ -685,8 +685,9 @@ def test_path_check_keeps_its_summation_order(backends, monkeypatch):
         terms = [math.log(len(alpha_extension_edges(host, (t[0],)))) for t in edges]
         rep = verify_path_decomposition(host, "P4")
         n = len(terms)
-        assert math.fsum(terms) / n != sum(terms) / n
-        assert rep["conditional_3_vs_extensions"].rhs == sum(terms) / n
+        running = reduce(add, terms, 0.0)
+        assert math.fsum(terms) / n != running / n
+        assert rep["conditional_3_vs_extensions"].rhs == running / n
 
         edges = edge_tuples_oracle(CopyDistribution.collect(host, Graph.path(5)).copies, 5, False)
         n = len(edges)
@@ -699,8 +700,9 @@ def test_path_check_keeps_its_summation_order(backends, monkeypatch):
             seconds.setdefault((t[0], norm(t[3])), set()).add(norm(t[1]))
         g1 = [math.log(len(seconds[t[0], norm(t[3])])) for t in edges]
         rep = verify_path_decomposition(host, "P5")
-        assert math.fsum(g0) / n != sum(g0) / n
-        assert rep["conditional_final_vs_gamma0"].rhs == sum(g0) / n
+        running = reduce(add, g0, 0.0)
+        assert math.fsum(g0) / n != running / n
+        assert rep["conditional_final_vs_gamma0"].rhs == running / n
         running = reduce(add, g1, 0.0)
         assert math.fsum(g1) / n != running / n
         assert rep["conditional_secondlast_vs_gamma1"].rhs == running / n

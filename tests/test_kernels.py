@@ -5,6 +5,8 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,3 +424,82 @@ def test_level_entries_reject_malformed_labels(backends):
                 backend.children(label, set())
         assert backend.count_ordered_many([c5], k2.adj, (0, 1)) == [10]
         assert backend.count_ordered_many([], k2.adj, (0, 1)) == []
+
+
+# -- entropy sums --
+
+
+def _entropy_columns():
+    """(keys, givens, values) triples: random int columns of several
+    spreads (negative ints included), tuple keys of 0-4 entries, a single
+    distinct key, and a column whose first-occurrence order is the reverse
+    of sorted order.  ``values`` are positive ints for ``mean_log``."""
+    rng = random.Random(2026)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(1, 300)
+        spread = rng.choice([1, 3, 40, 2 ** 40, 2 ** 62])
+        ints = [rng.randint(-spread, spread) for _ in range(n)]
+        givens = [rng.randint(0, rng.randint(1, 12)) for _ in range(n)]
+        values = [rng.randint(1, spread) for _ in range(n)]
+        tuples = [tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 4))) for _ in range(n)]
+        cases += [(ints, givens, values), (tuples, givens, values), (givens, tuples, values)]
+    cases.append(([7] * 50, [-3] * 50, [5] * 50))
+    order = [3, 2, 1, 0, 3, 2, 1, 1, 1, 0, 0]  # counts 2, 2, 4, 3 in first-occurrence order
+    cases.append((order, [0] * len(order), [k + 1 for k in order]))
+    return cases
+
+
+def test_entropy_entries_agree_exactly(backends):
+    for keys, givens, values in _entropy_columns():
+        results = [(b.entropy(keys), b.cond_entropy(keys, givens), b.cond_entropy(givens, keys),
+                    b.mean_log(values), b.distinct_counts(keys, givens),
+                    b.distinct_counts(givens, keys)) for b in backends]
+        for result in results:
+            assert result == results[0]  # floats equal to the last bit, not approximately
+            assert list(map(type, result)) == [float] * 4 + [list] * 2
+
+
+def test_entropy_sums_meet_keys_in_first_occurrence_order(backends):
+    # the count terms (2, 2, 4, 3) and (3, 4, 2, 2) add to different floats
+    keys = [3, 2, 1, 0, 3, 2, 1, 1, 1, 0, 0]
+    n = len(keys)
+
+    def entropy_in(order):
+        counts = [keys.count(k) for k in order]
+        return math.log(n) - reduce(add, (c * math.log(c) for c in counts), 0.0) / n
+
+    assert entropy_in([3, 2, 1, 0]) != entropy_in([0, 1, 2, 3])
+    for backend in backends:
+        assert backend.entropy(keys) == entropy_in([3, 2, 1, 0])
+
+
+def test_keys_outside_64_bits_take_the_pure_twin(backends, monkeypatch):
+    wide = [2 ** 63, 1, 2 ** 63, -2 ** 63 - 1]
+    calls = [("entropy", (wide,)), ("cond_entropy", (wide, [1, 1, 2, 2])),
+             ("cond_entropy", ([1, 1, 2, 2], [(1, 2 ** 64)] * 4)),
+             ("mean_log", ([3, 2 ** 70, 5, 2 ** 63],)), ("distinct_counts", (wide, [0, 0, 1, 0])),
+             ("entropy", ([1.5, 1, 1.5, 2],)), ("entropy", ([((1,),), (1,), (1,), ((1,),)],))]
+    for backend in backends:
+        monkeypatch.setattr(kernels, "_impl", backend)
+        for name, columns in calls:
+            expected = getattr(_kernels_py, name)(*columns)
+            assert getattr(kernels, name)(*map(iter, columns)) == expected, (backend.BACKEND, name)
+            if backend.BACKEND == "c":
+                assert getattr(backend, name)(*columns) is NotImplemented
+    # the edges of the signed 64-bit range are held
+    edges = [-2 ** 63, 2 ** 63 - 1, 2 ** 63 - 1]
+    assert len({b.entropy(edges) for b in backends} | {_kernels_py.entropy([0, 1, 1])}) == 1
+
+
+def test_entropy_entries_reject_empty_and_ragged_columns(backends):
+    calls = [("entropy", ([],)), ("cond_entropy", ([], [])), ("mean_log", ([],)),
+             ("distinct_counts", ([], [])), ("cond_entropy", ([1, 2], [1])),
+             ("distinct_counts", ([1], [1, 2])), ("mean_log", ([2, 0],)), ("mean_log", ([-1],))]
+    for name, columns in calls:
+        raised = set()
+        for backend in backends:
+            with pytest.raises(ValueError) as info:
+                getattr(backend, name)(*columns)
+            raised.add(type(info.value))
+        assert raised == {ValueError}, name
