@@ -26,8 +26,8 @@
  * count_ordered_many(), take graph6 labels.
  *
  * The entropy entries, entropy(), cond_entropy(), mean_log() and
- * distinct_counts(), take columns of keys, each an int or a tuple of ints,
- * held as signed 64-bit words.  A column with any other key gets
+ * distinct_counts(), take columns of keys, each an int or a tuple of ints
+ * in the signed 64-bit range.  A column with any other key gets
  * NotImplemented, and edgeind.kernels asks the pure twin instead.
  */
 
