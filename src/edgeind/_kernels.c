@@ -1,11 +1,18 @@
 /*
  * Compiled twin of edgeind._kernels_py: ordered induced-copy search, the
- * canonical-labelling search core and the one-edge growth of a search
- * level, for graphs of at most 64 vertices, so that one adjacency row fits
- * in one machine word.  The pure module states the contract; both must
- * return identical results, down to the order of subcells in a refinement
- * and the order of sibling branches, because canonical labels are CLI
- * output and cache keys.
+ * canonical-labelling search core, the one-edge growth of a search level
+ * and the entropy sums.  One adjacency row fits in one machine word, so a
+ * graph has at most 64 vertices here.  The pure module states the
+ * contract; both must return identical results, down to the order of
+ * subcells in a refinement and the order of sibling branches, because
+ * canonical labels are CLI output and cache keys.
+ *
+ * Every entry answers NotImplemented for an input its word cannot hold,
+ * and edgeind.kernels then asks the pure twin: more than 64 host rows or
+ * graph6 vertices, a growth parent above 63 (``seen`` is left untouched),
+ * or an entropy key that is not an int or a tuple of ints in the signed
+ * 64-bit range.  Malformed input raises ValueError on both twins; an
+ * ordered count past 64 bits raises OverflowError here.
  *
  * The labelling follows individualisation-refinement (McKay and Piperno,
  * "Practical graph isomorphism, II", JSC 2014) with the pure module's
@@ -26,9 +33,7 @@
  * count_ordered_many(), take graph6 labels.
  *
  * The entropy entries, entropy(), cond_entropy(), mean_log() and
- * distinct_counts(), take columns of keys, each an int or a tuple of ints
- * in the signed 64-bit range.  A column with any other key gets
- * NotImplemented, and edgeind.kernels asks the pure twin instead.
+ * distinct_counts(), take columns of keys.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -45,21 +50,23 @@ typedef uint64_t u64;
 static inline int popcount(u64 x) { return __builtin_popcountll(x); }
 static inline int lowest(u64 x) { return __builtin_ctzll(x); }
 
-/* Read a sequence of at most WORD bitmask rows into out[]; a row may
-   mention only vertices below the row count.  Returns the row count, or -1
-   with an exception set. */
+/* A reader's answer besides a size: FAILED with an exception set, or
+   NOT_HELD, with none, for more vertices than the entry holds. */
+enum { FAILED = -1, NOT_HELD = -2 };
+
+/* Read a sequence of bitmask rows into out[]; a row may mention only
+   vertices below the row count.  Returns the row count, NOT_HELD for more
+   than WORD rows, or FAILED. */
 static Py_ssize_t
 read_rows(PyObject *seq, u64 *out, const char *what)
 {
     PyObject *fast = PySequence_Fast(seq, "adjacency rows must be a sequence");
     if (fast == NULL)
-        return -1;
+        return FAILED;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     if (n > WORD) {
-        PyErr_Format(PyExc_ValueError, "%s has %zd rows; the compiled kernel takes at most %d",
-                     what, n, WORD);
         Py_DECREF(fast);
-        return -1;
+        return NOT_HELD;
     }
     u64 outside = n == WORD ? 0 : ~(BIT(n) - 1);
     PyObject **items = PySequence_Fast_ITEMS(fast);
@@ -67,12 +74,12 @@ read_rows(PyObject *seq, u64 *out, const char *what)
         u64 row = PyLong_AsUnsignedLongLong(items[i]);
         if (row == (u64)-1 && PyErr_Occurred()) {
             Py_DECREF(fast);
-            return -1;
+            return FAILED;
         }
         if (row & outside) {
             PyErr_Format(PyExc_ValueError, "%s row %zd mentions a vertex >= %zd", what, i, n);
             Py_DECREF(fast);
-            return -1;
+            return FAILED;
         }
         out[i] = row;
     }
@@ -112,24 +119,22 @@ read_indices(PyObject *seq, int *out, Py_ssize_t cap, Py_ssize_t bound, const ch
 }
 
 /* Read the graph6 label ``obj``, the strict inverse of graph6(): no header
-   line or newline, at most ``max_n`` vertices, zero padding bits.  Returns
-   the vertex count, read from the header first; the rows go to out[] only
-   when there are at least ``min_n``.  -1 with ValueError set otherwise. */
+   line or newline, zero padding bits.  Returns the vertex count, read from
+   the header first, or NOT_HELD when it exceeds ``max_n``; the rows go to
+   out[] only when there are at least ``min_n``.  FAILED, with ValueError
+   set, for a malformed label. */
 static int
 read_graph6(PyObject *obj, u64 *out, int min_n, int max_n)
 {
     Py_ssize_t len, i;
     const unsigned char *s = (const unsigned char *)PyUnicode_AsUTF8AndSize(obj, &len);
     if (s == NULL)
-        return -1;
+        return FAILED;
     int body = len && s[0] == 126 ? 4 : 1, n = 0, v = 1, first = 0;
     for (i = body > 1; i < body && i < len && s[i] - 63u < 64; i++)
         n = n << 6 | (s[i] - 63);
-    if (i == body && n > max_n) {
-        PyErr_Format(PyExc_ValueError, "graph6 label %R has %d vertices; this compiled entry "
-                     "takes at most %d", obj, n, max_n);
-        return -1;
-    }
+    if (i == body && n > max_n)
+        return NOT_HELD;
     Py_ssize_t pad = 6 * (len - body) - n * (n - 1) / 2;
     if (i < body || pad < 0 || pad > 5)
         goto bad;
@@ -153,7 +158,7 @@ read_graph6(PyObject *obj, u64 *out, int min_n, int max_n)
     return n;
 bad:
     PyErr_Format(PyExc_ValueError, "malformed graph6 label %R", obj);
-    return -1;
+    return FAILED;
 }
 
 /* -- ordered induced-copy search ------------------------------------------ */
@@ -172,11 +177,11 @@ typedef struct {
     PyObject *out;      /* enumeration target, NULL when counting */
 } Ctx;
 
-enum { PREPARE_ERROR = -1, NO_COPY = -2 };
+enum { NO_COPY = -3 }; /* besides FAILED and NOT_HELD */
 
 /* The pattern half of a search: read the k pattern rows and the order, and
    fill the step masks and degrees.  Returns 0, or -1 with an exception
-   set. */
+   set.  The callers hold a host of at least k rows, so k <= WORD. */
 static int
 prepare_pattern(Ctx *ctx, PyObject *h_obj, PyObject *order_obj, Py_ssize_t k)
 {
@@ -228,8 +233,8 @@ fill_host(Ctx *ctx, int n)
 /* Fill ctx and seed the pins.  Returns the first free step (0 == k for an
    empty pattern, whose host rows are not read), NO_COPY when the host is
    smaller than the pattern or the pins repeat a host or contradict the
-   pattern, or PREPARE_ERROR with an exception set.  ``*used`` receives the
-   pinned hosts. */
+   pattern, NOT_HELD for a host of more than WORD rows, or FAILED with an
+   exception set.  ``*used`` receives the pinned hosts. */
 static int
 prepare(Ctx *ctx, PyObject *g_obj, PyObject *h_obj, PyObject *order_obj, PyObject *pins_obj,
         u64 *used)
@@ -240,17 +245,20 @@ prepare(Ctx *ctx, PyObject *g_obj, PyObject *h_obj, PyObject *order_obj, PyObjec
     *used = 0;
     ctx->k = 0;
     if (k < 0 || n < 0)
-        return PREPARE_ERROR;
+        return FAILED;
     if (n < k)
         return NO_COPY;
     if (k == 0)
         return 0;
-    if (prepare_pattern(ctx, h_obj, order_obj, k) < 0 || read_rows(g_obj, ctx->g_adj, "host") < 0)
-        return PREPARE_ERROR;
+    Py_ssize_t rows = read_rows(g_obj, ctx->g_adj, "host");
+    if (rows < 0)
+        return (int)rows;
+    if (prepare_pattern(ctx, h_obj, order_obj, k) < 0)
+        return FAILED;
     fill_host(ctx, (int)n);
     Py_ssize_t npins = read_indices(pins_obj, pins, k, n, "pin hosts");
     if (npins < 0)
-        return PREPARE_ERROR;
+        return FAILED;
     for (int i = 0; i < npins; i++) {
         int v = pins[i];
         if (*used >> v & 1)
@@ -354,17 +362,18 @@ count_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     if (check_nargs(nargs, 4, "count_ordered") < 0)
         return NULL;
     int start = prepare(&ctx, args[0], args[1], args[2], args[3], &used);
-    if (start == PREPARE_ERROR)
-        return NULL;
+    if (start == FAILED || start == NOT_HELD)
+        return start == NOT_HELD ? Py_NewRef(Py_NotImplemented) : NULL;
     if (start == NO_COPY)
         return PyLong_FromLong(0);
     return count_from(&ctx, start, used);
 }
 
 /* count_ordered(g_adj, h_adj, order, ()) for the host each graph6 label
-   encodes, in one call.  A host is decoded into the context only when it
-   is at least as large as the pattern, and the pattern and the order are
-   read once, when the first such host needs them. */
+   encodes, in one call, or NotImplemented when a host has more than WORD
+   vertices.  A host is decoded into the context only when it is at least
+   as large as the pattern, and the pattern and the order are read once,
+   when the first such host needs them. */
 static PyObject *
 count_ordered_many(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -379,34 +388,35 @@ count_ordered_many(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t 
         return NULL;
     Py_ssize_t count = PySequence_Fast_GET_SIZE(labels);
     PyObject **items = PySequence_Fast_ITEMS(labels);
-    PyObject *out = PyList_New(count);
+    PyObject *out = PyList_New(count), *result = NULL;
     int ready = 0;
     if (out == NULL)
-        goto fail;
+        goto done;
     for (Py_ssize_t i = 0; i < count; i++) {
         int n = read_graph6(items[i], ctx.g_adj, k ? (int)k : WORD + 1, WORD);
         PyObject *c;
+        if (n == NOT_HELD)
+            result = Py_NewRef(Py_NotImplemented);
         if (n < 0)
-            goto fail;
+            goto done;
         if (k == 0 || n < k)
             c = PyLong_FromLong(k == 0);
         else {
             if (!ready && prepare_pattern(&ctx, args[1], args[2], k) < 0)
-                goto fail;
+                goto done;
             ready = 1;
             fill_host(&ctx, n);
             c = count_from(&ctx, 0, 0);
         }
         if (c == NULL)
-            goto fail;
+            goto done;
         PyList_SET_ITEM(out, i, c);
     }
-    Py_DECREF(labels);
-    return out;
-fail:
+    result = Py_NewRef(out);
+done:
     Py_XDECREF(out);
     Py_DECREF(labels);
-    return NULL;
+    return result;
 }
 
 static PyObject *
@@ -417,8 +427,8 @@ enumerate_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t n
     if (check_nargs(nargs, 4, "enumerate_ordered") < 0)
         return NULL;
     int start = prepare(&ctx, args[0], args[1], args[2], args[3], &used);
-    if (start == PREPARE_ERROR)
-        return NULL;
+    if (start == FAILED || start == NOT_HELD)
+        return start == NOT_HELD ? Py_NewRef(Py_NotImplemented) : NULL;
     ctx.out = PyList_New(0);
     if (ctx.out == NULL || start == NO_COPY)
         return ctx.out;
@@ -772,7 +782,7 @@ canonical_search(PyObject *Py_UNUSED(self), PyObject *rows)
     PyObject *label = NULL, *perm = NULL, *gens = NULL, *result = NULL;
     Py_ssize_t n = read_rows(rows, cs.adj, "graph");
     if (n < 0)
-        return NULL;
+        return n == NOT_HELD ? Py_NewRef(Py_NotImplemented) : NULL;
     cs.n = (int)n;
     cs.gens = NULL;
     cs.cap = 0;
@@ -850,7 +860,8 @@ mark_pair_orbit(const Canon *parent, u64 *pairs, int u, int v)
    orbit (for the pendant edge) are labelled: a skipped extension is
    isomorphic to an earlier one of this call, whose label is in ``seen``
    by then, so the result and ``seen`` are those of labelling them all
-   (McKay, "Isomorph-free exhaustive generation", 1998). */
+   (McKay, "Isomorph-free exhaustive generation", 1998).  A parent above
+   WORD - 1 vertices gets NotImplemented before ``seen`` is read. */
 static PyObject *
 children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -864,7 +875,7 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     }
     int n = read_graph6(args[0], parent.adj, 0, WORD - 1); /* children beyond WORD otherwise */
     if (n < 0)
-        return NULL;
+        return n == NOT_HELD ? Py_NewRef(Py_NotImplemented) : NULL;
     parent.n = n;
     parent.gens = cs.gens = NULL;
     parent.cap = cs.cap = 0;

@@ -3,10 +3,11 @@ labelling search core, the one-edge growth of a search level and the
 entropy sums.
 
 Twin of the compiled module ``edgeind._kernels``; both expose the same
-functions and must produce identical results.  Adjacency rows are integer
-bitmasks; the compiled twin takes at most 64 rows, this module any number.
-The level entries ``children`` and ``count_ordered_many`` take graph6
-labels instead.
+functions and must produce identical results, except that the compiled
+twin answers NotImplemented for an input its 64-bit word cannot hold, and
+``edgeind.kernels`` then asks this module, which takes any size.  Adjacency
+rows are integer bitmasks; the level entries ``children`` and
+``count_ordered_many`` take graph6 labels instead.
 For the copy search, ``order`` is the sequence in which pattern vertices
 are assigned; the first ``len(pin_hosts)`` of them are forced to the given
 host vertices.
@@ -18,9 +19,7 @@ is an int or a tuple of ints (this module takes any hashable key).  Every
 float sum adds its terms left to right from 0.0, over the distinct keys in
 order of first occurrence, so the result does not depend on the Python
 version (builtin ``sum`` compensates float rounding from 3.12 on).  The
-compiled twin reads each int of a key as a signed 64-bit word; for a
-column with any other key it returns NotImplemented, and
-``edgeind.kernels`` asks this module instead.
+compiled twin reads each int of a key as a signed 64-bit word.
 """
 
 import math

@@ -9,14 +9,11 @@ live in ``edgeind.entropy``.
 The twin is chosen only from what the process observes.  The compiled C
 extension ``edgeind._kernels`` (backend ``"c"``) is used when it imports;
 the pure-Python twin ``edgeind._kernels_py`` (backend ``"pure"``) is used
-when the extension was not built.  Graphs above 64 vertices, and parents
-whose extensions could exceed 64 vertices, always take the pure twin,
-because the C code packs a neighborhood into one machine word.  In the
-same way an entropy sum over a column with a key the C code cannot hold in
-a signed 64-bit word (an int outside that range, or anything but an int or
-a tuple of ints) takes the pure twin for the whole call.  The pure twin is
-imported only when one of these needs it, so a process on the compiled
-backend that stays within 64 vertices and 64-bit keys never loads it.
+when the extension was not built.  The compiled twin alone says what it
+holds: an entry answers NotImplemented for an input its 64-bit word cannot
+hold (a graph above 64 vertices, a growth parent above 63, an entropy key
+outside the signed 64-bit range), and ``_call`` then asks the pure twin,
+which is imported only then.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graph import Graph, WORD_VERTICES
+from .graph import Graph
 
 
 def _pure():
@@ -40,12 +37,12 @@ except ImportError:
 
 BACKEND = _impl.BACKEND
 
-_WORD_LABEL = 340  # graph6 length of a 64-vertex graph; it grows with n
 
-
-def _backend_for(g: Graph):
-    """The backend module for g."""
-    return _pure() if g.n > WORD_VERTICES else _impl
+def _call(name, *args):
+    """The twin entry ``name`` on args: the active twin's answer, or the
+    pure twin's where the compiled one answers NotImplemented."""
+    out = getattr(_impl, name)(*args)
+    return getattr(_pure(), name)(*args) if out is NotImplemented else out
 
 
 class CanonicalForm(NamedTuple):
@@ -69,7 +66,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     generate the whole automorphism group (every pruned branch is the
     image of an explored one under them), and both backends return the
     same ones: K_{1,61} gets 60 generators, 31K2 61."""
-    return CanonicalForm(*_backend_for(g).canonical_search(g.adj))
+    return CanonicalForm(*_call("canonical_search", g.adj))
 
 
 def canonical_label(g: Graph) -> str:
@@ -92,9 +89,10 @@ def children(label: str, seen: set) -> list:
     The extensions are each non-edge added, a pendant edge at each vertex
     and, within the 64-vertex word, a disjoint edge.  The compiled backend
     labels one extension per orbit of the parent's automorphisms, the pure
-    twin each extension; both return the same list.  Only a short-form
-    label (at most 62 vertices) has all its children within the word."""
-    return (_impl if label[:1] != "~" else _pure()).children(label, seen)
+    twin each extension; both return the same list.  The compiled twin
+    takes parents of up to 63 vertices, whose children fit the word, and
+    leaves a larger one, with ``seen`` untouched, to the pure twin."""
+    return _call("children", label, seen)
 
 
 def visit_order(h: Graph, pinned=()) -> tuple:
@@ -143,7 +141,7 @@ def count_ordered(g: Graph, h: Graph, pins=()) -> int:
     non-adjacency, with the optional (pattern, host) pins respected."""
     pats, hosts = _split_pins(g, h, pins)
     order = visit_order(h, pats)
-    return _backend_for(g).count_ordered(g.adj, h.adj, order, hosts)
+    return _call("count_ordered", g.adj, h.adj, order, hosts)
 
 
 class CountSummary(NamedTuple):
@@ -176,15 +174,9 @@ def count_induced(g: Graph, h: Graph) -> CountSummary:
 
 def count_ordered_many(labels, h: Graph) -> list:
     """``count_ordered(g, h)`` for the host g each graph6 label encodes, in
-    order.  One backend call counts them all when every label is short
-    enough for 64 vertices; otherwise each host goes to the backend its
-    label's length allows.  The labels are read once, so an iterator works."""
-    labels = tuple(labels)
-    order = visit_order(h)
-    if max(map(len, labels), default=0) <= _WORD_LABEL:
-        return _impl.count_ordered_many(labels, h.adj, order)
-    return [(_pure() if len(label) > _WORD_LABEL else _impl)
-            .count_ordered_many((label,), h.adj, order)[0] for label in labels]
+    order, in one backend call; a host above 64 vertices sends the whole call
+    to the pure twin.  The labels are read once, so an iterator works."""
+    return _call("count_ordered_many", tuple(labels), h.adj, visit_order(h))
 
 
 def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:
@@ -192,7 +184,7 @@ def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:
     vertex, sorted lexicographically."""
     pats, hosts = _split_pins(g, h, pins)
     order = visit_order(h, pats)
-    return sorted(_backend_for(g).enumerate_ordered(g.adj, h.adj, order, hosts))
+    return sorted(_call("enumerate_ordered", g.adj, h.adj, order, hosts))
 
 
 # -- entropy sums --
@@ -202,11 +194,8 @@ def enumerate_ordered(g: Graph, h: Graph, pins=()) -> list:
 
 
 def _sums(name, *columns):
-    """The twin entry ``name`` on the columns, read once each; the compiled
-    twin answers NotImplemented for a key it cannot hold."""
-    columns = [c if isinstance(c, (list, tuple)) else list(c) for c in columns]
-    out = getattr(_impl, name)(*columns)
-    return getattr(_pure(), name)(*columns) if out is NotImplemented else out
+    """The twin entry ``name`` on the columns, read once each."""
+    return _call(name, *[c if isinstance(c, (list, tuple)) else list(c) for c in columns])
 
 
 def entropy(keys) -> float:

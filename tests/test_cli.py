@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from edgeind import (BlowupSpec, Graph, automorphism_order, blow_up, blowups, canonical_label,
                      cli, fracind, kernels, parse_graph6, rho_exact, search, write_graph6)
 from edgeind.graph import family_graph
-from edgeind import entropy as ent
+from edgeind import _kernels_py, entropy as ent
 from edgeind.cli import dispatch
 
 from helpers import complete_bipartite, compensated_sum, count_labellings, json_report_oracle
@@ -707,13 +707,15 @@ def _verdicts(node):
 
 
 def test_entropy_verdicts_do_not_depend_on_float_summation(monkeypatch):
-    # From Python 3.12 builtin sum compensates float rounding.  entropy
-    # adds its floats with running totals from 0.0 instead, so no printed
-    # byte, exit code, pass or verdict moves when sum compensates.
+    # From Python 3.12 builtin sum compensates float rounding.  entropy and
+    # the pure kernel twin, which holds the entropy sums, add their floats
+    # with running totals from 0.0 instead, so no printed byte, exit code,
+    # pass or verdict moves when sum compensates.
     commands = [command for command in STDOUT_SHA256 if command.startswith("entropy ")]
     assert len(commands) == 16
     plain = {command: run(command.split())[:2] for command in commands}
-    monkeypatch.setattr(ent, "sum", compensated_sum, raising=False)
+    for module in (ent, _kernels_py):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     moved = 0
     for command in commands:
         code, out = run(command.split())[:2]

@@ -77,14 +77,36 @@ def test_backends_agree_on_labels_up_to_64_vertices(compiled):
             assert g.relabel(perm) == parse_graph6(label)
 
 
+def _pure_never_asked():
+    raise AssertionError("the pure twin was asked")
+
+
 def test_labels_above_64_vertices_take_the_pure_path(compiled, monkeypatch):
+    # the compiled entry answers NotImplemented above its word and kernels
+    # asks the pure twin, which it never asks within the word
     g = Graph.path(65)
-    with pytest.raises(ValueError):
-        compiled.canonical_search(g.adj)
+    assert compiled.canonical_search(g.adj) is NotImplemented
     monkeypatch.setattr(kernels, "_impl", compiled)
-    assert kernels._backend_for(g) is _kernels_py
     assert canonical_form(g).label == _kernels_py.canonical_search(g.adj)[0]
-    assert kernels._backend_for(Graph.path(64)) is compiled
+    monkeypatch.setattr(kernels, "_pure", _pure_never_asked)
+    assert canonical_form(Graph.path(64)) == compiled.canonical_search(Graph.path(64).adj)
+
+
+def test_hosts_above_the_word_take_the_pure_twin(compiled, monkeypatch):
+    # every graph entry on a 65-vertex host, through kernels with the
+    # compiled twin active, gives the pure twin's answer
+    g = random_graph(random.Random(65), 65, 0.1)
+    h = Graph.path(3)
+    order = kernels.visit_order(h)
+    labels = [write_graph6(Graph.cycle(5)), write_graph6(g)]
+    monkeypatch.setattr(kernels, "_impl", compiled)
+    assert kernels.canonical_form(g) == _kernels_py.canonical_search(g.adj)
+    assert kernels.count_ordered(g, h) == _kernels_py.count_ordered(g.adj, h.adj, order, ())
+    assert kernels.enumerate_ordered(g, h) == \
+        sorted(_kernels_py.enumerate_ordered(g.adj, h.adj, order, ()))
+    assert kernels.count_ordered_many(labels, h) == \
+        _kernels_py.count_ordered_many(labels, h.adj, order)
+    assert kernels.count_ordered_many(labels, h)[0] == 10
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -108,8 +130,8 @@ def test_backends_agree_on_growth(compiled, parent, keep):
 
 def test_growth_up_to_the_word(compiled):
     # the disjoint edge of a 62-vertex parent fills the word, a 63-vertex
-    # parent has no disjoint-edge extension, and the compiled entry refuses
-    # a 64-vertex parent
+    # parent has no disjoint-edge extension, and the compiled entry answers
+    # NotImplemented for a 64-vertex parent, with ``seen`` untouched
     for n, sizes in ((62, {62, 63, 64}), (63, {63, 64})):
         label = write_graph6(Graph.path(n))
         assert label.startswith("~") == (n > 62)
@@ -122,8 +144,9 @@ def test_growth_up_to_the_word(compiled):
             assert child_label.startswith("~") == (child.n > 62)
             assert child.m == n
         assert compiled.children(label, set(new)) == []
-    with pytest.raises(ValueError):
-        compiled.children(write_graph6(Graph.path(64)), set())
+    seen = {"A_"}
+    assert compiled.children(write_graph6(Graph.path(64)), seen) is NotImplemented
+    assert seen == {"A_"}
     with pytest.raises(TypeError):
         compiled.children(write_graph6(Graph.path(3)), frozenset())
 
@@ -227,6 +250,24 @@ def test_growth_of_symmetric_parents(compiled):
             seen_c = set(start)
             assert compiled.children(parent, seen_c) == pure
             assert seen_c == pure_seen
+
+
+def test_growth_of_a_63_vertex_parent(compiled, monkeypatch):
+    # the largest parent the compiled entry takes.  The complement of P63
+    # has 62 non-edges, so the pure twin labels its 125 extensions in about
+    # a second (K63's 63 pendant extensions take it over ten); through
+    # kernels the pure twin is never asked
+    full = (1 << 63) - 1
+    parent = write_graph6(Graph(63, [full ^ 1 << v ^ row for v, row in
+                                     enumerate(Graph.path(63).adj)]))
+    seen_c, seen_py = set(), set()
+    new = compiled.children(parent, seen_c)
+    assert new == _kernels_py.children(parent, seen_py)
+    assert seen_c == seen_py == set(new)
+    assert {parse_graph6(child).n for child in new} == {63, 64}
+    monkeypatch.setattr(kernels, "_impl", compiled)
+    monkeypatch.setattr(kernels, "_pure", _pure_never_asked)
+    assert kernels.children(parent, set()) == new
 
 
 def test_growth_of_symmetric_62_vertex_parents(compiled):
@@ -336,8 +377,8 @@ def test_full_64_vertex_host():
 
 
 def test_count_many_routes_each_host_by_size(compiled, monkeypatch):
-    # the compiled kernel refuses hosts above 64 vertices, so the
-    # 66-vertex host must go to the pure twin
+    # the compiled kernel answers NotImplemented for a host above 64
+    # vertices, so the call with the 66-vertex host goes to the pure twin
     monkeypatch.setattr(kernels, "_impl", compiled)
     hosts = [complete_bipartite(33, 33), Graph.cycle(4), Graph.path(3),
              complete_bipartite(3, 5)]
@@ -387,17 +428,17 @@ def test_count_ordered_many_reads_an_iterator_once(backends, monkeypatch):
 
 
 def test_count_ordered_many_fails_like_count_ordered(compiled):
-    # a host above the 64-vertex word fails the whole call with a
-    # ValueError, as count_ordered does on its rows, and the pure twin
-    # counts it; a pattern larger than every host is never read
+    # a host above the 64-vertex word makes the whole call answer
+    # NotImplemented, as count_ordered and enumerate_ordered do on its
+    # rows, and the pure twin counts it; a pattern larger than every host
+    # is never read
     c4 = Graph.cycle(4)
     order = kernels.visit_order(c4)
     big = complete_bipartite(33, 33)
     labels = [write_graph6(Graph.cycle(5)), write_graph6(big), write_graph6(c4)]
-    with pytest.raises(ValueError, match="has 66 vertices"):
-        compiled.count_ordered_many(labels, c4.adj, order)
-    with pytest.raises(ValueError, match="66 rows"):
-        compiled.count_ordered(big.adj, c4.adj, order, ())
+    assert compiled.count_ordered_many(labels, c4.adj, order) is NotImplemented
+    assert compiled.count_ordered(big.adj, c4.adj, order, ()) is NotImplemented
+    assert compiled.enumerate_ordered(big.adj, c4.adj, order, ()) is NotImplemented
     assert _kernels_py.count_ordered_many([write_graph6(big)], c4.adj, order) == \
         [8 * math.comb(33, 2) ** 2]
     huge = [(1 << 65) - 1] * 66  # not a valid pattern for the compiled kernel
@@ -407,21 +448,27 @@ def test_count_ordered_many_fails_like_count_ordered(compiled):
 def test_level_entries_reject_malformed_labels(backends):
     # both decoders are strict: a character outside ?..~ (in the header or
     # the body), a truncated body, a trailing character, a set padding bit,
-    # a ">>graph6<<" header, a trailing newline and, on the compiled entries
-    # only, more than 64 vertices
+    # a ">>graph6<<" header and a trailing newline.  The compiled entries
+    # answer NotImplemented for more than 64 vertices, and children leaves
+    # ``seen`` untouched
     c5 = write_graph6(Graph.cycle(5))  # 10 bits: two body characters
     assert not (ord(c5[-1]) - 63) & 3
     malformed = [" " + c5[1:], c5[:-1] + " ", c5[:-1] + chr(127), c5[:-1], c5 + "?",
                  c5[:-1] + chr(ord(c5[-1]) + 1), ">>graph6<<" + c5, c5 + "\n",
                  ">>graph6<<A_", "A_\n"]
     k2 = Graph.complete(2)
+    big = write_graph6(Graph.path(65))
     for backend in backends:
-        big = [write_graph6(Graph.path(65))] if backend.BACKEND == "c" else []
-        for label in malformed + big:
+        for label in malformed:
             with pytest.raises(ValueError):
                 backend.count_ordered_many([c5, label], k2.adj, (0, 1))
             with pytest.raises(ValueError):
                 backend.children(label, set())
+        if backend.BACKEND == "c":
+            seen = {c5}
+            assert backend.count_ordered_many([c5, big], k2.adj, (0, 1)) is NotImplemented
+            assert backend.children(big, seen) is NotImplemented
+            assert seen == {c5}
         assert backend.count_ordered_many([c5], k2.adj, (0, 1)) == [10]
         assert backend.count_ordered_many([], k2.adj, (0, 1)) == []
 

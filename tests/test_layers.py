@@ -96,3 +96,35 @@ def test_ceiling_error_is_raised_with_the_budget_only():
              and getattr(node.exc.func, "id", None) == "CeilingError"]
     assert len(calls) == 2
     assert all(len(call.args) == 1 and not call.keywords for call in calls)
+
+
+def _statement_name(stmt):
+    """A module-level statement's name: a definition's, an assignment's
+    first target, or else the statement's type."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name
+    if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+        return stmt.targets[0].id
+    return type(stmt).__name__
+
+
+def test_the_compiled_twin_alone_says_what_it_holds():
+    # kernels states no word size: no WORD_VERTICES, no vertex or label
+    # length and no long-form graph6 test.  The compiled twin answers
+    # NotImplemented for an input it cannot hold, and one _call picks the
+    # twin at call time, so the twins are named only there and in the
+    # import fallback
+    tree = _tree("kernels")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "WORD_VERTICES" not in names
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not constants & {62, 63, 64, 340, "~"}
+    sites = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id == "_impl" or \
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pure":
+                sites.add(_statement_name(stmt))
+    assert sites == {"Try", "BACKEND", "_call"}

@@ -222,19 +222,24 @@ def test_growth_entries_agree(backends):
 
 
 def test_children_of_large_parents_take_the_pure_path(monkeypatch):
-    # the compiled entry packs a child's rows into 64-bit words, so a
-    # parent with n + 2 > 64, whose label takes the long form, goes to the
-    # pure twin
+    # the compiled entry packs a child's rows into 64-bit words, so it
+    # answers NotImplemented for a parent above 63 vertices, and that
+    # parent goes to the pure twin
     calls = []
 
-    def spy(name):
-        return lambda label, seen: calls.append((name, parse_graph6(label).n)) or []
+    def spy(name, most):
+        def children(label, seen):
+            n = parse_graph6(label).n
+            calls.append((name, n))
+            return [] if n <= most else NotImplemented
+        return children
 
-    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(children=spy("impl")))
-    monkeypatch.setattr(_kernels_py, "children", spy("pure"))
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(children=spy("impl", 63)))
+    monkeypatch.setattr(_kernels_py, "children", spy("pure", 70))
     for n in (61, 62, 63, 64, 70):
         assert search._children(write_graph6(Graph.empty(n)), set()) == []
-    assert calls == [("impl", 61), ("impl", 62), ("pure", 63), ("pure", 64), ("pure", 70)]
+    assert calls == [("impl", 61), ("impl", 62), ("impl", 63), ("impl", 64), ("pure", 64),
+                     ("impl", 70), ("pure", 70)]
 
 
 def test_sharded_growth_equals_level(monkeypatch):
