@@ -9,7 +9,7 @@
  *
  * Every entry answers NotImplemented for an input its word cannot hold,
  * and edgeind.kernels then asks the pure twin: more than 64 host rows or
- * graph6 vertices, a growth parent above 63 (``seen`` is left untouched),
+ * graph6 vertices, a growth parent above 62 (``seen`` is left untouched),
  * or an entropy key that is not an int or a tuple of ints in the signed
  * 64-bit range.  Malformed input raises ValueError on both twins; an
  * ordered count past 64 bits raises OverflowError here.
@@ -853,7 +853,7 @@ mark_pair_orbit(const Canon *parent, u64 *pairs, int u, int v)
 
 /* The pure module's ``children``: the one-edge extensions of the parent in
    the same order (for each vertex u, the non-edges uv with v > u, then a
-   pendant edge at u; last, while it fits in the word, a disjoint edge),
+   pendant edge at u; last, a disjoint edge),
    labelled without building perm or generator tuples.  The parent is
    labelled first for its automorphism generators, and only the first
    non-edge of each orbit of non-edges and the first vertex of each vertex
@@ -861,7 +861,8 @@ mark_pair_orbit(const Canon *parent, u64 *pairs, int u, int v)
    isomorphic to an earlier one of this call, whose label is in ``seen``
    by then, so the result and ``seen`` are those of labelling them all
    (McKay, "Isomorph-free exhaustive generation", 1998).  A parent above
-   WORD - 1 vertices gets NotImplemented before ``seen`` is read. */
+   WORD - 2 vertices, whose disjoint-edge child would not fit the word,
+   gets NotImplemented before ``seen`` is read. */
 static PyObject *
 children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -873,7 +874,7 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "children() needs a set of seen labels");
         return NULL;
     }
-    int n = read_graph6(args[0], parent.adj, 0, WORD - 1); /* children beyond WORD otherwise */
+    int n = read_graph6(args[0], parent.adj, 0, WORD - 2);
     if (n < 0)
         return n == NOT_HELD ? Py_NewRef(Py_NotImplemented) : NULL;
     parent.n = n;
@@ -909,7 +910,7 @@ children(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             rc = offer(&cs, args[1], out);
         }
     }
-    if (rc == 0 && n + 2 <= WORD) {
+    if (rc == 0) {
         memcpy(cs.adj, parent.adj, size);
         cs.adj[n] = BIT(n + 1);
         cs.adj[n + 1] = BIT(n);

@@ -5,9 +5,10 @@ entropy sums.
 Twin of the compiled module ``edgeind._kernels``; both expose the same
 functions and must produce identical results, except that the compiled
 twin answers NotImplemented for an input its 64-bit word cannot hold, and
-``edgeind.kernels`` then asks this module, which takes any size.  Adjacency
-rows are integer bitmasks; the level entries ``children`` and
-``count_ordered_many`` take graph6 labels instead.
+``edgeind.kernels`` then asks this module, which takes every graph of at
+most ``MAX_VERTICES`` vertices and grows every parent whose children stay
+within it.  Adjacency rows are integer bitmasks; the level entries
+``children`` and ``count_ordered_many`` take graph6 labels instead.
 For the copy search, ``order`` is the sequence in which pattern vertices
 are assigned; the first ``len(pin_hosts)`` of them are forced to the given
 host vertices.
@@ -27,7 +28,7 @@ from collections import Counter
 from functools import reduce
 from operator import add
 
-from .graph import WORD_VERTICES, encode_graph6, parse_graph6
+from .graph import MAX_VERTICES, encode_graph6, parse_graph6
 
 BACKEND = "pure"
 
@@ -306,10 +307,13 @@ def children(label, seen):
     """The canonical label of each one-edge extension of the graph with
     graph6 ``label`` that is not in ``seen``; each new label joins ``seen``.
     The extensions come in a fixed order: for each vertex u, the non-edges
-    uv with v > u, then a pendant edge at u; last, while it fits in the
-    64-vertex word, a disjoint edge."""
+    uv with v > u, then a pendant edge at u; last, a disjoint edge.  A
+    parent whose disjoint-edge child would exceed ``MAX_VERTICES`` raises
+    ValueError before ``seen`` is read."""
     adj = _rows(label)
     n = len(adj)
+    if n + 2 > MAX_VERTICES:
+        raise ValueError(f"children of a {n}-vertex parent exceed {MAX_VERTICES} vertices")
     bit = 1 << n
     out = []
 
@@ -331,8 +335,7 @@ def children(label, seen):
         rows[u] = row | bit
         rows.append(1 << u)
         offer(rows)
-    if n + 2 <= WORD_VERTICES:
-        offer([*adj, bit << 1, bit])
+    offer([*adj, bit << 1, bit])
     return out
 
 

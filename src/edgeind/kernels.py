@@ -10,10 +10,10 @@ The twin is chosen only from what the process observes.  The compiled C
 extension ``edgeind._kernels`` (backend ``"c"``) is used when it imports;
 the pure-Python twin ``edgeind._kernels_py`` (backend ``"pure"``) is used
 when the extension was not built.  The compiled twin alone says what it
-holds: an entry answers NotImplemented for an input its 64-bit word cannot
-hold (a graph above 64 vertices, a growth parent above 63, an entropy key
-outside the signed 64-bit range), and ``_call`` then asks the pure twin,
-which is imported only then.
+holds: an entry answers NotImplemented for an input its machine word
+cannot hold (a graph too large for it, a growth parent whose children it
+cannot hold, an entropy key outside its range), and ``_call`` then asks
+the pure twin, which is imported only then.
 """
 
 from __future__ import annotations
@@ -87,11 +87,12 @@ def children(label: str, seen: set) -> list:
     """The canonical label of each one-edge extension of the graph with
     graph6 ``label`` that is not in ``seen``; each new label joins ``seen``.
     The extensions are each non-edge added, a pendant edge at each vertex
-    and, within the 64-vertex word, a disjoint edge.  The compiled backend
+    and a disjoint edge, whatever the parent's size.  The compiled backend
     labels one extension per orbit of the parent's automorphisms, the pure
-    twin each extension; both return the same list.  The compiled twin
-    takes parents of up to 63 vertices, whose children fit the word, and
-    leaves a larger one, with ``seen`` untouched, to the pure twin."""
+    twin each extension; both return the same list.  A parent whose
+    children the compiled word cannot hold goes to the pure twin, and one
+    whose child would pass the largest graph raises ValueError, both with
+    ``seen`` untouched."""
     return _call("children", label, seen)
 
 
@@ -174,8 +175,8 @@ def count_induced(g: Graph, h: Graph) -> CountSummary:
 
 def count_ordered_many(labels, h: Graph) -> list:
     """``count_ordered(g, h)`` for the host g each graph6 label encodes, in
-    order, in one backend call; a host above 64 vertices sends the whole call
-    to the pure twin.  The labels are read once, so an iterator works."""
+    order, in one backend call; a host too large for the compiled word sends
+    the whole call to the pure twin.  Labels are read once: an iterator works."""
     return _call("count_ordered_many", tuple(labels), h.adj, visit_order(h))
 
 

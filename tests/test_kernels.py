@@ -129,24 +129,26 @@ def test_backends_agree_on_growth(compiled, parent, keep):
 
 
 def test_growth_up_to_the_word(compiled):
-    # the disjoint edge of a 62-vertex parent fills the word, a 63-vertex
-    # parent has no disjoint-edge extension, and the compiled entry answers
-    # NotImplemented for a 64-vertex parent, with ``seen`` untouched
-    for n, sizes in ((62, {62, 63, 64}), (63, {63, 64})):
+    # the disjoint edge of a 62-vertex parent fills the word, and the
+    # compiled entry answers NotImplemented for a 63- or 64-vertex parent,
+    # whose disjoint-edge child would not fit, with ``seen`` untouched
+    label = write_graph6(Graph.path(62))
+    assert not label.startswith("~")
+    new = compiled.children(label, set())
+    assert len(new) == len(set(new))
+    children = [parse_graph6(child) for child in new]
+    assert {child.n for child in children} == {62, 63, 64}
+    assert [child.n for child in children].count(64) == 1
+    for child_label, child in zip(new, children):
+        assert child_label.startswith("~") == (child.n > 62)
+        assert child.m == 62
+    assert compiled.children(label, set(new)) == []
+    for n in (63, 64):
         label = write_graph6(Graph.path(n))
-        assert label.startswith("~") == (n > 62)
-        new = compiled.children(label, set())
-        assert len(new) == len(set(new))
-        children = [parse_graph6(child) for child in new]
-        assert {child.n for child in children} == sizes
-        assert [child.n for child in children].count(n + 2) == (n == 62)
-        for child_label, child in zip(new, children):
-            assert child_label.startswith("~") == (child.n > 62)
-            assert child.m == n
-        assert compiled.children(label, set(new)) == []
-    seen = {"A_"}
-    assert compiled.children(write_graph6(Graph.path(64)), seen) is NotImplemented
-    assert seen == {"A_"}
+        assert label.startswith("~")
+        seen = {"A_"}
+        assert compiled.children(label, seen) is NotImplemented
+        assert seen == {"A_"}
     with pytest.raises(TypeError):
         compiled.children(write_graph6(Graph.path(3)), frozenset())
 
@@ -252,22 +254,46 @@ def test_growth_of_symmetric_parents(compiled):
             assert seen_c == pure_seen
 
 
+def _path_complement(n):
+    full = (1 << n) - 1
+    return Graph(n, [full ^ 1 << v ^ row for v, row in enumerate(Graph.path(n).adj)])
+
+
 def test_growth_of_a_63_vertex_parent(compiled, monkeypatch):
-    # the largest parent the compiled entry takes.  The complement of P63
-    # has 62 non-edges, so the pure twin labels its 125 extensions in about
-    # a second (K63's 63 pendant extensions take it over ten); through
-    # kernels the pure twin is never asked
-    full = (1 << 63) - 1
-    parent = write_graph6(Graph(63, [full ^ 1 << v ^ row for v, row in
-                                     enumerate(Graph.path(63).adj)]))
-    seen_c, seen_py = set(), set()
-    new = compiled.children(parent, seen_c)
-    assert new == _kernels_py.children(parent, seen_py)
-    assert seen_c == seen_py == set(new)
-    assert {parse_graph6(child).n for child in new} == {63, 64}
+    # the smallest parent the compiled entry declines: its disjoint-edge
+    # child has 65 vertices.  The complement of P63 has 62 non-edges, so
+    # the pure twin labels its 126 extensions in about a second (K63's 63
+    # pendant extensions take it over ten); through kernels the compiled
+    # twin declines and the pure twin answers, parent + K2 last
+    graph = _path_complement(63)
+    parent = write_graph6(graph)
+    seen = {"A_"}
+    assert compiled.children(parent, seen) is NotImplemented
+    assert seen == {"A_"}
+    seen_py = set()
+    new = _kernels_py.children(parent, seen_py)
+    assert seen_py == set(new) and len(new) == len(seen_py)
+    sizes = [parse_graph6(child).n for child in new]
+    assert set(sizes) == {63, 64, 65} and sizes.count(65) == 1
+    plus_k2 = disjoint_union(graph, Graph.complete(2))
+    assert new[-1] == _kernels_py.canonical_search(plus_k2.adj)[0]
     monkeypatch.setattr(kernels, "_impl", compiled)
-    monkeypatch.setattr(kernels, "_pure", _pure_never_asked)
     assert kernels.children(parent, set()) == new
+
+
+def test_growth_past_the_largest_graph_raises(backends, monkeypatch):
+    # a child of a 127- or 128-vertex parent would pass the 128-vertex
+    # limit of a graph: the pure twin raises before labelling any
+    # extension, whether it is active or the compiled one declines, with
+    # ``seen`` untouched
+    for n in (127, 128):
+        parent = write_graph6(_path_complement(n))
+        for backend in backends:
+            monkeypatch.setattr(kernels, "_impl", backend)
+            seen = {"A_"}
+            with pytest.raises(ValueError):
+                kernels.children(parent, seen)
+            assert seen == {"A_"}
 
 
 def test_growth_of_symmetric_62_vertex_parents(compiled):

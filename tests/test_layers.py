@@ -108,6 +108,23 @@ def _statement_name(stmt):
     return type(stmt).__name__
 
 
+def _names(module):
+    """The names a module's source uses, defines or imports by name."""
+    tree = _tree(module)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names | {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_the_word_is_named_by_graph_and_blowups_only():
+    # graph defines WORD_VERTICES and blowups caps a construction's size
+    # with it; no kernel twin or growth rule depends on it, so the pure
+    # twin answers the same whatever word the compiled one has
+    assert [name for name in PY_MODULES if "WORD_VERTICES" in _names(name)] == \
+        ["blowups", "graph"]
+
+
 def test_the_compiled_twin_alone_says_what_it_holds():
     # kernels states no word size: no WORD_VERTICES, no vertex or label
     # length and no long-form graph6 test.  The compiled twin answers
@@ -115,10 +132,7 @@ def test_the_compiled_twin_alone_says_what_it_holds():
     # twin at call time, so the twins are named only there and in the
     # import fallback
     tree = _tree("kernels")
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-              for alias in node.names}
-    assert "WORD_VERTICES" not in names
+    assert "WORD_VERTICES" not in _names("kernels")
     constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     assert not constants & {62, 63, 64, 340, "~"}
     sites = set()

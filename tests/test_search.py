@@ -223,8 +223,9 @@ def test_growth_entries_agree(backends):
 
 def test_children_of_large_parents_take_the_pure_path(monkeypatch):
     # the compiled entry packs a child's rows into 64-bit words, so it
-    # answers NotImplemented for a parent above 63 vertices, and that
-    # parent goes to the pure twin
+    # answers NotImplemented for a parent above 62 vertices, whose
+    # disjoint-edge child would not fit, and that parent goes to the pure
+    # twin
     calls = []
 
     def spy(name, most):
@@ -234,12 +235,12 @@ def test_children_of_large_parents_take_the_pure_path(monkeypatch):
             return [] if n <= most else NotImplemented
         return children
 
-    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(children=spy("impl", 63)))
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(children=spy("impl", 62)))
     monkeypatch.setattr(_kernels_py, "children", spy("pure", 70))
     for n in (61, 62, 63, 64, 70):
         assert search._children(write_graph6(Graph.empty(n)), set()) == []
-    assert calls == [("impl", 61), ("impl", 62), ("impl", 63), ("impl", 64), ("pure", 64),
-                     ("impl", 70), ("pure", 70)]
+    assert calls == [("impl", 61), ("impl", 62), ("impl", 63), ("pure", 63), ("impl", 64),
+                     ("pure", 64), ("impl", 70), ("pure", 70)]
 
 
 def test_sharded_growth_equals_level(monkeypatch):
