@@ -173,8 +173,8 @@ typedef struct {
     u64 deg_ok[WORD];   /* hosts of high enough degree for step i */
     u64 nbr_mask[WORD]; /* earlier steps adjacent to step i in the pattern */
     u64 non_mask[WORD]; /* earlier steps not adjacent to it */
-    int overflow;
-    PyObject *out;      /* enumeration target, NULL when counting */
+    int failed;         /* a count past 64 bits or a failed append */
+    PyObject *out;      /* the list that receives each copy, NULL when counting */
 } Ctx;
 
 enum { NO_COPY = -3 }; /* besides FAILED and NOT_HELD */
@@ -215,7 +215,6 @@ prepare_pattern(Ctx *ctx, PyObject *h_obj, PyObject *order_obj, Py_ssize_t k)
 static void
 fill_host(Ctx *ctx, int n)
 {
-    ctx->overflow = 0;
     u64 full = n == WORD ? ~(u64)0 : BIT(n) - 1;
     int g_deg[WORD];
     for (int v = 0; v < n; v++) {
@@ -283,21 +282,6 @@ candidates(const Ctx *ctx, int i, u64 used)
     return cand;
 }
 
-static unsigned long long
-count_rec(Ctx *ctx, int i, u64 used)
-{
-    u64 cand = candidates(ctx, i, used);
-    if (i == ctx->k - 1)
-        return (unsigned long long)popcount(cand);
-    unsigned long long total = 0;
-    for (; cand && !ctx->overflow; cand &= cand - 1) {
-        ctx->placed[i] = lowest(cand);
-        if (__builtin_add_overflow(total, count_rec(ctx, i + 1, used | (cand & -cand)), &total))
-            ctx->overflow = 1;
-    }
-    return total;
-}
-
 static int
 emit(Ctx *ctx)
 {
@@ -317,16 +301,29 @@ emit(Ctx *ctx)
     return rc;
 }
 
-static int
-enumerate_rec(Ctx *ctx, int i, u64 used)
+/* The one copy search: the number of ordered copies that extend the steps
+   placed before step i, each appended to ctx->out when that is a list.
+   When counting, the last step is one popcount.  A count past 64 bits or
+   a failed append sets ctx->failed, which stops the search; only the
+   append leaves an exception set. */
+static unsigned long long
+copies(Ctx *ctx, int i, u64 used)
 {
-    for (u64 cand = candidates(ctx, i, used); cand; cand &= cand - 1) {
-        ctx->placed[i] = lowest(cand);
-        int rc = i == ctx->k - 1 ? emit(ctx) : enumerate_rec(ctx, i + 1, used | (cand & -cand));
-        if (rc < 0)
-            return -1;
+    if (i == ctx->k) {
+        if (ctx->out && emit(ctx) < 0)
+            ctx->failed = 1;
+        return 1;
     }
-    return 0;
+    u64 cand = candidates(ctx, i, used);
+    if (i == ctx->k - 1 && !ctx->out)
+        return (unsigned long long)popcount(cand);
+    unsigned long long total = 0;
+    for (; cand && !ctx->failed; cand &= cand - 1) {
+        ctx->placed[i] = lowest(cand);
+        if (__builtin_add_overflow(total, copies(ctx, i + 1, used | (cand & -cand)), &total))
+            ctx->failed = 1;
+    }
+    return total;
 }
 
 static int
@@ -339,19 +336,21 @@ check_nargs(Py_ssize_t nargs, Py_ssize_t want, const char *name)
 }
 
 /* The ordered copies in the prepared host that extend the first ``start``
-   placed steps, as a Python int; NULL with OverflowError set when the
-   count exceeds 64 bits. */
+   placed steps: their number as a Python int, or, when ``out`` is a list,
+   that list with each copy appended.  NULL with an exception set when the
+   count exceeds 64 bits (OverflowError) or an append fails. */
 static PyObject *
-count_from(Ctx *ctx, int start, u64 used)
+count_from(Ctx *ctx, int start, u64 used, PyObject *out)
 {
-    if (start == ctx->k)
-        return PyLong_FromLong(1);
-    unsigned long long total = count_rec(ctx, start, used);
-    if (ctx->overflow) {
-        PyErr_SetString(PyExc_OverflowError, "ordered copy count exceeds 64 bits");
+    ctx->failed = 0;
+    ctx->out = out;
+    unsigned long long total = copies(ctx, start, used);
+    if (ctx->failed) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_OverflowError, "ordered copy count exceeds 64 bits");
         return NULL;
     }
-    return PyLong_FromUnsignedLongLong(total);
+    return out ? Py_NewRef(out) : PyLong_FromUnsignedLongLong(total);
 }
 
 static PyObject *
@@ -366,7 +365,7 @@ count_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
         return start == NOT_HELD ? Py_NewRef(Py_NotImplemented) : NULL;
     if (start == NO_COPY)
         return PyLong_FromLong(0);
-    return count_from(&ctx, start, used);
+    return count_from(&ctx, start, used, NULL);
 }
 
 /* count_ordered(g_adj, h_adj, order, ()) for the host each graph6 label
@@ -406,7 +405,7 @@ count_ordered_many(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t 
                 goto done;
             ready = 1;
             fill_host(&ctx, n);
-            c = count_from(&ctx, 0, 0);
+            c = count_from(&ctx, 0, 0, NULL);
         }
         if (c == NULL)
             goto done;
@@ -429,15 +428,12 @@ enumerate_ordered(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t n
     int start = prepare(&ctx, args[0], args[1], args[2], args[3], &used);
     if (start == FAILED || start == NOT_HELD)
         return start == NOT_HELD ? Py_NewRef(Py_NotImplemented) : NULL;
-    ctx.out = PyList_New(0);
-    if (ctx.out == NULL || start == NO_COPY)
-        return ctx.out;
-    int rc = start == ctx.k ? emit(&ctx) : enumerate_rec(&ctx, start, used);
-    if (rc < 0) {
-        Py_DECREF(ctx.out);
-        return NULL;
-    }
-    return ctx.out;
+    PyObject *out = PyList_New(0);
+    if (out == NULL || start == NO_COPY)
+        return out;
+    PyObject *result = count_from(&ctx, start, used, out);
+    Py_DECREF(out);
+    return result;
 }
 
 /* -- canonical labelling ---------------------------------------------------- */

@@ -11,7 +11,9 @@ within it.  Adjacency rows are integer bitmasks; the level entries
 ``children`` and ``count_ordered_many`` take graph6 labels instead.
 For the copy search, ``order`` is the sequence in which pattern vertices
 are assigned; the first ``len(pin_hosts)`` of them are forced to the given
-host vertices.
+host vertices.  One recursion, ``_copies``, serves ``count_ordered`` and
+``enumerate_ordered``: it counts the copies, or lists them when handed a
+list.
 
 The entropy entries ``entropy``, ``cond_entropy``, ``mean_log`` and
 ``distinct_counts`` take non-empty columns, one entry per row, and raise
@@ -71,34 +73,45 @@ def _setup(g_adj, h_adj, order, pin_hosts):
     return used, placed, comp, prev_nbr, prev_non, deg_ok
 
 
-def count_ordered(g_adj, h_adj, order, pin_hosts):
+def _copies(g_adj, h_adj, order, pin_hosts, out=None):
+    """The number of ordered copies that extend the pins, each appended to
+    ``out`` as a host-vertex tuple indexed by pattern vertex when ``out``
+    is a list.  When counting, the last step is one popcount."""
     state = _setup(g_adj, h_adj, order, pin_hosts)
     if state is None:
         return 0
     used0, placed, comp, prev_nbr, prev_non, deg_ok = state
     k = len(h_adj)
-    start = len(pin_hosts)
-    if start == k:
-        return 1
+    last = k if out is not None else k - 1
 
     def rec(i, used):
+        if i == k:
+            if out is not None:
+                copy = [0] * k
+                for j, p in enumerate(order):
+                    copy[p] = placed[j]
+                out.append(tuple(copy))
+            return 1
         cand = deg_ok[i] & ~used
         for j in prev_nbr[i]:
             cand &= g_adj[placed[j]]
         for j in prev_non[i]:
             cand &= comp[placed[j]]
-        if i == k - 1:
+        if i == last:
             return cand.bit_count()
         total = 0
         while cand:
             bit = cand & -cand
             cand ^= bit
-            v = bit.bit_length() - 1
-            placed[i] = v
+            placed[i] = bit.bit_length() - 1
             total += rec(i + 1, used | bit)
         return total
 
-    return rec(start, used0)
+    return rec(len(pin_hosts), used0)
+
+
+def count_ordered(g_adj, h_adj, order, pin_hosts):
+    return _copies(g_adj, h_adj, order, pin_hosts)
 
 
 def _rows(label):
@@ -114,39 +127,8 @@ def count_ordered_many(labels, h_adj, order):
 
 
 def enumerate_ordered(g_adj, h_adj, order, pin_hosts):
-    state = _setup(g_adj, h_adj, order, pin_hosts)
-    if state is None:
-        return []
-    used0, placed, comp, prev_nbr, prev_non, deg_ok = state
-    k = len(h_adj)
-    start = len(pin_hosts)
     out = []
-
-    def emit():
-        copy = [0] * k
-        for i in range(k):
-            copy[order[i]] = placed[i]
-        out.append(tuple(copy))
-
-    def rec(i, used):
-        cand = deg_ok[i] & ~used
-        for j in prev_nbr[i]:
-            cand &= g_adj[placed[j]]
-        for j in prev_non[i]:
-            cand &= comp[placed[j]]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            placed[i] = bit.bit_length() - 1
-            if i == k - 1:
-                emit()
-            else:
-                rec(i + 1, used | bit)
-
-    if start == k:
-        emit()
-    else:
-        rec(start, used0)
+    _copies(g_adj, h_adj, order, pin_hosts, out)
     return out
 
 

@@ -871,14 +871,13 @@ def _extension_weights(adj, window):
 
 def induced_cycles(host: Graph, k: int):
     """Unordered induced k-cycles, each as one representative vertex
-    sequence (lexicographically least ordered copy)."""
-    copies = kernels.enumerate_ordered(host, Graph.cycle(k))
+    sequence (lexicographically least ordered copy), sorted.  The copies
+    come sorted, so the first of each vertex set is its least and the
+    firsts arrive in order."""
     seen = {}
-    for c in copies:
-        key = frozenset(c)
-        if key not in seen:
-            seen[key] = c
-    return sorted(seen.values())
+    for c in kernels.enumerate_ordered(host, Graph.cycle(k)):
+        seen.setdefault(frozenset(c), c)
+    return list(seen.values())
 
 
 # -- the 6-cycle hypergraph chain ------------------------------------------

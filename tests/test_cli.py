@@ -358,6 +358,13 @@ def test_negative_construct_budget_is_an_error():
         assert err == "error: edge budget must be nonnegative\n", family
 
 
+def test_negative_rho_budget_is_an_error_before_the_cache_dir(tmp_path):
+    cache = tmp_path / "cache"
+    code, out, err = run(["--cache-dir", str(cache), "rho", "--pattern", P3, "-m", "-1"])
+    assert (code, out, err) == (2, "", "error: edge budget must be nonnegative\n")
+    assert not cache.exists()
+
+
 def test_unusable_paths_are_errors(tmp_path):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")

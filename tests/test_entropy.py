@@ -329,6 +329,30 @@ def test_ledger_csv_shape():
     assert lines[0].split(",")[2] == "S1+"
 
 
+def test_ledger_flags_every_row_over_its_cap(monkeypatch):
+    # with every case cap at 0, each edge that extends a tuple is flagged;
+    # the flags are a report, so the sums and the verdicts stay the same
+    host = blow_up(BlowupSpec(Graph.cycle(6), (2,) * 6))
+    cyc = induced_cycles(host, 6)[0]
+    ent._host_memo.cache_clear()
+    ref = cycle_extension_ledger(host, cyc)
+    monkeypatch.setattr(ent, "_contribution_cap", lambda adjacent, j, k: 0)
+    ent._host_memo.cache_clear()
+    try:
+        led = cycle_extension_ledger(host, cyc)
+    finally:
+        ent._host_memo.cache_clear()
+    assert not ref.flagged and len(led.rows) == host.m == 24
+    assert led.flagged == tuple((r.edge, r.flags) for r in led.rows)
+    assert all(flags for _, flags in led.flagged)
+    rep = led.to_json()
+    assert rep["flagged"] == [[list(edge), list(flags)] for edge, flags in led.flagged]
+    assert len(rep["flagged"]) == 24
+    assert (led.s_plus, led.s_minus, led.total_plus, led.total_minus) == \
+        (ref.s_plus, ref.s_minus, ref.total_plus, ref.total_minus)
+    assert (led.within_budget, led.within_fallback) == (ref.within_budget, ref.within_fallback)
+
+
 def test_ledger_input_validation():
     with pytest.raises(ValueError):
         cycle_extension_ledger(Graph.cycle(6), (0, 1, 2, 3, 4, 4))
